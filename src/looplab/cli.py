@@ -6,20 +6,14 @@ The default output is a TSV of verdict rows (or, for the integral
 comparison, the graded group table itself); --format json emits a
 single run report object carrying the command, its parameters, the
 verdicts, pass/fail/skip counts, and the wall time.
-
-LOOPLAB_THREADS sets the fanout width for the independent work items
-inside a suite.  Results are merged in submission order, so the output
-is identical at any width.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import GradingSpec
 from .closedform import loop_module, main1_dims
@@ -36,32 +30,6 @@ from .thom import (
 )
 
 __all__ = ["main", "build_parser"]
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LOOPLAB_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise _UsageError(f"LOOPLAB_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def _fanout(fn, items):
-    items = list(items)
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _exponent(text: str) -> int:
@@ -159,6 +127,14 @@ def _group_text(value: tuple[int, tuple[int, ...]]) -> str:
     return f"free={free} torsion={shown}"
 
 
+def _counts(verdicts, skipped: int = 0) -> dict:
+    return {
+        "pass": sum(1 for v in verdicts if v["status"] == "pass"),
+        "fail": sum(1 for v in verdicts if v["status"] == "fail"),
+        "skipped": skipped,
+    }
+
+
 def _run_main1(args):
     spec = GradingSpec(args.n, args.m)
     t_max = args.max_degree
@@ -166,8 +142,7 @@ def _run_main1(args):
         t_max = 3 * (spec.n + 1) * spec.m
     params = {"n": spec.n, "m": spec.m, "maxLevel": args.max_level, "maxDegree": t_max}
 
-    def check(slice_):
-        q, t = slice_
+    def check(q, t):
         chain = homology_dim(spec, q, t)
         closed = main1_dims(spec, q, t)
         resolution = koszul_dim(spec, q, t)
@@ -178,9 +153,8 @@ def _run_main1(args):
             "detail": f"chain={chain} closed={closed} resolution={resolution}",
         }
 
-    slices = [(q, t) for q in range(args.max_level + 1) for t in range(t_max + 1)]
-    verdicts = _fanout(check, slices)
-    return params, verdicts, None, None
+    verdicts = [check(q, t) for q in range(args.max_level + 1) for t in range(t_max + 1)]
+    return params, verdicts, _counts(verdicts), None
 
 
 def _check_verdict(side: str, report: dict) -> dict:
@@ -208,14 +182,11 @@ def _run_steenrod(args):
         ("model", model, check_instability),
         ("model", model, check_adem),
     ]
-
-    def run_one(job):
-        side, module, checker = job
-        return _check_verdict(side, checker(module, args.max_sq))
-
-    verdicts = _fanout(run_one, jobs)
+    verdicts = [
+        _check_verdict(side, checker(module, args.max_sq)) for side, module, checker in jobs
+    ]
     skipped = sum(v.pop("skipped") for v in verdicts)
-    return params, verdicts, skipped, None
+    return params, verdicts, _counts(verdicts, skipped), None
 
 
 def _run_ez(args):
@@ -245,7 +216,7 @@ def _run_ez(args):
         "fail": len(outcome["failures"]),
         "skipped": outcome["vacuous"],
     }
-    return params, verdicts, None, None, counts
+    return params, verdicts, counts, None
 
 
 def _run_compare(args):
@@ -270,8 +241,8 @@ def _run_compare(args):
                 "detail": f"model {_group_text(got)} reference {_group_text(want)}",
             }
 
-        verdicts = _fanout(per_degree, range(args.max_degree + 1))
-        return params, verdicts, None, abelian_tsv(model, args.max_degree)
+        verdicts = [per_degree(deg) for deg in range(args.max_degree + 1)]
+        return params, verdicts, _counts(verdicts), abelian_tsv(model, args.max_degree)
 
     params["maxSq"] = args.max_sq
     model = model_module_f2(sp, args.max_degree, args.max_sq)
@@ -288,11 +259,11 @@ def _run_compare(args):
             "detail": f"model={got} loop={want}",
         }
 
-    verdicts = _fanout(per_degree, range(args.max_degree + 1))
+    verdicts = [per_degree(deg) for deg in range(args.max_degree + 1)]
     iso = module_iso(model, loop, loop_dictionary(sp, args.max_degree), args.max_sq)
     verdicts.append(_check_verdict("dictionary", iso))
     skipped = verdicts[-1].pop("skipped")
-    return params, verdicts, skipped, None
+    return params, verdicts, _counts(verdicts, skipped), None
 
 
 def _dispatch(args):
@@ -308,16 +279,7 @@ def _dispatch(args):
     else:
         name = "verify ez"
         result = _run_ez(args)
-    params, verdicts, skipped, table = result[:4]
-    if len(result) == 5:
-        counts = result[4]
-    else:
-        counts = {
-            "pass": sum(1 for v in verdicts if v["status"] == "pass"),
-            "fail": sum(1 for v in verdicts if v["status"] == "fail"),
-            "skipped": skipped or 0,
-        }
-    return name, params, verdicts, counts, table
+    return (name, *result)
 
 
 def _render(name, params, verdicts, counts, table, fmt, elapsed) -> str:
@@ -341,12 +303,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
-    try:
-        _thread_count()
-        name, params, verdicts, counts, table = _dispatch(args)
-    except _UsageError as err:
-        print(f"looplab: {err}", file=sys.stderr)
-        return 2
+    name, params, verdicts, counts, table = _dispatch(args)
     text = _render(name, params, verdicts, counts, table, args.format, time.perf_counter() - started)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

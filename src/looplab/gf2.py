@@ -17,7 +17,6 @@ __all__ = [
     "apply_row",
     "kernel_basis",
     "left_kernel",
-    "intersect",
     "solve_in_span",
     "quotient_reps",
     "quotient_dim",
@@ -112,24 +111,6 @@ def left_kernel(rows: Sequence[int], ncols: int) -> list[int]:
     return kernel_basis(transpose(rows, ncols), len(rows))
 
 
-def intersect(a_basis: Sequence[int], b_basis: Sequence[int], ncols: int) -> list[int]:
-    """Canonical basis of the intersection of two row spans.
-
-    A dependency c among the stacked rows [A; B] splits as c = (u, w)
-    with u A = w B, and u A is then an intersection element; over GF(2)
-    there are no signs to track.  Inputs are canonicalized first so
-    dependent spanning sets are accepted.
-    """
-    a_red, _ = rref(a_basis)
-    b_red, _ = rref(b_basis)
-    out = []
-    for c in left_kernel(a_red + b_red, ncols):
-        elem = apply_row(c & ((1 << len(a_red)) - 1), a_red)
-        if elem:
-            out.append(elem)
-    return rref(out)[0]
-
-
 def solve_in_span(basis: Sequence[int], target: int, ncols: int) -> Optional[list[int]]:
     """Coefficients expressing target in the given spanning set, or None.
 
@@ -166,10 +147,13 @@ def quotient_reps(z_basis: Sequence[int], b_basis: Sequence[int], ncols: int) ->
     Representatives are reduced modulo span(b), so none of them has a
     bit in a pivot column of b, and they stay independent from b jointly.
     """
-    z_red, _ = rref(z_basis)
+    z_red, z_piv = rref(z_basis)
     b_red, b_piv = rref(b_basis)
     for b in b_red:
-        if solve_in_span(z_red, b, ncols) is None:
+        for c, r in zip(z_piv, z_red):
+            if b >> c & 1:
+                b ^= r
+        if b:
             raise ValueError("quotient by a subspace not contained in the ambient span")
     reduced = []
     for z in z_red:

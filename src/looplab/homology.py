@@ -2,11 +2,13 @@
 
 A slice is the span of all level q monomials of one internal degree t,
 optionally refined by the finer (w, p) grading.  Within a slice the
-normalized subspace is cut out by the faces 1 .. q, the bottom face is
-the differential, and homology is an exact quotient with canonical
-representatives.  Nothing here knows any closed-form answer; the
-closed forms live elsewhere and the two only ever meet in tests and in
-the command line cross checks.
+normalized subspace (the common kernel of the faces 1 .. q) is the
+Dold-Kan image of the nondegenerate monomials under the normalizing
+projection, so it is read off the monomials rather than solved for.
+The bottom face is the differential, and homology is an exact quotient
+with canonical representatives.  Nothing here knows any closed-form
+answer; the closed forms live elsewhere and the two only ever meet in
+tests and in the command line cross checks.
 
 The module also carries a deliberately independent oracle: a four-track
 complex small enough to differentiate by hand, whose homology must
@@ -15,10 +17,9 @@ agree with the brute force answer degree by degree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebra import (
     Form,
@@ -28,16 +29,8 @@ from .algebra import (
     mono_bigrading,
     monomial_basis,
 )
-from .gf2 import (
-    apply_row,
-    intersect,
-    left_kernel,
-    quotient_reps,
-    rank,
-    rref,
-    solve_in_span,
-)
-from .simplicial import face, mono_face
+from .gf2 import apply_row, left_kernel, quotient_reps, rank, rref, solve_in_span
+from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 
 __all__ = [
     "SliceHomology",
@@ -52,7 +45,6 @@ __all__ = [
     "check_pi0",
     "homology_table",
     "table_tsv",
-    "table_json",
 ]
 
 
@@ -81,14 +73,6 @@ def _slice_basis(
     return tuple(basis)
 
 
-def _face_rows(n: int, i: int, src: Sequence[Mono], tgt_index: dict[Mono, int]) -> list[int]:
-    rows = []
-    for mono in src:
-        img = mono_face(n, i, mono)
-        rows.append(0 if img is None else 1 << tgt_index[img])
-    return rows
-
-
 def _n_vectors(
     spec: GradingSpec,
     q: int,
@@ -96,20 +80,20 @@ def _n_vectors(
     wp: Optional[tuple[int, int]],
     poly_only: bool,
 ) -> tuple[tuple[Mono, ...], list[int]]:
-    """Slice basis plus vectors spanning the kernels of faces 1 .. q.
+    """Slice basis plus the reduced basis of the normalized subspace.
 
-    Every face preserves degree, the (w, p) pair and polynomiality, so
-    the filtered slice one level down really does hold all the images.
+    The rows are the projections of the nondegenerate monomials.  Faces
+    and degeneracies preserve degree, the (w, p) pair and polynomiality,
+    so every projection stays inside the slice.
     """
     basis = _slice_basis(spec, q, t, wp, poly_only)
-    vecs = [1 << k for k in range(len(basis))]
-    if q:
-        down = _slice_basis(spec, q - 1, t, wp, poly_only)
-        down_index = {m: k for k, m in enumerate(down)}
-        for i in range(1, q + 1):
-            rows = _face_rows(spec.n, i, basis, down_index)
-            vecs = intersect(vecs, left_kernel(rows, len(down)), len(basis))
-    return basis, vecs
+    index = {m: k for k, m in enumerate(basis)}
+    vecs = [
+        _to_vec(mono_normalize(spec.n, mono), index)
+        for mono in basis
+        if not mono_is_degenerate(mono)
+    ]
+    return basis, rref(vecs)[0]
 
 
 @lru_cache(maxsize=None)
@@ -122,10 +106,11 @@ def _pipeline(
 ):
     """Slice basis, normalized subspace, cycles, boundaries, representatives.
 
-    All subspaces are bit-row bases over the slice basis.  The boundary
-    space comes from the normalized level above, and quotient_reps
-    raises if it ever escapes the cycle space, which would mean the
-    face tables are inconsistent.
+    All subspaces are bit-row bases over the slice basis.  The normalized
+    subspace is the Dold-Kan image of the nondegenerate monomials, not a
+    face-kernel intersection.  The boundary space comes from the
+    normalized level above, and quotient_reps raises if it ever escapes
+    the cycle space, which would mean the face tables are inconsistent.
     """
     basis, n_basis = _n_vectors(spec, q, t, wp, poly_only)
     index = {m: k for k, m in enumerate(basis)}
@@ -345,13 +330,3 @@ def table_tsv(rows) -> str:
     for q, t, dim, reps in rows:
         lines.append(f"{q}\t{t}\t{dim}\t{'; '.join(reps)}")
     return "\n".join(lines) + "\n"
-
-
-def table_json(rows) -> str:
-    return json.dumps(
-        [
-            {"q": q, "t": t, "dim": dim, "representatives": list(reps)}
-            for q, t, dim, reps in rows
-        ],
-        indent=2,
-    )

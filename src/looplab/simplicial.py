@@ -23,10 +23,7 @@ from .algebra import (
     gen_dy,
     gen_x,
     gen_y,
-    mono_degree,
-    monomial_basis,
 )
-from .gf2 import solve_in_span
 
 __all__ = [
     "mono_face",
@@ -39,6 +36,8 @@ __all__ = [
     "alpha",
     "beta",
     "check_simplicial_identities",
+    "mono_is_degenerate",
+    "mono_normalize",
     "is_degenerate",
 ]
 
@@ -214,32 +213,40 @@ def check_simplicial_identities(
     return bad
 
 
+def mono_is_degenerate(mono: Mono) -> bool:
+    """Whether the monomial is a degeneracy image.
+
+    Degeneracy i leaves slot i+1 empty and fills the others from the
+    level below, so the images are exactly the monomials with some slot
+    j carrying neither y_j nor dy_j.  The degenerate part of a level is
+    therefore spanned by monomials.
+    """
+    return any(not e and not f for e, f in zip(mono.y, mono.dy))
+
+
+def mono_normalize(n: int, mono: Mono) -> Form:
+    """The normalizing projection applied to one monomial.
+
+    P = (1 + s_0 d_1)(1 + s_1 d_2) .. (1 + s_(q-1) d_q), rightmost factor
+    first.  P kills every degeneracy image and lands in the kernel of the
+    faces 1 .. q, and P(mono) is mono plus degenerate monomials, so the
+    images of the nondegenerate monomials form a basis of the normalized
+    subspace (Dold-Kan).
+    """
+    terms = {mono}
+    for i in range(mono.level, 0, -1):
+        for term in list(terms):
+            img = mono_face(n, i, term)
+            if img is not None:
+                terms ^= {mono_degeneracy(i - 1, img)}
+    return Form(mono.level, frozenset(terms))
+
+
 def is_degenerate(spec: GradingSpec, form: Form) -> bool:
     """Whether the form lies in the span of degeneracy images.
 
-    Decided degree by degree inside the monomial basis slice, so the
-    form does not need to be homogeneous.  Level zero admits no
-    degeneracies, where only the zero form qualifies.
+    That span is spanned by monomials, so a form lies in it exactly when
+    every term does; the form need not be homogeneous.  Level zero admits
+    no degeneracies, where only the zero form qualifies.
     """
-    q = form.level
-    if not form:
-        return True
-    if q == 0:
-        return False
-    by_degree: dict[int, list[Mono]] = {}
-    for mono in form.terms:
-        by_degree.setdefault(mono_degree(spec, mono), []).append(mono)
-    for t, monos in by_degree.items():
-        basis = monomial_basis(q, spec, t)
-        index = {m: k for k, m in enumerate(basis)}
-        target = 0
-        for mono in monos:
-            target |= 1 << index[mono]
-        span = [
-            1 << index[mono_degeneracy(i, mono)]
-            for mono in monomial_basis(q - 1, spec, t)
-            for i in range(q)
-        ]
-        if solve_in_span(span, target, len(basis)) is None:
-            return False
-    return True
+    return all(mono_is_degenerate(m) for m in form.terms)

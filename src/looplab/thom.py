@@ -348,7 +348,8 @@ def reference_loop_homology(sp: Space, deg_max: int) -> GradedAb:
     are periodic with one cyclic summand per period, the octonionic
     plane repeats a fixed four cell block, and spheres sum the layers
     of their winding filtration.  Nothing here touches the wedge
-    assembly, which is the point.
+    assembly, which is the point.  Any other name raises rather than
+    borrowing a table that belongs to a different space.
     """
     n = sp.n
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -389,6 +390,8 @@ def reference_loop_homology(sp: Space, deg_max: int) -> GradedAb:
                 for l in range(n):
                     free(a * period + 4 * l - 4 * n + 1)
         return groups
+    if sp.name != "cayley":
+        raise ValueError(f"no reference table for space {sp.name!r}")
     for deg in (0, 8, 16):
         free(deg)
     for a in range(1, deg_max // 22 + 2):

@@ -1,4 +1,4 @@
-"""Driver behaviour: arguments, formats, exit codes, fanout determinism."""
+"""Driver behaviour: arguments, formats, exit codes, determinism."""
 
 import json
 import subprocess
@@ -28,18 +28,6 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "main1", "--n", "0", "--m", "2"])
     assert exc.value.code == 2
-
-
-def test_bad_thread_env_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("LOOPLAB_THREADS", "zero")
-    code, _, err = run_cli(capsys, ["verify", "main1", "--n", "1", "--m", "2", "--max-degree", "2"])
-    assert code == 2
-    assert "LOOPLAB_THREADS" in err
-    # Also on a command that never fans out; the value is wrong either way.
-    args = ["verify", "ez", "--n", "1", "--m", "2", "--max-level", "1", "--trials", "1", "--seed", "1"]
-    code, _, err = run_cli(capsys, args)
-    assert code == 2
-    assert "LOOPLAB_THREADS" in err
 
 
 def test_main1_rows_and_exit(capsys):
@@ -144,16 +132,6 @@ def test_out_flag_writes_the_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "degree\tfreeRank\ttorsion"
-
-
-def test_thread_fanout_is_invisible_in_the_output(capsys, monkeypatch):
-    argv = ["verify", "main1", "--n", "2", "--m", "2", "--max-level", "2",
-            "--max-degree", "10"]
-    monkeypatch.setenv("LOOPLAB_THREADS", "1")
-    _, narrow, _ = run_cli(capsys, argv)
-    monkeypatch.setenv("LOOPLAB_THREADS", "5")
-    _, wide, _ = run_cli(capsys, argv)
-    assert narrow == wide
 
 
 def test_module_invocation_smoke():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from looplab.gf2 import (
     apply_row,
-    intersect,
     kernel_basis,
     left_kernel,
     quotient_dim,
@@ -87,17 +86,6 @@ def test_left_kernel_kills_rows():
         assert apply_row(c, rows) == 0
 
 
-def test_intersect_matches_set_intersection():
-    rng = random.Random(605)
-    for _ in range(30):
-        a = random_rows(rng, rng.randint(1, 4), 8)
-        b = random_rows(rng, rng.randint(1, 4), 8)
-        got = intersect(a, b, 8)
-        expected = span_elements(a) & span_elements(b)
-        assert 2 ** len(got) == len(expected)
-        assert span_elements(got) == expected
-
-
 def test_solve_in_span_round_trip():
     rng = random.Random(606)
     for _ in range(40):
@@ -163,13 +151,3 @@ def test_rank_of_transpose(case):
 def test_rank_nullity(case):
     ncols, rows = case
     assert rank(rows) + len(kernel_basis(rows, ncols)) == ncols
-
-
-@settings(max_examples=100, deadline=None)
-@given(bit_matrix, st.lists(st.integers(0, 2**7 - 1), min_size=1, max_size=5))
-def test_intersection_lies_in_both_spans(case, b_rows):
-    ncols, a_rows = case
-    b_rows = [r & (2**ncols - 1) for r in b_rows]
-    for v in intersect(a_rows, b_rows, ncols):
-        assert solve_in_span(a_rows, v, ncols) is not None
-        assert solve_in_span(b_rows, v, ncols) is not None

@@ -1,8 +1,21 @@
 """Brute force homology against the small-complex oracle and hand values."""
 
+import time
+
 import pytest
 
-from looplab.algebra import Form, GradingSpec, gen_dx, gen_x, internal_degree, parse_form
+from looplab.algebra import (
+    Form,
+    GradingSpec,
+    gen_dx,
+    gen_x,
+    internal_degree,
+    mono_bigrading,
+    parse_form,
+)
+from looplab.closedform import main1_dims
+from looplab.gf2 import left_kernel, rref
+from looplab import homology
 from looplab.homology import (
     check_pi0,
     class_of,
@@ -17,7 +30,9 @@ from looplab.homology import (
     table_tsv,
     homology_table,
 )
-from looplab.simplicial import alpha, beta, face, omega
+from looplab.simplicial import alpha, beta, face, mono_face, omega
+
+ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
 
 def test_oracle_differential_squares_to_zero():
@@ -129,3 +144,54 @@ def test_table_rendering():
     assert lines[0] == "q\tt\tdim\trepresentatives"
     assert lines[1].split("\t") == ["0", "0", "1", "1"]
     assert any(line.split("\t")[:3] == ["1", "3", "1"] for line in lines)
+
+
+def _kernel_of_faces(spec, q, t, wp, poly_only):
+    """The normalized subspace by definition: the common kernel of faces 1 .. q.
+
+    Each slice basis row is written as its images under d_1 .. d_q side by
+    side, and the dependencies among those rows are the normalized vectors.
+    """
+    basis = homology._slice_basis(spec, q, t, wp, poly_only)
+    down = homology._slice_basis(spec, q - 1, t, wp, poly_only) if q else ()
+    down_index = {m: k for k, m in enumerate(down)}
+    rows = []
+    for mono in basis:
+        row = 0
+        for i in range(1, q + 1):
+            img = mono_face(spec.n, i, mono)
+            if img is not None:
+                row |= 1 << ((i - 1) * len(down) + down_index[img])
+        rows.append(row)
+    return rref(left_kernel(rows, q * len(down)))[0]
+
+
+def test_normalized_vectors_equal_the_common_kernel_of_the_faces():
+    slices = []
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        for q in range(4):
+            for t in range(3 * (n + 1) * m + 1):
+                slices += [(spec, q, t, None, False), (spec, q, t, None, True)]
+    spec, q, t = GradingSpec(2, 2), 2, 12
+    pairs = {mono_bigrading(spec.n, m) for m in homology._slice_basis(spec, q, t, None, False)}
+    slices += [(spec, q, t, wp, False) for wp in sorted(pairs)]
+    seen = set()
+    for args in slices:
+        _, vecs = homology._n_vectors(*args)
+        assert vecs == _kernel_of_faces(*args), args
+        if vecs:
+            seen.add((args[1], args[3] is not None, args[4]))
+    # every level, both polynomial filters and the bigraded slices met a nonzero subspace
+    want = {(q, False, poly) for q in range(4) for poly in (False, True)}
+    assert seen == want | {(2, True, False)}
+
+
+def test_even_pair_dimensions_agree_to_level_five_and_degree_forty():
+    spec = GradingSpec(2, 2)
+    start = time.monotonic()
+    for q in range(6):
+        for t in range(41):
+            chain = homology_dim(spec, q, t)
+            assert chain == main1_dims(spec, q, t) == koszul_dim(spec, q, t), (q, t)
+    assert time.monotonic() - start < 120.0

@@ -14,8 +14,11 @@ from looplab.algebra import (
     gen_x,
     gen_y,
     internal_degree,
+    mono_degree,
+    monomial_basis,
     parse_form,
 )
+from looplab.gf2 import solve_in_span
 from looplab.simplicial import (
     alpha,
     beta,
@@ -23,6 +26,9 @@ from looplab.simplicial import (
     degeneracy,
     face,
     is_degenerate,
+    mono_degeneracy,
+    mono_is_degenerate,
+    mono_normalize,
     omega,
     omega_without,
     omega_without2,
@@ -179,3 +185,75 @@ def test_degenerate_membership_separates_the_hats_from_omega():
     assert is_degenerate(spec, gen_y(3, 2) * omega_without2(3, 1, 3))
     assert not is_degenerate(spec, gen_x(0))
     assert is_degenerate(spec, Form.zero(0))
+
+
+def _degenerate_by_span(spec, form):
+    """Reference: membership in the span of all degeneracy images, solved
+    degree by degree inside the monomial basis."""
+    q = form.level
+    if not form:
+        return True
+    if q == 0:
+        return False
+    by_degree = {}
+    for mono in form.terms:
+        by_degree.setdefault(mono_degree(spec, mono), []).append(mono)
+    for t, monos in by_degree.items():
+        basis = monomial_basis(q, spec, t)
+        index = {m: k for k, m in enumerate(basis)}
+        target = 0
+        for mono in monos:
+            target |= 1 << index[mono]
+        span = [
+            1 << index[mono_degeneracy(i, mono)]
+            for mono in monomial_basis(q - 1, spec, t)
+            for i in range(q)
+        ]
+        if solve_in_span(span, target, len(basis)) is None:
+            return False
+    return True
+
+
+DEGENERACY_SPECS = (GradingSpec(1, 2), GradingSpec(2, 2), GradingSpec(2, 3))
+
+
+def _all_monos(spec, q):
+    degrees = range(2 * (spec.n + 1) * spec.m + 1)
+    return [mono for t in degrees for mono in monomial_basis(q, spec, t)]
+
+
+def test_closed_degeneracy_criterion_matches_the_span_reference():
+    rng = random.Random(85)
+    both = set()
+    for spec in DEGENERACY_SPECS:
+        for q in range(5):
+            monos = _all_monos(spec, q)
+            for mono in monos:
+                form = Form(q, frozenset({mono}))
+                got = is_degenerate(spec, form)
+                assert got == _degenerate_by_span(spec, form), (spec, mono)
+                both.add(got)
+            for _ in range(40):
+                form = Form.from_monos(q, rng.sample(monos, min(len(monos), rng.randint(1, 4))))
+                assert is_degenerate(spec, form) == _degenerate_by_span(spec, form), (spec, form)
+            if q:
+                lower = _all_monos(spec, q - 1)
+                for _ in range(10):
+                    picks = [(rng.randrange(q), rng.choice(lower)) for _ in range(3)]
+                    form = Form.from_monos(q, (mono_degeneracy(i, m) for i, m in picks))
+                    assert is_degenerate(spec, form) and _degenerate_by_span(spec, form)
+    assert both == {True, False}
+
+
+def test_normalizing_projection():
+    for spec in DEGENERACY_SPECS:
+        n = spec.n
+        for q in range(5):
+            for mono in _all_monos(spec, q):
+                image = mono_normalize(n, mono)
+                for i in range(1, q + 1):
+                    assert not face(n, i, image), (spec, mono, i)
+                scrap = image + Form(q, frozenset({mono}))
+                assert all(mono_is_degenerate(m) for m in scrap.terms), (spec, mono)
+                for i in range(q + 1):
+                    assert not mono_normalize(n, mono_degeneracy(i, mono)), (spec, mono, i)

@@ -32,6 +32,11 @@ def test_space_table():
         space("rp2")
 
 
+def test_reference_table_rejects_a_space_outside_the_shipped_families():
+    with pytest.raises(ValueError):
+        reference_loop_homology(Space("rp2", 1, 1, 1, False), 10)
+
+
 def test_odd_switch_agrees_with_the_euler_characteristic():
     for sp in SPACES.values():
         assert sp.odd_op == sp.odd_op_from_euler, sp.name
