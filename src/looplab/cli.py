@@ -199,13 +199,16 @@ def _run_ez(args):
         "seed": args.seed,
     }
     outcome = run_trials(spec, args.max_level, args.trials, args.seed)
+    # A sweep whose checks are mostly vacuous has checked next to nothing.
+    mostly_vacuous = outcome["vacuous"] >= outcome["passed"]
     verdicts = [
         {
             "item": "trials",
-            "status": "pass" if not outcome["failures"] else "fail",
+            "status": "fail" if outcome["failures"] or mostly_vacuous else "pass",
             "detail": (
                 f"trials={outcome['trials']} passed={outcome['passed']}"
                 f" vacuous={outcome['vacuous']}"
+                + (" (no more passed than vacuous)" if mostly_vacuous else "")
             ),
         }
     ]
@@ -213,7 +216,7 @@ def _run_ez(args):
         verdicts.append({"item": "trial", "status": "fail", "detail": failure})
     counts = {
         "pass": outcome["passed"],
-        "fail": len(outcome["failures"]),
+        "fail": len(outcome["failures"]) + mostly_vacuous,
         "skipped": outcome["vacuous"],
     }
     return params, verdicts, counts, None

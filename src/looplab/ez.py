@@ -293,9 +293,9 @@ def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dic
 
     Fully determined by (spec, max_level, trials, seed); a failure entry
     names the trial and branch so the run can be replayed.  Conditional
-    branches whose hypotheses never fired show up in the vacuous count,
-    which callers should eyeball: a suite that is all vacuous checks
-    nothing.
+    branches whose hypotheses never fired show up in the vacuous count.
+    A suite that is all vacuous checks nothing, so the CLI fails a sweep
+    unless its passed checks outnumber its vacuous ones.
     """
     if max_level < 1:
         raise ValueError("needs at least level 1")

@@ -1,20 +1,20 @@
 """Finite windows of modules over the mod 2 squaring operations.
 
-A module here is a labelled basis in every degree up to a cutoff plus
-one bit matrix per (operation, degree) pair.  Truncation is tracked
-honestly: a value that would land beyond the cutoff is not stored, the
-drop is counted, and every checker reports how many of its instances
-were skipped for that reason instead of quietly passing them.  The
-checkers themselves are generic; they know nothing about where a
-module came from, which is what lets one of them compare two modules
-built from entirely different descriptions.
+Labels are numbered once, in degree order up to a cutoff, and every
+value is a Python int used as a bit vector over that index, so the
+checkers only XOR rows.  A value beyond the cutoff is not stored; the
+drop is counted, and every checker reports how many instances it skipped
+for that reason.  The checkers know nothing about where a module came
+from, which lets one of them compare two modules built from entirely
+different descriptions.  The Cartan check runs over unordered pairs of
+labels, so it assumes a commutative product.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
-
-from .gf2 import low_bit
+from bisect import bisect_right
+from collections import Counter
+from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "FiniteAModule",
@@ -30,20 +30,37 @@ ProductRule = Callable[[str, str], Iterable[str]]
 
 def _binom_odd(top: int, bottom: int) -> bool:
     """Whether a binomial coefficient is odd, by digit containment."""
-    if bottom < 0 or bottom > top:
-        return False
-    return bottom & top == bottom
+    return 0 <= bottom <= top and bottom & top == bottom
+
+
+def _bits(vec: int) -> list[int]:
+    """Positions of the set bits of vec, lowest first."""
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
+    return out
+
+
+def _apply(rows: Sequence[Optional[int]], vec: int) -> int:
+    """Linear extension of rows: the XOR of the rows picked by vec."""
+    out = 0
+    while vec:
+        low = vec & -vec
+        out ^= rows[low.bit_length() - 1]
+        vec ^= low
+    return out
 
 
 class FiniteAModule:
-    """Labelled basis per degree with stored squaring matrices.
+    """Labelled basis in degree order with stored squaring rows.
 
     elements gives (label, degree) pairs with globally unique labels;
     sq_rule(k, label) yields the (label, degree) summands of the k-th
-    operation, which the constructor turns into matrices for every k up
-    to k_store.  Summands beyond deg_max are dropped and counted in
-    self.skipped.  An optional product maps two labels to the labels of
-    their product, enabling the checks that need ring structure.
+    operation: sq[k][i] is its row on label i for k <= k_store, None
+    beyond deg_max (such drops count in self.skipped).  The optional
+    product maps two labels to the labels of their product.
     """
 
     def __init__(
@@ -57,93 +74,69 @@ class FiniteAModule:
         self.deg_max = deg_max
         self.k_store = k_store
         self.product = product
-        self.degree: dict[str, int] = {}
-        self.basis: dict[int, list[str]] = {}
+        degree: dict[str, int] = {}
         for label, d in elements:
-            if label in self.degree:
+            if label in degree:
                 raise ValueError(f"duplicate label {label!r}")
             if d > deg_max:
                 raise ValueError(f"{label!r} enumerated beyond the cutoff")
-            self.degree[label] = d
-            self.basis.setdefault(d, []).append(label)
-        self._pos = {label: k for d in self.basis for k, label in enumerate(self.basis[d])}
-        self._value_cache: dict[tuple[int, str], frozenset[str]] = {}
-        self.sq: dict[tuple[int, int], tuple[int, ...]] = {}
+            degree[label] = d
+        self.label = sorted(degree, key=degree.__getitem__)
+        self.deg = [degree[label] for label in self.label]
+        self.index = {label: i for i, label in enumerate(self.label)}
+        self._products: dict[tuple[int, int], int] = {}
+        self.sq: list[list[Optional[int]]] = [[1 << i for i in range(len(self.label))]]
         self.skipped = 0
-        for d in sorted(self.basis):
-            for k in range(1, k_store + 1):
-                rows = []
-                for label in self.basis[d]:
-                    vec = 0
-                    dropped = False
-                    for tgt, td in sq_rule(k, label):
-                        if td != d + k:
-                            raise ValueError(f"Sq^{k} {label} emitted degree {td}")
-                        if td > deg_max:
-                            dropped = True
-                            continue
-                        if self.degree.get(tgt) != td:
-                            raise ValueError(f"Sq^{k} {label} hit unknown label {tgt!r}")
-                        vec ^= 1 << self._pos[tgt]
-                    if dropped:
-                        self.skipped += 1
-                    rows.append(vec)
-                if any(rows) and d + k <= deg_max:
-                    self.sq[(k, d)] = tuple(rows)
+        for k in range(1, k_store + 1):
+            rows: list[Optional[int]] = []
+            for label, d in zip(self.label, self.deg):
+                targets = []
+                for tgt, td in sq_rule(k, label):
+                    if td != d + k:
+                        raise ValueError(f"Sq^{k} {label} emitted degree {td}")
+                    targets.append(tgt)
+                if d + k > deg_max:
+                    self.skipped += bool(targets)
+                    rows.append(None)
+                else:
+                    rows.append(self._encode(targets, d + k, f"Sq^{k} {label}"))
+            self.sq.append(rows)
+
+    def _encode(self, labels: Iterable[str], d: int, what: str) -> int:
+        vec = 0
+        for label in labels:
+            i = self.index.get(label)
+            if i is None or self.deg[i] != d:
+                raise ValueError(f"{what} hit {label!r}, not a label of degree {d}")
+            vec ^= 1 << i
+        return vec
+
+    def mul(self, i: int, j: int) -> int:
+        """Row of label i times label j, from the rule on first use; 0 beyond deg_max."""
+        row = self._products.get((i, j))
+        if row is None:
+            if self.product is None:
+                raise ValueError("module has no product")
+            d, la, lb = self.deg[i] + self.deg[j], self.label[i], self.label[j]
+            row = self._encode(self.product(la, lb), d, f"{la}*{lb}") if d <= self.deg_max else 0
+            self._products[(i, j)] = row
+        return row
 
     def labels(self) -> list[tuple[str, int]]:
-        return [(label, d) for d in sorted(self.basis) for label in self.basis[d]]
+        return list(zip(self.label, self.deg))
 
     def dims(self) -> dict[int, int]:
-        return {d: len(self.basis[d]) for d in sorted(self.basis)}
+        return dict(Counter(self.deg))
 
     def sq_label(self, k: int, label: str) -> Optional[frozenset[str]]:
         """Value of the k-th operation on a basis label as a label set.
 
-        Returns None when the value lives beyond the cutoff and is
-        therefore unknowable from this window; k = 0 is the identity.
+        None when the value lies beyond the cutoff; k = 0 is the identity.
         """
-        if k == 0:
-            return frozenset({label})
-        if k > self.k_store:
+        if not 0 <= k <= self.k_store:
             raise ValueError(f"operations were only stored up to {self.k_store}")
-        d = self.degree[label]
-        if d + k > self.deg_max:
-            return None
-        cached = self._value_cache.get((k, label))
-        if cached is not None:
-            return cached
-        rows = self.sq.get((k, d))
-        out = []
-        if rows is not None:
-            vec = rows[self._pos[label]]
-            tgt = self.basis.get(d + k, [])
-            while vec:
-                out.append(tgt[low_bit(vec)])
-                vec &= vec - 1
-        value = frozenset(out)
-        self._value_cache[(k, label)] = value
-        return value
-
-    def sq_set(self, k: int, labels: Iterable[str]) -> Optional[frozenset[str]]:
-        """Linear extension of sq_label; None if any summand is unknowable."""
-        acc: set[str] = set()
-        for label in labels:
-            value = self.sq_label(k, label)
-            if value is None:
-                return None
-            acc ^= value
-        return frozenset(acc)
-
-    def product_set(self, a: Iterable[str], b: Iterable[str]) -> frozenset[str]:
-        if self.product is None:
-            raise ValueError("module has no product")
-        acc: set[str] = set()
-        for la in a:
-            for lb in b:
-                for out in self.product(la, lb):
-                    acc ^= {out}
-        return frozenset(acc)
+        row = self.sq[k][self.index[label]]
+        return None if row is None else frozenset(self.label[i] for i in _bits(row))
 
 
 def _report(name: str, checked: int, skipped: int, failures: list[str]) -> dict:
@@ -165,51 +158,59 @@ def check_instability(module: FiniteAModule, k_max: int) -> dict:
         raise ValueError(f"operations were only stored up to {module.k_store}")
     checked = skipped = 0
     failures = []
-    for label, d in module.labels():
-        for k in range(d + 1, k_max + 1):
-            value = module.sq_label(k, label)
-            if value is None:
-                skipped += 1
-            else:
-                checked += 1
-                if value:
-                    failures.append(f"Sq^{k} {label} is nonzero above the degree")
+    for x, (label, d) in enumerate(module.labels()):
+        wants = [(k, 0, "is nonzero above the degree") for k in range(d + 1, k_max + 1)]
         if module.product is not None and 1 <= d <= k_max:
-            value = module.sq_label(d, label)
+            wants.append((d, module.mul(x, x), "is not the square"))
+        for k, want, broken in wants:
+            value = module.sq[k][x]
             if value is None:
                 skipped += 1
             else:
                 checked += 1
-                if value != module.product_set([label], [label]):
-                    failures.append(f"Sq^{d} {label} is not the square")
+                if value != want:
+                    failures.append(f"Sq^{k} {label} {broken}")
     return _report("instability", checked, skipped, failures)
 
 
 def check_cartan(module: FiniteAModule, k_max: int) -> dict:
-    """The operations are multiplicative in the convolution sense."""
+    """The operations are multiplicative in the convolution sense.
+
+    Over unordered pairs a, b: Sq^k(ab) = sum over i + j = k of (Sq^i a)(Sq^j b).
+    """
     if module.product is None:
         raise ValueError("the multiplicativity check needs a product")
     if k_max > module.k_store:
         raise ValueError(f"operations were only stored up to {module.k_store}")
-    labels = module.labels()
+    deg, sq, mul, name = module.deg, module.sq, module.mul, module.label
+    # Per label, its nonzero values (i, bits of Sq^i) for i <= k_max.
+    parts = [
+        [(i, _bits(row)) for i in range(k_max + 1) if (row := sq[i][x])]
+        for x in range(len(deg))
+    ]
     checked = skipped = 0
     failures = []
-    for ia, (la, da) in enumerate(labels):
-        for lb, db in labels[ia:]:
-            ab = module.product_set([la], [lb])
-            for k in range(1, k_max + 1):
-                if da + db + k > module.deg_max:
-                    skipped += 1
-                    continue
-                checked += 1
-                lhs = module.sq_set(k, ab)
-                rhs: set[str] = set()
-                for i in range(k + 1):
-                    left = module.sq_label(i, la)
-                    right = module.sq_label(k - i, lb)
-                    rhs ^= module.product_set(left, right)
-                if lhs != frozenset(rhs):
-                    failures.append(f"Sq^{k} of {la}*{lb} breaks multiplicativity")
+    for a, da in enumerate(deg):
+        for b in range(a, len(deg)):
+            top = min(k_max, module.deg_max - da - deg[b])
+            if top <= 0:
+                # Degrees only grow along b, so the rest fall off as well.
+                skipped += k_max * (len(deg) - b)
+                break
+            checked += top
+            skipped += k_max - top
+            rhs = [0] * (top + 1)
+            for i, left in parts[a]:
+                for j, right in parts[b]:
+                    if i + j > top:
+                        break
+                    for p in left:
+                        for q in right:
+                            rhs[i + j] ^= mul(p, q)
+            ab = mul(a, b)
+            for k in range(1, top + 1):
+                if _apply(sq[k], ab) != rhs[k]:
+                    failures.append(f"Sq^{k} of {name[a]}*{name[b]} breaks multiplicativity")
     return _report("cartan", checked, skipped, failures)
 
 
@@ -221,6 +222,7 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
     """
     if 2 * k_max > module.k_store:
         raise ValueError("composites need operations stored up to twice the bound")
+    sq = module.sq
     checked = skipped = 0
     failures = []
     for a in range(1, k_max + 1):
@@ -228,17 +230,17 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
             if a >= 2 * b:
                 continue
             js = [j for j in range(a // 2 + 1) if _binom_odd(b - 1 - j, a - 2 * j)]
-            for label, d in module.labels():
-                if d + a + b > module.deg_max:
-                    skipped += 1
-                    continue
-                checked += 1
-                lhs = module.sq_set(a, module.sq_label(b, label))
-                rhs: set[str] = set()
+            # Labels are in degree order, so the checkable ones come first.
+            inside = bisect_right(module.deg, module.deg_max - a - b)
+            checked += inside
+            skipped += len(module.deg) - inside
+            for x in range(inside):
+                lhs = _apply(sq[a], sq[b][x])
+                rhs = 0
                 for j in js:
-                    rhs ^= module.sq_set(a + b - j, module.sq_label(j, label))
-                if lhs != frozenset(rhs):
-                    failures.append(f"Sq^{a} Sq^{b} on {label} breaks the rewrite rule")
+                    rhs ^= _apply(sq[a + b - j], sq[j][x])
+                if lhs != rhs:
+                    failures.append(f"Sq^{a} Sq^{b} on {module.label[x]} breaks the rewrite rule")
     return _report("adem", checked, skipped, failures)
 
 
@@ -256,31 +258,28 @@ def module_iso(
     """
     checked = skipped = 0
     failures = []
-    a_labels = {label for label, _ in mod_a.labels()}
-    b_labels = {label for label, _ in mod_b.labels()}
+    a_labels, b_labels = set(mod_a.index), set(mod_b.index)
     if set(dictionary) != a_labels:
         failures.append("dictionary does not cover the source basis exactly")
     values = [v for k, v in dictionary.items() if k in a_labels]
     if len(set(values)) != len(values) or set(values) != b_labels:
         failures.append("dictionary is not a bijection onto the target basis")
     for label in sorted(a_labels & set(dictionary)):
-        da = mod_a.degree[label]
-        image = dictionary[label]
-        if image in mod_b.degree and mod_b.degree[image] != da:
+        image, da = dictionary[label], mod_a.deg[mod_a.index[label]]
+        if image in mod_b.index and mod_b.deg[mod_b.index[image]] != da:
             failures.append(f"{label} -> {image} changes degree")
     if failures:
         return _report("module_iso", checked, skipped, failures)
     if k_max > min(mod_a.k_store, mod_b.k_store):
         raise ValueError("operations were not stored far enough on both sides")
     horizon = min(mod_a.deg_max, mod_b.deg_max)
-    for label, d in mod_a.labels():
-        for k in range(1, k_max + 1):
-            if d + k > horizon:
-                skipped += 1
-                continue
-            checked += 1
-            through = frozenset(dictionary[t] for t in mod_a.sq_label(k, label))
-            direct = mod_b.sq_label(k, dictionary[label])
-            if through != direct:
+    target = [mod_b.index[dictionary[label]] for label in mod_a.label]
+    through = [1 << i for i in target]
+    for x, (label, d) in enumerate(mod_a.labels()):
+        top = max(0, min(k_max, horizon - d))
+        checked += top
+        skipped += k_max - top
+        for k in range(1, top + 1):
+            if _apply(through, mod_a.sq[k][x]) != mod_b.sq[k][target[x]]:
                 failures.append(f"Sq^{k} does not commute with the dictionary on {label}")
     return _report("module_iso", checked, skipped, failures)

@@ -70,6 +70,19 @@ def test_ez_is_deterministic(capsys):
     assert first.splitlines()[1].startswith("trials\tpass\ttrials=12")
 
 
+def test_mostly_vacuous_trials_exit_one(capsys, monkeypatch):
+    def vacuous(spec, max_level, trials, seed):
+        return {"trials": trials, "passed": 4, "vacuous": 4, "failures": []}
+
+    monkeypatch.setattr(cli, "run_trials", vacuous)
+    code, out, err = run_cli(
+        capsys, ["verify", "ez", "--n", "1", "--m", "2", "--max-level", "2", "--trials", "3"]
+    )
+    assert code == 1
+    assert out.splitlines()[1].startswith("trials\tfail\ttrials=3 passed=4 vacuous=4")
+    assert "FAIL trials" in err
+
+
 def test_compare_z_emits_the_group_table(capsys):
     code, out, _ = run_cli(
         capsys, ["compare", "--space", "cp2", "--coeff", "z", "--max-degree", "12"]

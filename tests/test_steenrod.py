@@ -1,9 +1,11 @@
 """Generic operation-module machinery, exercised on known small modules."""
 
 import math
+import time
 
 import pytest
 
+from looplab.closedform import loop_module
 from looplab.steenrod import (
     FiniteAModule,
     check_adem,
@@ -11,6 +13,7 @@ from looplab.steenrod import (
     check_instability,
     module_iso,
 )
+from looplab.thom import SPACES, loop_dictionary, model_module_f2
 
 
 def truncated_polynomial(top: int, deg_max: int, k_store: int, stem: str = "x"):
@@ -155,6 +158,35 @@ def test_module_iso_rejects_a_non_bijection():
     assert not report["pass"]
 
 
+def test_skipped_counts_the_nonzero_values_beyond_the_cutoff():
+    mod = truncated_polynomial(8, 4, 8)
+    dropped = [
+        (j, k)
+        for j in range(5)
+        for k in range(1, 9)
+        if 4 < j + k < 8 and math.comb(j, k) % 2
+    ]
+    assert mod.skipped == len(dropped) > 0
+
+
+def test_module_iso_follows_the_dictionary_across_positions():
+    def rule(k, label):
+        targets = {"p": "r", "q": "s", "P": "R", "Q": "S"}
+        return [(targets[label], 2)] if k == 1 and label in targets else []
+
+    a = FiniteAModule(2, [("p", 1), ("q", 1), ("r", 2), ("s", 2)], rule, 2)
+    b = FiniteAModule(2, [("P", 1), ("Q", 1), ("R", 2), ("S", 2)], rule, 2)
+    crossed = {"p": "Q", "q": "P", "r": "S", "s": "R"}
+    assert module_iso(a, b, crossed, 1)["pass"]
+    half = {"p": "P", "q": "Q", "r": "S", "s": "R"}
+    report = module_iso(a, b, half, 1)
+    assert not report["pass"]
+    assert report["failures"] == [
+        "Sq^1 does not commute with the dictionary on p",
+        "Sq^1 does not commute with the dictionary on q",
+    ]
+
+
 def test_constructor_validates_its_inputs():
     with pytest.raises(ValueError):
         FiniteAModule(3, [("x", 1), ("x", 2)], lambda k, l: [], 2)
@@ -177,3 +209,240 @@ def test_sq_label_contract():
         mod.sq_label(5, "x1")
     with pytest.raises(ValueError):
         check_instability(mod, 5)
+
+
+def test_product_to_an_unknown_label_is_rejected():
+    def ghost(la, lb):
+        return ["ghost"]
+
+    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda k, l: [], 4, product=ghost)
+    with pytest.raises(ValueError):
+        check_cartan(mod, 2)
+    with pytest.raises(ValueError):
+        check_instability(mod, 2)
+
+
+def test_product_of_the_wrong_degree_is_rejected():
+    def product(la, lb):
+        return ["y"]
+
+    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda k, l: [], 4, product=product)
+    with pytest.raises(ValueError):
+        check_cartan(mod, 2)
+
+
+def test_products_beyond_the_cutoff_are_dropped():
+    # The rule names x5 and x6, which lie past the window; they are not errors.
+    mod = truncated_polynomial(8, 4, 8)
+    for report in (check_instability(mod, 4), check_cartan(mod, 4)):
+        assert report["pass"], report
+        assert report["skipped"] > 0
+
+
+# Reference checkers: the label-set implementation that the bit-vector
+# checkers replaced.  They read a module only through labels(), sq_label
+# and its product rule, so they share no arithmetic with the checkers.
+
+
+def ref_product_set(module, a, b):
+    acc = set()
+    for la in a:
+        for lb in b:
+            for out in module.product(la, lb):
+                acc ^= {out}
+    return frozenset(acc)
+
+
+def ref_sq_set(module, k, labels):
+    acc = set()
+    for label in labels:
+        value = module.sq_label(k, label)
+        if value is None:
+            return None
+        acc ^= value
+    return frozenset(acc)
+
+
+def ref_report(name, checked, skipped, failures):
+    return {
+        "check": name,
+        "pass": not failures,
+        "checked": checked,
+        "skipped": skipped,
+        "failures": failures,
+    }
+
+
+def ref_instability(module, k_max):
+    checked = skipped = 0
+    failures = []
+    for label, d in module.labels():
+        for k in range(d + 1, k_max + 1):
+            value = module.sq_label(k, label)
+            if value is None:
+                skipped += 1
+            else:
+                checked += 1
+                if value:
+                    failures.append(f"Sq^{k} {label} is nonzero above the degree")
+        if module.product is not None and 1 <= d <= k_max:
+            value = module.sq_label(d, label)
+            if value is None:
+                skipped += 1
+            else:
+                checked += 1
+                if value != ref_product_set(module, [label], [label]):
+                    failures.append(f"Sq^{d} {label} is not the square")
+    return ref_report("instability", checked, skipped, failures)
+
+
+def ref_cartan(module, k_max):
+    labels = module.labels()
+    checked = skipped = 0
+    failures = []
+    for ia, (la, da) in enumerate(labels):
+        for lb, db in labels[ia:]:
+            ab = ref_product_set(module, [la], [lb])
+            for k in range(1, k_max + 1):
+                if da + db + k > module.deg_max:
+                    skipped += 1
+                    continue
+                checked += 1
+                lhs = ref_sq_set(module, k, ab)
+                rhs = set()
+                for i in range(k + 1):
+                    left = module.sq_label(i, la)
+                    right = module.sq_label(k - i, lb)
+                    rhs ^= ref_product_set(module, left, right)
+                if lhs != frozenset(rhs):
+                    failures.append(f"Sq^{k} of {la}*{lb} breaks multiplicativity")
+    return ref_report("cartan", checked, skipped, failures)
+
+
+def ref_adem(module, k_max):
+    checked = skipped = 0
+    failures = []
+    for a in range(1, k_max + 1):
+        for b in range(1, k_max + 1):
+            if a >= 2 * b:
+                continue
+            js = [j for j in range(a // 2 + 1) if 0 <= a - 2 * j <= b - 1 - j
+                  and math.comb(b - 1 - j, a - 2 * j) % 2]
+            for label, d in module.labels():
+                if d + a + b > module.deg_max:
+                    skipped += 1
+                    continue
+                checked += 1
+                lhs = ref_sq_set(module, a, module.sq_label(b, label))
+                rhs = set()
+                for j in js:
+                    rhs ^= ref_sq_set(module, a + b - j, module.sq_label(j, label))
+                if lhs != frozenset(rhs):
+                    failures.append(f"Sq^{a} Sq^{b} on {label} breaks the rewrite rule")
+    return ref_report("adem", checked, skipped, failures)
+
+
+def ref_module_iso(mod_a, mod_b, dictionary, k_max):
+    checked = skipped = 0
+    failures = []
+    deg_a, deg_b = dict(mod_a.labels()), dict(mod_b.labels())
+    if set(dictionary) != set(deg_a):
+        failures.append("dictionary does not cover the source basis exactly")
+    values = [v for k, v in dictionary.items() if k in deg_a]
+    if len(set(values)) != len(values) or set(values) != set(deg_b):
+        failures.append("dictionary is not a bijection onto the target basis")
+    for label in sorted(set(deg_a) & set(dictionary)):
+        image = dictionary[label]
+        if image in deg_b and deg_b[image] != deg_a[label]:
+            failures.append(f"{label} -> {image} changes degree")
+    if failures:
+        return ref_report("module_iso", checked, skipped, failures)
+    horizon = min(mod_a.deg_max, mod_b.deg_max)
+    for label, d in mod_a.labels():
+        for k in range(1, k_max + 1):
+            if d + k > horizon:
+                skipped += 1
+                continue
+            checked += 1
+            through = frozenset(dictionary[t] for t in mod_a.sq_label(k, label))
+            if through != mod_b.sq_label(k, dictionary[label]):
+                failures.append(f"Sq^{k} does not commute with the dictionary on {label}")
+    return ref_report("module_iso", checked, skipped, failures)
+
+
+def test_checkers_equal_the_label_set_reference_on_every_space():
+    deg_max, k_max = 60, 12
+    for name in sorted(SPACES):
+        sp = SPACES[name]
+        loop = loop_module(sp.n, sp.r, deg_max, 2 * k_max, sq_one=sp.odd_op)
+        model = model_module_f2(sp, deg_max, 2 * k_max)
+        for module, fast, slow in (
+            (loop, check_instability, ref_instability),
+            (loop, check_cartan, ref_cartan),
+            (loop, check_adem, ref_adem),
+            (model, check_instability, ref_instability),
+            (model, check_adem, ref_adem),
+        ):
+            report = fast(module, k_max)
+            assert report == slow(module, k_max), (name, report["check"])
+            assert report["checked"] > 0, (name, report["check"])
+        dictionary = loop_dictionary(sp, deg_max)
+        report = module_iso(model, loop, dictionary, k_max)
+        assert report == ref_module_iso(model, loop, dictionary, k_max), name
+        assert report["pass"] and report["checked"] > 0, name
+
+
+def rebuilt(module, flip=None, drop=None):
+    """module again, from sq_label and its product rule, with one change.
+
+    flip = (k, label, target) toggles target in Sq^k label; drop = (la, lb)
+    makes that ordered product zero.
+    """
+    degree = dict(module.labels())
+
+    def rule(k, label):
+        value = set(module.sq_label(k, label) or ())
+        if flip is not None and (k, label) == flip[:2]:
+            value ^= {flip[2]}
+        return [(t, degree[label] + k) for t in value]
+
+    def product(la, lb):
+        return [] if (la, lb) == drop else module.product(la, lb)
+
+    return FiniteAModule(module.deg_max, module.labels(), rule, module.k_store, product=product)
+
+
+def test_checkers_equal_the_reference_on_broken_modules():
+    sp = SPACES["cp2"]
+    loop = loop_module(sp.n, sp.r, 30, 8, sq_one=sp.odd_op)
+    assert loop.sq_label(2, "1") == frozenset()
+    assert list(loop.product("1", "b0")) == ["b0"]
+    broken = [
+        (rebuilt(loop, flip=(2, "1", "b0")), (ref_instability, ref_cartan, ref_adem)),
+        (rebuilt(loop, drop=("1", "b0")), (ref_cartan,)),
+    ]
+    for module, must_fail in broken:
+        for fast, slow in (
+            (check_instability, ref_instability),
+            (check_cartan, ref_cartan),
+            (check_adem, ref_adem),
+        ):
+            report = fast(module, 4)
+            assert report == slow(module, 4), report["check"]
+            if slow in must_fail:
+                assert report["failures"], report["check"]
+
+
+def test_loop_module_axioms_hold_at_degree_160_and_sq_32():
+    started = time.perf_counter()
+    for name in sorted(SPACES):
+        sp = SPACES[name]
+        module = loop_module(sp.n, sp.r, 160, 64, sq_one=sp.odd_op)
+        for report in (
+            check_instability(module, 32),
+            check_cartan(module, 32),
+            check_adem(module, 32),
+        ):
+            assert report["pass"], (name, report["check"], report["failures"][:3])
+            assert report["checked"] > 0, (name, report["check"])
+    assert time.perf_counter() - started < 60
