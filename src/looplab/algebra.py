@@ -185,7 +185,10 @@ class Form:
         for mono in monos:
             if mono.level != level:
                 raise ValueError("monomial level does not match form level")
-            acc ^= {mono}
+            if mono in acc:
+                acc.remove(mono)
+            else:
+                acc.add(mono)
         return Form(level, frozenset(acc))
 
     def __bool__(self) -> bool:

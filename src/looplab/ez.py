@@ -7,6 +7,13 @@ everything below is literal summation.  The halved diagonal variant,
 restricted to shuffles whose first half starts at 0, is the one
 operation that does not vanish identically mod 2.
 
+The product never builds the degenerate factors as forms.  The
+degeneracies s_nu, applied lowest index first, leave the (0-indexed)
+slots nu empty and fill the slots mu in order, so in s_nu(u) s_mu(v)
+the two factors never share a y or dy slot: each shuffle just
+interleaves the slots of a monomial pair, and only a shared dx can
+kill the term.
+
 Alongside the product sit face-compatibility checks and two families
 of membership arguments whose explicit certificates (a chain whose
 faces are computed outright) are verified rather than trusted.
@@ -14,8 +21,10 @@ faces are computed outright) are verified rather than trusted.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
-from typing import Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Form, GradingSpec, Mono
 from .homology import is_cycle, is_normalized, normalized_basis
@@ -62,17 +71,59 @@ def degeneracy_chain(indices: tuple[int, ...], form: Form) -> Form:
     return form
 
 
+@cache
+def _slot_pickers(
+    p: int, q: int, zero_in_mu: bool = False
+) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
+    """For each (p, q) shuffle, a map from u's slots + v's slots to the product's.
+
+    Slot k of the product takes u's entry i when k = mu[i] and v's entry
+    j when k = nu[j].  At most one slot means the identity, and tuple is
+    the identity on tuples (itemgetter needs two indices to give one).
+    With zero_in_mu, only the shuffles with mu[0] == 0 are kept.
+    """
+    pickers = []
+    for mu, nu in shuffles(p, q):
+        if zero_in_mu and mu[0] != 0:
+            continue
+        order = [0] * (p + q)
+        for i, k in enumerate(mu):
+            order[k] = i
+        for j, k in enumerate(nu):
+            order[k] = p + j
+        pickers.append(itemgetter(*order) if p + q > 1 else tuple)
+    return tuple(pickers)
+
+
+def _interleave_sum(a: Form, b: Form, pickers: Iterable[Callable]) -> Form:
+    """Sum over the given shuffles of s_nu(a) s_mu(b), mod 2."""
+    acc: set[Mono] = set()
+    for u in a.terms:
+        for v in b.terms:
+            if u.dx and v.dx:
+                continue
+            x, dx = u.x + v.x, u.dx | v.dx
+            y, dy = u.y + v.y, u.dy + v.dy
+            for pick in pickers:
+                term = Mono(x, dx, pick(y), pick(dy))
+                if term in acc:
+                    acc.remove(term)
+                else:
+                    acc.add(term)
+    return Form(a.level + b.level, frozenset(acc))
+
+
 def shuffle_product(a: Form, b: Form) -> Form:
     """Shuffle product of a level p and a level q form, landing at p+q.
 
     The level p factor receives the q complementary indices and the
     level q factor the p chosen ones; mod 2 the shuffle sign is gone.
+    s_nu(u) is u with its slots moved to mu and empty slots at nu, and
+    s_mu(v) the other way round, so the term of a monomial pair u, v
+    under (mu, nu) has x = u.x + v.x, dx = u.dx | v.dx (zero when both
+    carry dx) and y, dy taken from u at mu and from v at nu.
     """
-    p, q = a.level, b.level
-    out = Form.zero(p + q)
-    for mu, nu in shuffles(p, q):
-        out = out + degeneracy_chain(nu, a) * degeneracy_chain(mu, b)
-    return out
+    return _interleave_sum(a, b, _slot_pickers(a.level, b.level))
 
 
 def delta_top(spec: GradingSpec, z: Form) -> Form:
@@ -89,11 +140,7 @@ def delta_top(spec: GradingSpec, z: Form) -> Form:
         raise ValueError("the diagonal operation needs level at least 2")
     if not is_cycle(spec, z):
         raise ValueError("the diagonal operation is only defined on cycles")
-    out = Form.zero(2 * q)
-    for mu, nu in shuffles(q, q):
-        if mu[0] == 0:
-            out = out + degeneracy_chain(nu, z) * degeneracy_chain(mu, z)
-    return out
+    return _interleave_sum(z, z, _slot_pickers(q, q, zero_in_mu=True))
 
 
 def m_form(a: Form, b: Form) -> Form:
@@ -128,6 +175,14 @@ def ez_bottom_check(spec: GradingSpec, a: Form, b: Form) -> bool:
     return lhs == rhs
 
 
+def _killed_by_faces(n: int, form: Form) -> int:
+    """The largest k such that the faces 1 .. k all kill the form."""
+    for t in range(1, form.level + 1):
+        if face(n, t, form):
+            return t - 1
+    return form.level
+
+
 def ez_face_checks(
     spec: GradingSpec, a: Form, b: Form, i_max: Optional[int] = None
 ) -> list[tuple[int, str]]:
@@ -141,12 +196,10 @@ def ez_face_checks(
     p, q = a.level, b.level
     top = p + q if i_max is None else min(i_max, p + q)
     rho = shuffle_product(a, b)
+    killed_a, killed_b = _killed_by_faces(spec.n, a), _killed_by_faces(spec.n, b)
     out = []
     for i in range(1, top + 1):
-        hyp = all(not face(spec.n, t, a) for t in range(1, min(i, p) + 1)) and all(
-            not face(spec.n, t, b) for t in range(1, min(i, q) + 1)
-        )
-        if not hyp:
+        if min(i, p) > killed_a or min(i, q) > killed_b:
             out.append((i, "vacuous"))
         else:
             out.append((i, "pass" if not face(spec.n, i, rho) else "fail"))
@@ -224,16 +277,13 @@ def lemma_squares_check(spec: GradingSpec, a: Form, b: Form, c: Form) -> dict[st
         raise ValueError("the bounding factor must be normalized")
 
     elem = degeneracy(0, c) * q_form(a)
+    faces = [face(spec.n, i, elem) for i in range(k + 2)]
     caa = c * a * a
     d0_value = c * a * degeneracy(0, face(spec.n, 0, a))
-    identities = (
-        face(spec.n, 1, elem) == caa
-        and face(spec.n, 0, elem) == d0_value
-        and all(not face(spec.n, i, elem) for i in range(2, k + 2))
-    )
+    identities = faces[1] == caa and faces[0] == d0_value and not any(faces[2:])
 
-    membership = _verdict(not caa, all(not face(spec.n, i, elem) for i in range(1, k + 2)))
-    cycle = _verdict(not caa and not d0_value, not face(spec.n, 0, elem))
+    membership = _verdict(not caa, not any(faces[1:]))
+    cycle = _verdict(not caa and not d0_value, not faces[0])
 
     s0c_bb = degeneracy(0, c) * b * b
     boundary = "vacuous"

@@ -117,7 +117,8 @@ def degeneracy(i: int, form: Form) -> Form:
     q = form.level
     if not 0 <= i <= q:
         raise ValueError(f"degeneracy index {i} out of range at level {q}")
-    return Form.from_monos(q + 1, (mono_degeneracy(i, m) for m in form.terms))
+    # Injective on monomials, so no two images can cancel.
+    return Form(q + 1, frozenset(mono_degeneracy(i, m) for m in form.terms))
 
 
 def omega(q: int) -> Form:

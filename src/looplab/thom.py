@@ -23,6 +23,7 @@ from .closedform import even_label, lucas, odd_label
 from .steenrod import FiniteAModule
 
 __all__ = [
+    "FAMILIES",
     "Space",
     "SPACES",
     "space",
@@ -46,15 +47,28 @@ __all__ = [
 GradedAb = dict[int, tuple[int, tuple[int, ...]]]
 
 
+FAMILIES = ("sphere", "cp", "hp", "cayley")
+
+
 @dataclass(frozen=True)
 class Space:
-    """One truncated polynomial space: x in degree r, truncated past x^n."""
+    """One truncated polynomial space: x in degree r, truncated past x^n.
+
+    The family (one of FAMILIES) picks the wedge assembly and the
+    reference table; the name is only a label.
+    """
 
     name: str
     n: int
     r: int
     chi: int
     odd_op: bool
+    family: str
+
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            known = ", ".join(FAMILIES)
+            raise ValueError(f"unknown space family {self.family!r}; known: {known}")
 
     @property
     def dim(self) -> int:
@@ -69,12 +83,13 @@ class Space:
 def _space_table() -> dict[str, Space]:
     table = {}
     for k in range(1, 5):
-        table[f"cp{k}"] = Space(f"cp{k}", k, 2, k + 1, k % 4 == 1)
+        table[f"cp{k}"] = Space(f"cp{k}", k, 2, k + 1, k % 4 == 1, "cp")
     for k in range(1, 4):
-        table[f"hp{k}"] = Space(f"hp{k}", k, 4, k + 1, k % 4 == 1)
-    table["cayley"] = Space("cayley", 2, 8, 3, False)
+        table[f"hp{k}"] = Space(f"hp{k}", k, 4, k + 1, k % 4 == 1, "hp")
+    table["cayley"] = Space("cayley", 2, 8, 3, False, "cayley")
     for k in range(2, 7):
-        table[f"s{k}"] = Space(f"s{k}", 1, k, 2 if k % 2 == 0 else 0, k % 2 == 0)
+        chi = 2 if k % 2 == 0 else 0
+        table[f"s{k}"] = Space(f"s{k}", 1, k, chi, k % 2 == 0, "sphere")
     return table
 
 
@@ -221,7 +236,7 @@ def sphere_layer(m: int, k: int) -> GradedAb:
 
 def _piece_floor(sp: Space, q: int) -> int:
     """Lowest degree in which the level q piece can contribute."""
-    if sp.name.startswith("s"):
+    if sp.family == "sphere":
         return (2 * q + 1) * (sp.r - 1)
     return q * ((sp.n + 1) * sp.r - 2) + sp.r - 1
 
@@ -231,7 +246,7 @@ def model_homology_z(sp: Space, deg_max: int) -> GradedAb:
     parts: list[GradedAb] = [{j * sp.r: (1, ()) for j in range(sp.n + 1)}]
     q = 0
     while _piece_floor(sp, q) <= deg_max:
-        if sp.name.startswith("s"):
+        if sp.family == "sphere":
             piece = sphere_piece(sp.r, q)
         else:
             piece = suspended_cofiber_z(sp, q)
@@ -348,8 +363,8 @@ def reference_loop_homology(sp: Space, deg_max: int) -> GradedAb:
     are periodic with one cyclic summand per period, the octonionic
     plane repeats a fixed four cell block, and spheres sum the layers
     of their winding filtration.  Nothing here touches the wedge
-    assembly, which is the point.  Any other name raises rather than
-    borrowing a table that belongs to a different space.
+    assembly, which is the point.  The table follows the space's family,
+    never its name, and Space admits no family outside the four.
     """
     n = sp.n
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
@@ -364,7 +379,7 @@ def reference_loop_homology(sp: Space, deg_max: int) -> GradedAb:
             f, t = groups.get(deg, (0, ()))
             groups[deg] = (f, tuple(sorted(t + (order,))))
 
-    if sp.name.startswith("s"):
+    if sp.family == "sphere":
         m = sp.r
         parts: list[GradedAb] = [{0: (1, ())}]
         k = 1
@@ -372,14 +387,14 @@ def reference_loop_homology(sp: Space, deg_max: int) -> GradedAb:
             parts.append(_trim(sphere_layer(m, k), deg_max))
             k += 1
         return merge_groups(*parts)
-    if sp.name.startswith("cp"):
+    if sp.family == "cp":
         for deg in range(deg_max + 1):
             free(deg)
         period = 2 * n
         for a in range(1, deg_max // period + 1):
             torsion(a * period, n + 1)
         return groups
-    if sp.name.startswith("hp"):
+    if sp.family == "hp":
         free(0)
         period = 2 * (2 * n + 1)
         for a in range(deg_max // period + 2):
@@ -390,8 +405,7 @@ def reference_loop_homology(sp: Space, deg_max: int) -> GradedAb:
                 for l in range(n):
                     free(a * period + 4 * l - 4 * n + 1)
         return groups
-    if sp.name != "cayley":
-        raise ValueError(f"no reference table for space {sp.name!r}")
+    # The one family left is cayley.
     for deg in (0, 8, 16):
         free(deg)
     for a in range(1, deg_max // 22 + 2):

@@ -228,7 +228,7 @@ def test_criterion_10_the_odd_operation_tracks_the_euler_characteristic():
     # dictionary stops commuting, in either direction of the flip.
     for name in ("cp1", "cp3", "s3", "s4"):
         sp = SPACES[name]
-        flipped = Space(sp.name, sp.n, sp.r, sp.chi, not sp.odd_op)
+        flipped = Space(sp.name, sp.n, sp.r, sp.chi, not sp.odd_op, sp.family)
         model = model_module_f2(flipped, 40, 4)
         loop = loop_module(sp.n, sp.r, 40, 4, sq_one=sp.odd_op)
         report = module_iso(model, loop, loop_dictionary(flipped, 40), 1)

@@ -1,12 +1,14 @@
 """Shuffle product identities, the diagonal operation, the face lemmas."""
 
 import random
+import time
 from math import comb
 
 import pytest
 
-from looplab.algebra import Form, GradingSpec, gen_x
+from looplab.algebra import Form, GradingSpec, Mono, gen_x
 from looplab.ez import (
+    degeneracy_chain,
     delta_top,
     ez_bottom_check,
     ez_face_checks,
@@ -18,7 +20,7 @@ from looplab.ez import (
     shuffle_product,
     shuffles,
 )
-from looplab.homology import normalized_basis
+from looplab.homology import homology_at, is_cycle, normalized_basis
 from looplab.simplicial import alpha, beta, degeneracy, face, omega
 from support import random_form
 
@@ -193,3 +195,119 @@ def test_trials_are_deterministic_and_clean():
     assert one["passed"] > 0
     other = run_trials(ODD, max_level=2, trials=20, seed=12)
     assert other != one
+
+
+# The definitional shuffle product and diagonal, composing degeneracies
+# over whole forms; the library computes both by interleaving slots.
+
+
+def reference_shuffle_product(a, b):
+    p, q = a.level, b.level
+    out = Form.zero(p + q)
+    for mu, nu in shuffles(p, q):
+        out = out + degeneracy_chain(nu, a) * degeneracy_chain(mu, b)
+    return out
+
+
+def reference_delta_top(z):
+    q = z.level
+    out = Form.zero(2 * q)
+    for mu, nu in shuffles(q, q):
+        if mu[0] == 0:
+            out = out + degeneracy_chain(nu, z) * degeneracy_chain(mu, z)
+    return out
+
+
+def with_dx(form):
+    return Form.from_monos(form.level, (m._replace(dx=1) for m in form.terms))
+
+
+def test_shuffle_product_equals_the_degeneracy_reference():
+    rng = random.Random(97)
+    nonzero = 0
+    for p in range(7):
+        for q in range(7 - p):
+            cases = [(Form.zero(p), random_form(rng, q))]
+            cases.append((random_form(rng, p), Form.zero(q)))
+            for _ in range(4):
+                a, b = random_form(rng, p), random_form(rng, q)
+                cases += [(a, b), (with_dx(a), b), (a, with_dx(b))]
+                cases.append((with_dx(a), with_dx(b)))
+            for a, b in cases:
+                got = shuffle_product(a, b)
+                assert got == reference_shuffle_product(a, b), (a, b)
+                assert got.level == p + q
+                nonzero += bool(got)
+                if a and b and all(m.dx for m in a.terms | b.terms):
+                    assert not got
+    assert nonzero > 100
+
+
+def test_squares_cancel_in_the_shuffle_product():
+    # s_nu(u) s_mu(v) and s_mu(v) s_nu(u) coincide, so a square is a sum
+    # of terms that all meet their twin and cancel.
+    rng = random.Random(98)
+    for p in range(1, 4):
+        for _ in range(5):
+            a = random_form(rng, p, n_terms=4)
+            monos = [m for m in a.terms if not m.dx]
+            single = Form.from_monos(p, monos[:1])
+            for f in (a, single):
+                assert shuffle_product(f, f) == Form.zero(2 * p)
+                assert reference_shuffle_product(f, f) == Form.zero(2 * p)
+    # The level zero square is the ordinary square, where nothing cancels.
+    a = Form.from_monos(0, [Mono(1, 0, (), ()), Mono(2, 0, (), ())])
+    assert shuffle_product(a, a) == a * a == Form.from_monos(
+        0, [Mono(2, 0, (), ()), Mono(4, 0, (), ())]
+    )
+
+
+def _random_cycles(spec, q, rng, count):
+    """Random sums of homology representatives and bottom faces of chains."""
+    out = []
+    for t in range((q + 1) * (spec.n + 1) * spec.m + 1):
+        pool = list(homology_at(spec, q, t).reps)
+        chains = normalized_basis(spec, q + 1, t)
+        pool += [f for f in (face(spec.n, 0, g) for g in chains) if f][:4]
+        for _ in range(count if pool else 0):
+            z = Form.zero(q)
+            for f in pool:
+                if rng.randrange(2):
+                    z = z + f
+            out.append(z)
+    return out
+
+
+def test_delta_top_equals_the_degeneracy_reference():
+    rng = random.Random(99)
+    for spec in (ODD, EVEN):
+        for q in (2, 3, 4):
+            cycles = [z for z in (omega(q), alpha(q), beta(q)) if is_cycle(spec, z)]
+            cycles += [z for z in _random_cycles(spec, q, rng, 2) if z]
+            assert len(cycles) > 4
+            nonzero = 0
+            for z in cycles:
+                got = delta_top(spec, z)
+                assert got == reference_delta_top(z), (spec, q, z)
+                nonzero += bool(got)
+            assert nonzero > 0
+
+
+def test_benchmark_trial_counts_are_pinned():
+    # The three verify ez jobs of the benchmark's trials workload; the
+    # counts were read off the degeneracy-chain product they replace.
+    expect = {1: (11380, 676), 2: (11350, 668), 3: (11439, 558)}
+    for n, (passed, vacuous) in expect.items():
+        report = run_trials(GradingSpec(n, 2), max_level=3, trials=1000, seed=0)
+        assert report == {
+            "trials": 1000, "passed": passed, "vacuous": vacuous, "failures": []
+        }
+
+
+def test_trials_run_clean_at_level_six():
+    start = time.perf_counter()
+    for spec in (ODD, EVEN):
+        report = run_trials(spec, max_level=6, trials=200, seed=0)
+        assert report["failures"] == [], report["failures"][:3]
+        assert report["passed"] > report["vacuous"]
+    assert time.perf_counter() - start < 60

@@ -5,6 +5,7 @@ import pytest
 from looplab.closedform import loop_module, lucas
 from looplab.steenrod import check_adem, check_cartan, check_instability, module_iso
 from looplab.thom import (
+    FAMILIES,
     SPACES,
     Space,
     abelian_tsv,
@@ -34,7 +35,32 @@ def test_space_table():
 
 def test_reference_table_rejects_a_space_outside_the_shipped_families():
     with pytest.raises(ValueError):
-        reference_loop_homology(Space("rp2", 1, 1, 1, False), 10)
+        reference_loop_homology(Space("rp2", 1, 1, 1, False, "rp"), 10)
+
+
+def test_an_unknown_family_is_rejected():
+    for family in ("rp", "s", "CP", ""):
+        with pytest.raises(ValueError, match="unknown space family"):
+            Space("x", 1, 2, 2, False, family)
+
+
+def test_every_shipped_space_names_its_family():
+    families = {sp.family for sp in SPACES.values()}
+    assert families == set(FAMILIES)
+    assert space("s4").family == "sphere"
+    assert space("hp2").family == "hp"
+
+
+def test_the_family_not_the_name_picks_the_branches():
+    cp2 = space("cp2")
+    named_like_a_sphere = Space("s2", cp2.n, cp2.r, cp2.chi, cp2.odd_op, "cp")
+    assert model_homology_z(named_like_a_sphere, 60) == model_homology_z(cp2, 60)
+    assert reference_loop_homology(named_like_a_sphere, 60) == reference_loop_homology(
+        cp2, 60
+    )
+    # The sphere branches would give s2's answer instead.
+    s2 = space("s2")
+    assert model_homology_z(named_like_a_sphere, 60) != model_homology_z(s2, 60)
 
 
 def test_odd_switch_agrees_with_the_euler_characteristic():
@@ -144,7 +170,7 @@ def test_dictionary_gives_an_isomorphism():
 
 
 def test_dictionary_fails_when_the_odd_switch_is_wrong():
-    fake = Space("s2", 1, 2, 2, False)
+    fake = Space("s2", 1, 2, 2, False, "sphere")
     model = model_module_f2(fake, 30, 4)
     loop = loop_module(1, 2, 30, 4, sq_one=True)
     report = module_iso(model, loop, loop_dictionary(fake, 30), 4)
