@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -171,7 +172,14 @@ class Form:
     terms: frozenset[Mono]
 
     @staticmethod
+    @cache
     def zero(level: int) -> "Form":
+        """The zero form at the level; one shared instance per level.
+
+        Sharing is safe because a Form is frozen, and it lets the maps
+        that see a zero operand hand back the zero of their target level
+        without building anything.
+        """
         return Form(level, frozenset())
 
     @staticmethod
@@ -197,17 +205,27 @@ class Form:
     def __add__(self, other: "Form") -> "Form":
         if self.level != other.level:
             raise ValueError("cannot add forms at different levels")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Form(self.level, self.terms ^ other.terms)
 
     def __mul__(self, other: "Form") -> "Form":
         if self.level != other.level:
             raise ValueError("cannot multiply forms at different levels")
+        if not self.terms or not other.terms:
+            return Form.zero(self.level)
         acc: set[Mono] = set()
         for a in self.terms:
             for b in other.terms:
                 p = mono_mul(a, b)
-                if p is not None:
-                    acc ^= {p}
+                if p is None:
+                    continue
+                if p in acc:
+                    acc.remove(p)
+                else:
+                    acc.add(p)
         return Form(self.level, frozenset(acc))
 
     def __pow__(self, k: int) -> "Form":

@@ -27,7 +27,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Form, GradingSpec, Mono
-from .homology import is_cycle, is_normalized, normalized_basis
+from .gf2 import apply_row, low_bit
+from .homology import is_cycle, is_normalized, normalized_rows
 from .rng import SplitMix
 from .simplicial import degeneracy, face
 
@@ -97,6 +98,8 @@ def _slot_pickers(
 
 def _interleave_sum(a: Form, b: Form, pickers: Iterable[Callable]) -> Form:
     """Sum over the given shuffles of s_nu(a) s_mu(b), mod 2."""
+    if not a.terms or not b.terms:
+        return Form.zero(a.level + b.level)
     acc: set[Mono] = set()
     for u in a.terms:
         for v in b.terms:
@@ -318,15 +321,21 @@ def _random_form(rng: SplitMix, level: int) -> Form:
 
 
 def _random_normalized(spec: GradingSpec, rng: SplitMix, level: int, t_hi: int) -> Form:
+    """A random sum of the normalized basis of a random slice.
+
+    The mask picks bit rows over the slice basis; their XOR is the sum,
+    decoded into monomials once.
+    """
     t = rng.below(t_hi + 1)
-    basis = normalized_basis(spec, level, t)
-    out = Form.zero(level)
-    if basis:
-        mask = rng.bits(len(basis))
-        for k, f in enumerate(basis):
-            if mask >> k & 1:
-                out = out + f
-    return out
+    basis, rows = normalized_rows(spec, level, t)
+    if not rows:
+        return Form.zero(level)
+    vec = apply_row(rng.bits(len(rows)), rows)
+    monos = []
+    while vec:
+        monos.append(basis[low_bit(vec)])
+        vec &= vec - 1
+    return Form(level, frozenset(monos))
 
 
 def _tally(report: dict, name: str, verdict: str) -> None:

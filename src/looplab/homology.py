@@ -35,6 +35,7 @@ from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 __all__ = [
     "SliceHomology",
     "normalized_basis",
+    "normalized_rows",
     "homology_at",
     "homology_dim",
     "is_normalized",
@@ -161,9 +162,21 @@ def _to_form(level: int, vec: int, basis: tuple[Mono, ...]) -> Form:
     return Form.from_monos(level, monos)
 
 
+def normalized_rows(
+    spec: GradingSpec, q: int, t: int
+) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+    """The (q, t) slice basis and the cached bit rows of its normalized subspace.
+
+    Bit k of a row stands for basis[k], and row j is the form
+    normalized_basis(spec, q, t)[j].
+    """
+    basis, n_basis, _, _, _ = _pipeline(spec, q, t, None, False)
+    return basis, n_basis
+
+
 def normalized_basis(spec: GradingSpec, q: int, t: int) -> list[Form]:
     """Basis of the normalized subspace of the (q, t) slice."""
-    basis, n_basis, _, _, _ = _pipeline(spec, q, t, None, False)
+    basis, n_basis = normalized_rows(spec, q, t)
     return [_to_form(q, v, basis) for v in n_basis]
 
 

@@ -1,14 +1,22 @@
 """Face and degeneracy maps of the simplicial resolution.
 
-Level q is the forms algebra on x, y_1 .. y_q.  The bottom face folds
-the defining relation back in: d_0 sends y_1 to x^(n+1) and reindexes
-the remaining generators, while the top face kills y_q.  Images of the
-exterior generators are declared to be derivatives of the polynomial
-images, which is what makes every face commute with the differential.
+Level q is the forms algebra on x, y_1 .. y_q.  A monomial keeps y_j
+and dy_j in slot j, and every map acts on whole slots:
+- the bottom face d_0 folds the defining relation back in: slot 1
+  goes into x (y_1 to x^(n+1), dy_1 to x^n dx, zero for odd n or when
+  dx is present) and the remaining slots shift down;
+- the top face d_q drops slot q and kills any term that fills it;
+- an inner face d_i merges slots i and i+1, adding the y exponents,
+  and kills the term when both carry dy;
+- the degeneracy s_i inserts an empty slot at the 0-indexed position i.
+Images of the exterior generators are declared to be derivatives of
+the polynomial images, which is what makes every face commute with the
+differential.
 
 All maps here are algebra maps, applied monomial by monomial; a single
 monomial always lands on a single monomial or dies, so no map ever
-blows a slice up.
+blows a slice up.  A zero form maps to the shared zero of the target
+level once the indices have been checked.
 """
 
 from __future__ import annotations
@@ -45,60 +53,47 @@ __all__ = [
 def mono_face(n: int, i: int, mono: Mono) -> Optional[Mono]:
     """Image of one monomial under face i, or None when it vanishes.
 
-    The polynomial cases: y_1 goes to x^(n+1) under face 0, y_j drops
-    its index when i < j, keeps it when i >= j with j below the top,
-    and y_q dies under the top face.  The exterior cases mirror them,
-    with two extra ways to die: dy_1 under face 0 differentiates the
-    relation (zero outright for odd n), and two dy factors pushed onto
-    the same target square to zero.
+    Slot j holds y_j and dy_j; each face removes one slot:
+    - face 0 folds slot 1 into x and drops it: y_1 becomes x^(n+1), and
+      dy_1 becomes x^n dx (it differentiates the relation), which is
+      zero when n is odd or dx is already present;
+    - face q drops the top slot, and the term dies if that slot is not
+      empty;
+    - face i, 0 < i < q, merges slots i and i+1: the y exponents add,
+      and two dy factors square to zero.
     """
-    q = mono.level
-    x_out, dx_out = mono.x, mono.dx
-    y_out = [0] * (q - 1)
-    dy_out = [0] * (q - 1)
-    for j in range(1, q + 1):
-        e = mono.y[j - 1]
-        if not e:
-            continue
-        if i == 0 and j == 1:
-            x_out += (n + 1) * e
-        elif i < j:
-            y_out[j - 2] += e
-        elif j < q:
-            y_out[j - 1] += e
-        else:
+    x, dx, y, dy = mono
+    q = len(y)
+    if i == 0:
+        x += (n + 1) * y[0]
+        if dy[0]:
+            if n % 2 or dx:
+                return None
+            x += n
+            dx = 1
+        return Mono(x, dx, y[1:], dy[1:])
+    if i == q:
+        if y[-1] or dy[-1]:
             return None
-    for j in range(1, q + 1):
-        if not mono.dy[j - 1]:
-            continue
-        if i == 0 and j == 1:
-            if n % 2 or dx_out:
-                return None
-            x_out += n
-            dx_out = 1
-        elif i < j:
-            if dy_out[j - 2]:
-                return None
-            dy_out[j - 2] = 1
-        elif j < q:
-            if dy_out[j - 1]:
-                return None
-            dy_out[j - 1] = 1
-        else:
-            return None
-    return Mono(x_out, dx_out, tuple(y_out), tuple(dy_out))
+        return Mono(x, dx, y[:-1], dy[:-1])
+    if dy[i - 1] and dy[i]:
+        return None
+    return Mono(
+        x,
+        dx,
+        y[: i - 1] + (y[i - 1] + y[i],) + y[i + 1 :],
+        dy[: i - 1] + (dy[i - 1] | dy[i],) + dy[i + 1 :],
+    )
 
 
 def mono_degeneracy(i: int, mono: Mono) -> Mono:
-    """Image of one monomial under degeneracy i; never vanishes."""
-    q = mono.level
-    y_out = [0] * (q + 1)
-    dy_out = [0] * (q + 1)
-    for j in range(1, q + 1):
-        tgt = j if i >= j else j + 1
-        y_out[tgt - 1] += mono.y[j - 1]
-        dy_out[tgt - 1] |= mono.dy[j - 1]
-    return Mono(mono.x, mono.dx, tuple(y_out), tuple(dy_out))
+    """Image of one monomial under degeneracy i; never vanishes.
+
+    s_i inserts an empty slot at the 0-indexed position i: the slots
+    1 .. i keep their index and the slots above move up by one.
+    """
+    x, dx, y, dy = mono
+    return Mono(x, dx, y[:i] + (0,) + y[i:], dy[:i] + (0,) + dy[i:])
 
 
 def face(n: int, i: int, form: Form) -> Form:
@@ -108,8 +103,19 @@ def face(n: int, i: int, form: Form) -> Form:
         raise ValueError("faces are defined from level 1 upward")
     if not 0 <= i <= q:
         raise ValueError(f"face index {i} out of range at level {q}")
-    images = (mono_face(n, i, m) for m in form.terms)
-    return Form.from_monos(q - 1, (m for m in images if m is not None))
+    if not form.terms:
+        return Form.zero(q - 1)
+    # Every image is a level q-1 monomial; coincident images cancel.
+    acc: set[Mono] = set()
+    for mono in form.terms:
+        img = mono_face(n, i, mono)
+        if img is None:
+            continue
+        if img in acc:
+            acc.remove(img)
+        else:
+            acc.add(img)
+    return Form(q - 1, frozenset(acc))
 
 
 def degeneracy(i: int, form: Form) -> Form:
@@ -117,6 +123,8 @@ def degeneracy(i: int, form: Form) -> Form:
     q = form.level
     if not 0 <= i <= q:
         raise ValueError(f"degeneracy index {i} out of range at level {q}")
+    if not form.terms:
+        return Form.zero(q + 1)
     # Injective on monomials, so no two images can cancel.
     return Form(q + 1, frozenset(mono_degeneracy(i, m) for m in form.terms))
 

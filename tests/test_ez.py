@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
-from looplab.algebra import Form, GradingSpec, Mono, gen_x
+from looplab.algebra import Form, GradingSpec, Mono, gen_x, parse_form
 from looplab.ez import (
+    _killed_by_faces,
     degeneracy_chain,
     delta_top,
     ez_bottom_check,
@@ -311,3 +312,47 @@ def test_trials_run_clean_at_level_six():
         assert report["failures"] == [], report["failures"][:3]
         assert report["passed"] > report["vacuous"]
     assert time.perf_counter() - start < 60
+
+
+def test_trials_run_clean_at_level_eight():
+    start = time.perf_counter()
+    for spec in (ODD, EVEN):
+        report = run_trials(spec, max_level=8, trials=200, seed=0)
+        assert report["failures"] == [], report["failures"][:3]
+        assert report["passed"] > report["vacuous"]
+    assert time.perf_counter() - start < 60
+
+
+# The sweep only hands ez_face_checks normalized factors, so its vacuous
+# branch is pinned here on crafted forms.  Faces 1 .. q do not see n.
+KILLS_FACE_1 = parse_form("y1 + y2", 2)
+KILLS_FACES_1_2 = parse_form("dy2*dy3 + dy1*dy3 + dy1*dy2", 3)
+
+
+def test_killed_by_faces_counts_the_leading_faces_that_vanish():
+    cases = [
+        (gen_x(2), 0),
+        (KILLS_FACE_1, 1),
+        (omega(2), 2),
+        (gen_x(3), 0),
+        (parse_form("y1 + y2", 3), 1),
+        (KILLS_FACES_1_2, 2),
+        (omega(3), 3),
+        (Form.zero(3), 3),
+    ]
+    for n in (1, 2):
+        for form, killed in cases:
+            assert _killed_by_faces(n, form) == killed, (n, form)
+    # y2 dies under face 2 but not under face 1; the count stops at the
+    # first face that leaves something.
+    assert _killed_by_faces(2, parse_form("y2", 2)) == 0
+
+
+def test_face_checks_mark_the_faces_beyond_a_partial_kill_vacuous():
+    got = ez_face_checks(EVEN, KILLS_FACE_1, omega(1))
+    assert got == [(1, "pass"), (2, "vacuous"), (3, "vacuous")]
+    expect = [(1, "pass"), (2, "pass"), (3, "vacuous"), (4, "vacuous"), (5, "vacuous")]
+    assert ez_face_checks(EVEN, KILLS_FACES_1_2, omega(2)) == expect
+    assert ez_face_checks(EVEN, omega(2), KILLS_FACES_1_2) == expect
+    assert ez_face_checks(EVEN, KILLS_FACES_1_2, omega(2), i_max=2) == expect[:2]
+    assert ez_face_checks(EVEN, gen_x(2), omega(1)) == [(i, "vacuous") for i in (1, 2, 3)]

@@ -1,12 +1,14 @@
 """Face and degeneracy layer: table values, relations, compatibility."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
 from looplab.algebra import (
     Form,
     GradingSpec,
+    Mono,
     bigrading,
     derham_d,
     gen_dx,
@@ -15,6 +17,7 @@ from looplab.algebra import (
     gen_y,
     internal_degree,
     mono_degree,
+    mono_mul,
     monomial_basis,
     parse_form,
 )
@@ -27,6 +30,7 @@ from looplab.simplicial import (
     face,
     is_degenerate,
     mono_degeneracy,
+    mono_face,
     mono_is_degenerate,
     mono_normalize,
     omega,
@@ -257,3 +261,136 @@ def test_normalizing_projection():
                 assert all(mono_is_degenerate(m) for m in scrap.terms), (spec, mono)
                 for i in range(q + 1):
                     assert not mono_normalize(n, mono_degeneracy(i, mono)), (spec, mono, i)
+
+
+# The per-slot loops that the slicing kernels replaced, kept as references,
+# with the maps and the arithmetic of forms built on them the old way.
+
+
+def reference_mono_face(n, i, mono):
+    q = mono.level
+    x_out, dx_out = mono.x, mono.dx
+    y_out = [0] * (q - 1)
+    dy_out = [0] * (q - 1)
+    for j in range(1, q + 1):
+        e = mono.y[j - 1]
+        if not e:
+            continue
+        if i == 0 and j == 1:
+            x_out += (n + 1) * e
+        elif i < j:
+            y_out[j - 2] += e
+        elif j < q:
+            y_out[j - 1] += e
+        else:
+            return None
+    for j in range(1, q + 1):
+        if not mono.dy[j - 1]:
+            continue
+        if i == 0 and j == 1:
+            if n % 2 or dx_out:
+                return None
+            x_out += n
+            dx_out = 1
+        elif i < j:
+            if dy_out[j - 2]:
+                return None
+            dy_out[j - 2] = 1
+        elif j < q:
+            if dy_out[j - 1]:
+                return None
+            dy_out[j - 1] = 1
+        else:
+            return None
+    return Mono(x_out, dx_out, tuple(y_out), tuple(dy_out))
+
+
+def reference_mono_degeneracy(i, mono):
+    q = mono.level
+    y_out = [0] * (q + 1)
+    dy_out = [0] * (q + 1)
+    for j in range(1, q + 1):
+        tgt = j if i >= j else j + 1
+        y_out[tgt - 1] += mono.y[j - 1]
+        dy_out[tgt - 1] |= mono.dy[j - 1]
+    return Mono(mono.x, mono.dx, tuple(y_out), tuple(dy_out))
+
+
+def reference_face(n, i, form):
+    images = (reference_mono_face(n, i, m) for m in form.terms)
+    return Form.from_monos(form.level - 1, (m for m in images if m is not None))
+
+
+def reference_degeneracy(i, form):
+    images = (reference_mono_degeneracy(i, m) for m in form.terms)
+    return Form.from_monos(form.level + 1, images)
+
+
+def reference_product(a, b):
+    acc = set()
+    for u in a.terms:
+        for v in b.terms:
+            p = mono_mul(u, v)
+            if p is not None:
+                acc ^= {p}
+    return Form(a.level, frozenset(acc))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slot_kernels_equal_the_loop_reference_on_every_monomial(n):
+    # Both parities of n matter: dy_1 dies under face 0 exactly for odd n.
+    spec = GradingSpec(n, 2)
+    dead = 0
+    for q in range(5):
+        for t in range(41):
+            for mono in monomial_basis(q, spec, t):
+                for i in range(q + 1):
+                    got = mono_degeneracy(i, mono)
+                    assert got == reference_mono_degeneracy(i, mono), (i, mono)
+                    if not q:
+                        continue
+                    got = mono_face(n, i, mono)
+                    assert got == reference_mono_face(n, i, mono), (n, i, mono)
+                    dead += got is None
+    assert dead > 0
+
+
+def test_maps_and_arithmetic_equal_the_loop_reference_on_random_forms():
+    rng = random.Random(86)
+    for n in (1, 2, 3, 4):
+        for q in range(4):
+            forms = [Form.zero(q), Form(q, frozenset())]
+            forms += [random_form(rng, q, n_terms=k) for k in (1, 2, 3, 5) for _ in range(3)]
+            for a in forms:
+                for i in range(q + 1):
+                    assert degeneracy(i, a) == reference_degeneracy(i, a), (i, a)
+                    if q:
+                        assert face(n, i, a) == reference_face(n, i, a), (n, i, a)
+                for b in forms:
+                    assert a * b == reference_product(a, b), (a, b)
+                    assert a + b == Form(q, a.terms ^ b.terms), (a, b)
+
+
+def test_zero_forms_still_check_levels_and_indices():
+    with pytest.raises(ValueError):
+        face(1, 3, Form.zero(2))
+    with pytest.raises(ValueError):
+        face(1, 0, Form.zero(0))
+    with pytest.raises(ValueError):
+        degeneracy(3, Form.zero(2))
+    with pytest.raises(ValueError):
+        Form.zero(1) + Form.zero(2)
+    with pytest.raises(ValueError):
+        Form.zero(1) * gen_x(2)
+
+
+def test_zero_is_one_frozen_instance_per_level():
+    zero = Form.zero(3)
+    assert zero is Form.zero(3)
+    assert zero == Form(3, frozenset()) != Form.zero(2)
+    with pytest.raises(FrozenInstanceError):
+        zero.terms = frozenset({Mono(1, 0, (0, 0, 0), (0, 0, 0))})
+    assert face(2, 1, zero) is Form.zero(2)
+    assert degeneracy(0, zero) is Form.zero(4)
+    assert zero * gen_x(3) is zero
+    assert not zero
