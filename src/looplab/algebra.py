@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import combinations
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -29,6 +31,7 @@ __all__ = [
     "internal_degree",
     "bigrading",
     "monomial_basis",
+    "nondegenerate_basis",
     "gen_x",
     "gen_dx",
     "gen_y",
@@ -330,14 +333,42 @@ def monomial_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
         for dy_mask in range(1 << q):
             dy = tuple(dy_mask >> j & 1 for j in range(q))
             rest = t - (m - 1) * dx - (y_deg - 1) * sum(dy)
-            if rest < 0:
+            # y_deg is a multiple of m, so the x exponent is whole for
+            # every y or for none.
+            if rest < 0 or rest % m:
                 continue
             for y in _exponents(q, rest // y_deg):
-                left = rest - y_deg * sum(y)
-                if left % m:
-                    continue
-                out.append(Mono(left // m, dx, y, dy))
+                out.append(Mono((rest - y_deg * sum(y)) // m, dx, y, dy))
     out.sort()
+    return out
+
+
+def nondegenerate_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
+    """The level q monomials of degree t in which every slot is filled.
+
+    Slot j is filled when y_j > 0 or dy_j = 1; these are the monomials
+    that no degeneracy reaches (simplicial.mono_is_degenerate), so they
+    are a basis of the quotient by the degenerate subcomplex.  Each slot
+    without dy_j gets y_j = 1 up front and only the rest of the degree is
+    distributed, the same way for every dy pattern with as many dy
+    factors.  The order is not canonical.
+    """
+    n, m = spec.n, spec.m
+    y_deg = (n + 1) * m
+    out = []
+    for dx in (0, 1):
+        for ones in range(q + 1):
+            rest = t - (m - 1) * dx - (y_deg - 1) * ones - y_deg * (q - ones)
+            if rest < 0 or rest % m:
+                continue
+            extras = [
+                (y, (rest - y_deg * sum(y)) // m) for y in _exponents(q, rest // y_deg)
+            ]
+            for at in combinations(range(q), ones):
+                dy = tuple(1 if j in at else 0 for j in range(q))
+                floor = tuple(1 - d for d in dy)
+                for y, x in extras:
+                    out.append(Mono(x, dx, tuple(map(add, floor, y)), dy))
     return out
 
 

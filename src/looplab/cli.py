@@ -5,20 +5,23 @@ when every item passed, 1 when anything failed, 2 on usage errors.
 The default output is a TSV of verdict rows (or, for the integral
 comparison, the graded group table itself); --format json emits a
 single run report object carrying the command, its parameters, the
-verdicts, pass/fail/skip counts, and the wall time.
+verdicts, pass/fail/skip counts, the wall time, and run statistics (the
+process's peak resident memory and the hits and misses of the homology
+caches).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 
 from .algebra import GradingSpec
 from .closedform import loop_module, main1_dims
 from .ez import run_trials
-from .homology import homology_dim, koszul_dim
+from .homology import cache_stats, homology_dim, koszul_dim
 from .steenrod import check_adem, check_cartan, check_instability, module_iso
 from .thom import (
     abelian_tsv,
@@ -285,6 +288,12 @@ def _dispatch(args):
     return (name, *result)
 
 
+def _stats() -> dict:
+    # ru_maxrss is in kilobytes on Linux.
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"peakRssMb": round(peak_kb / 1024, 1), "caches": cache_stats()}
+
+
 def _render(name, params, verdicts, counts, table, fmt, elapsed) -> str:
     if fmt == "json":
         report = {
@@ -293,6 +302,7 @@ def _render(name, params, verdicts, counts, table, fmt, elapsed) -> str:
             "verdicts": verdicts,
             "counts": counts,
             "wallTime": round(elapsed, 6),
+            "stats": _stats(),
         }
         return json.dumps(report, indent=2) + "\n"
     if table is not None:

@@ -52,14 +52,28 @@ def rref(rows: Sequence[int]) -> tuple[list[int], list[int]]:
 
 
 def rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2).
+    """Rank over GF(2), by forward elimination only.
+
+    Each independent row is kept under its lowest set bit; a new row is
+    reduced until its lowest bit is free or it vanishes.  No row is ever
+    back-reduced, since only the count is wanted; use rref for a
+    canonical basis.
 
     >>> rank([0b10, 0b01])
     2
     >>> rank([0b11, 0b11])
     1
     """
-    return len(rref(rows)[0])
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return len(pivots)
 
 
 def transpose(rows: Sequence[int], ncols: int) -> list[int]:

@@ -1,14 +1,21 @@
 """Homology of the resolution, computed by brute force slice by slice.
 
 A slice is the span of all level q monomials of one internal degree t,
-optionally refined by the finer (w, p) grading.  Within a slice the
-normalized subspace (the common kernel of the faces 1 .. q) is the
-Dold-Kan image of the nondegenerate monomials under the normalizing
-projection, so it is read off the monomials rather than solved for.
-The bottom face is the differential, and homology is an exact quotient
-with canonical representatives.  Nothing here knows any closed-form
-answer; the closed forms live elsewhere and the two only ever meet in
-tests and in the command line cross checks.
+optionally refined by the finer (w, p) grading.  The degenerate
+monomials span a subcomplex D, and the normalized complex N (the common
+kernel of the faces 1 .. q, with the bottom face as differential) is
+isomorphic to the quotient C/D (Dold-Kan).  The two are used for
+different things:
+- dimensions come from C/D, whose basis is the nondegenerate monomials
+  and whose differential is the sum of all faces with degenerate images
+  dropped, so a dimension is a monomial count minus two boundary ranks;
+- representatives, cycle and boundary certificates come from N, the
+  Dold-Kan image of the nondegenerate monomials under the normalizing
+  projection, where homology is an exact quotient with canonical
+  representatives.
+Nothing here knows any closed-form answer; the closed forms live
+elsewhere and the two only ever meet in tests and in the command line
+cross checks.
 
 The module also carries a deliberately independent oracle: a four-track
 complex small enough to differentiate by hand, whose homology must
@@ -28,6 +35,7 @@ from .algebra import (
     internal_degree,
     mono_bigrading,
     monomial_basis,
+    nondegenerate_basis,
 )
 from .gf2 import apply_row, left_kernel, quotient_reps, rank, rref, solve_in_span
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
@@ -38,6 +46,7 @@ __all__ = [
     "normalized_rows",
     "homology_at",
     "homology_dim",
+    "cache_stats",
     "is_normalized",
     "is_cycle",
     "is_boundary",
@@ -192,8 +201,53 @@ def homology_at(
     return SliceHomology(q, t, len(forms), forms)
 
 
+@lru_cache(maxsize=None)
+def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
+    """Dimension of C/D at (q, t) and the rank of its differential to level q-1.
+
+    The differential is the sum of the faces 0 .. q on nondegenerate
+    monomials, with degenerate images dropped.  No image is degenerate,
+    as a face keeps every slot filled (d_0 shifts the slots, an inner
+    face merges two filled slots, and d_q kills a filled top slot), so
+    every surviving image is looked up in the target basis and one
+    missing from it would raise rather than be dropped.
+    """
+    sources = nondegenerate_basis(q, spec, t)
+    if q == 0:
+        return len(sources), 0
+    n = spec.n
+    target = {mono: k for k, mono in enumerate(nondegenerate_basis(q - 1, spec, t))}
+    rows = []
+    for mono in sources:
+        row = 0
+        for i in range(q + 1):
+            img = mono_face(n, i, mono)
+            if img is not None:
+                row ^= 1 << target[img]
+        rows.append(row)
+    return len(sources), rank(rows)
+
+
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
-    return homology_at(spec, q, t).dim
+    """Dimension of the (q, t) homology, read off the quotient C/D.
+
+    Equal to homology_at(spec, q, t).dim without building the normalized
+    complex.  Each level's dimension and boundary rank are cached as two
+    ints, so the slices at q and q+1 eliminate their shared boundary once.
+    """
+    chains, boundary_out = _quotient_level(spec, q, t)
+    return chains - boundary_out - _quotient_level(spec, q + 1, t)[1]
+
+
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hits and misses of the slice pipeline and the quotient level caches."""
+    return {
+        name: {"hits": info.hits, "misses": info.misses}
+        for name, info in (
+            ("pipeline", _pipeline.cache_info()),
+            ("quotientLevel", _quotient_level.cache_info()),
+        )
+    }
 
 
 def is_normalized(n: int, form: Form) -> bool:

@@ -1,5 +1,6 @@
 """Forms algebra: ring axioms, the differential, gradings, the basis."""
 
+import itertools
 import random
 
 import pytest
@@ -20,9 +21,11 @@ from looplab.algebra import (
     mono_degree,
     mono_str,
     monomial_basis,
+    nondegenerate_basis,
     parse_form,
     parse_mono,
 )
+from looplab.simplicial import mono_is_degenerate
 
 from support import random_form
 
@@ -175,6 +178,42 @@ def test_monomial_basis_degree_zero_and_impossible():
     spec = GradingSpec(n=1, m=3)
     assert monomial_basis(2, spec, 0) == [Mono(0, 0, (0, 0), (0, 0))]
     assert monomial_basis(0, spec, 1) == []
+
+
+@pytest.mark.parametrize(("n", "m"), [(1, 3), (2, 3), (1, 5), (3, 5)])
+def test_monomial_basis_is_complete_for_weights_above_two(n, m):
+    spec = GradingSpec(n, m)
+    # x, dx and dy carry degrees m, m - 1 and (n+1)m - 1, so most degrees
+    # mix monomials with and without exterior factors, or have none.
+    y_deg = (n + 1) * m
+    for q in range(4):
+        for t in range(3 * y_deg + 1):
+            found = set()
+            for x, dx, y, dy in itertools.product(
+                range(t // m + 1),
+                (0, 1),
+                itertools.product(range(t // y_deg + 1), repeat=q),
+                itertools.product((0, 1), repeat=q),
+            ):
+                mono = Mono(x, dx, y, dy)
+                if mono_degree(spec, mono) == t:
+                    found.add(mono)
+            basis = monomial_basis(q, spec, t)
+            assert basis == sorted(found), (q, t)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
+    seen = 0
+    for n in range(1, 5):
+        spec = GradingSpec(n, m)
+        for q in range(5):
+            for t in range(41):
+                direct = nondegenerate_basis(q, spec, t)
+                want = [mono for mono in monomial_basis(q, spec, t) if not mono_is_degenerate(mono)]
+                assert sorted(direct) == want, (n, q, t)
+                seen += len(want)
+    assert seen
 
 
 mono_strategy = st.builds(

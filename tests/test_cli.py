@@ -57,6 +57,12 @@ def test_main1_json_report(capsys):
     assert report["counts"]["fail"] == 0
     assert report["counts"]["pass"] == len(report["verdicts"])
     assert report["wallTime"] >= 0
+    caches = report["stats"]["caches"]
+    assert (
+        report["stats"]["peakRssMb"] > 0
+        and set(caches["pipeline"]) == {"hits", "misses"}
+        and caches["quotientLevel"]["misses"] > 0
+    )
 
 
 def test_ez_is_deterministic(capsys):

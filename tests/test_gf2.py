@@ -60,6 +60,24 @@ def test_rref_is_canonical_for_the_span():
             assert r & (1 << c)
 
 
+def test_rank_equals_the_length_of_the_echelon_form():
+    # rank eliminates forward only; rref is the fully reduced reference.
+    rng = random.Random(608)
+    for ncols in (1, 5, 64, 200, 3000):
+        for _ in range(12):
+            rows = random_rows(rng, rng.randint(0, 40), ncols)
+            rows += [0] * rng.randint(0, 3)
+            rows += [rng.choice(rows) for _ in range(rng.randint(0, 5))] if rows else []
+            rows += [apply_row(rng.getrandbits(len(rows)), rows) for _ in range(3)]
+            rng.shuffle(rows)
+            assert rank(rows) == len(rref(rows)[0]), (ncols, len(rows))
+    # few independent rows among many wide ones, and the empty matrix
+    base = random_rows(rng, 7, 3000)
+    wide = [apply_row(rng.getrandbits(7), base) for _ in range(60)]
+    assert rank(wide) == len(rref(wide)[0]) == rank(base) == 7
+    assert rank([]) == rank([0, 0]) == 0
+
+
 def test_kernel_of_single_equation():
     ker = kernel_basis([0b011], 3)
     assert len(ker) == 2

@@ -11,6 +11,7 @@ from looplab.algebra import (
     gen_x,
     internal_degree,
     mono_bigrading,
+    nondegenerate_basis,
     parse_form,
 )
 from looplab.closedform import main1_dims
@@ -30,7 +31,7 @@ from looplab.homology import (
     table_tsv,
     homology_table,
 )
-from looplab.simplicial import alpha, beta, face, mono_face, omega
+from looplab.simplicial import alpha, beta, face, mono_face, mono_is_degenerate, omega
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
@@ -195,3 +196,43 @@ def test_even_pair_dimensions_agree_to_level_five_and_degree_forty():
             chain = homology_dim(spec, q, t)
             assert chain == main1_dims(spec, q, t) == koszul_dim(spec, q, t), (q, t)
     assert time.monotonic() - start < 120.0
+
+
+def test_faces_of_nondegenerate_monomials_are_nondegenerate_or_vanish():
+    # Why the C/D differential never meets a degenerate image, and why
+    # its top face contributes nothing.
+    count = 0
+    for n, m in ((1, 2), (2, 2), (3, 2), (2, 3)):
+        spec = GradingSpec(n, m)
+        for q in range(1, 5):
+            for t in range(41):
+                for mono in nondegenerate_basis(q, spec, t):
+                    assert mono_face(n, q, mono) is None
+                    for i in range(q):
+                        img = mono_face(n, i, mono)
+                        assert img is None or not mono_is_degenerate(img), (mono, i)
+                        count += img is not None
+    assert count
+
+
+def test_quotient_dimensions_equal_the_normalized_homology_on_the_acceptance_grid():
+    # homology_dim counts on C/D; homology_at builds the normalized complex N.
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        for q in range(4):
+            for t in range(3 * (n + 1) * m + 1):
+                assert homology_dim(spec, q, t) == homology_at(spec, q, t).dim, (n, m, q, t)
+
+
+def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
+    start = time.monotonic()
+    for spec, max_q, max_t in (
+        (GradingSpec(2, 2), 8, 40),
+        (GradingSpec(2, 2), 6, 48),
+        (GradingSpec(3, 2), 6, 48),
+    ):
+        for q in range(max_q + 1):
+            for t in range(max_t + 1):
+                chain = homology_dim(spec, q, t)
+                assert chain == main1_dims(spec, q, t) == koszul_dim(spec, q, t), (spec, q, t)
+    assert time.monotonic() - start < 60.0
