@@ -213,9 +213,8 @@ def loop_module(
     odd = n % 2 == 1
     if odd:
         elements = list(_odd_elements(n, m, deg_max))
-        label_of, key_of = {}, {}
+        key_of = {}
         for key, total in elements:
-            label_of[key] = odd_label(key)
             key_of[odd_label(key)] = (key, total)
 
         def rule(k: int, label: str):

@@ -8,6 +8,14 @@ for that reason.  The checkers know nothing about where a module came
 from, which lets one of them compare two modules built from entirely
 different descriptions.  The Cartan check runs over unordered pairs of
 labels, so it assumes a commutative product.
+
+The two composite checkers compare whole values at once.  Every label
+has one degree and Sq^k raises it by k, so the terms of one identity at
+different k never share a label: the Cartan check compares each pair's
+total squares in one int and reads the failing k off the degrees of the
+differing labels.  The Adem check builds each composite Sq^c Sq^j once
+per call as a sparse {label: value} dict, because many pairs share the
+same rewrite terms.
 """
 
 from __future__ import annotations
@@ -177,39 +185,51 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
     """The operations are multiplicative in the convolution sense.
 
     Over unordered pairs a, b: Sq^k(ab) = sum over i + j = k of (Sq^i a)(Sq^j b).
+    A pair is checked for k up to top = min(k_max, deg_max - deg a - deg b).
+    Each label's total square T(x) = Sq^0 x + ... + Sq^k_max x is formed
+    once, and each pair makes one comparison: T applied to ab against
+    the sum of the products pq over p in T(a), q in T(b) with
+    deg p + deg q <= deg a + deg b + top, both masked to labels of that
+    degree or less.  Every label has one degree, and Sq^k(ab) and all
+    (Sq^i a)(Sq^j b) with i + j = k lie in degree deg a + deg b + k, so
+    the two sides agree exactly when every k <= top does; the degrees of
+    the differing labels name the failing k.
     """
     if module.product is None:
         raise ValueError("the multiplicativity check needs a product")
     if k_max > module.k_store:
         raise ValueError(f"operations were only stored up to {module.k_store}")
     deg, sq, mul, name = module.deg, module.sq, module.mul, module.label
-    # Per label, its nonzero values (i, bits of Sq^i) for i <= k_max.
-    parts = [
-        [(i, _bits(row)) for i in range(k_max + 1) if (row := sq[i][x])]
-        for x in range(len(deg))
-    ]
+    total = [0] * len(deg)
+    for x in range(len(deg)):
+        for i in range(k_max + 1):
+            total[x] ^= sq[i][x] or 0
+    # Per label, the bits of its total square with their degrees, lowest first.
+    parts = [[(p, deg[p]) for p in _bits(row)] for row in total]
     checked = skipped = 0
     failures = []
     for a, da in enumerate(deg):
         for b in range(a, len(deg)):
-            top = min(k_max, module.deg_max - da - deg[b])
+            base = da + deg[b]
+            top = min(k_max, module.deg_max - base)
             if top <= 0:
                 # Degrees only grow along b, so the rest fall off as well.
                 skipped += k_max * (len(deg) - b)
                 break
             checked += top
             skipped += k_max - top
-            rhs = [0] * (top + 1)
-            for i, left in parts[a]:
-                for j, right in parts[b]:
-                    if i + j > top:
+            limit = base + top
+            rhs = 0
+            for q, dq in parts[b]:
+                if dq + da > limit:
+                    break
+                for p, dp in parts[a]:
+                    if dp + dq > limit:
                         break
-                    for p in left:
-                        for q in right:
-                            rhs[i + j] ^= mul(p, q)
-            ab = mul(a, b)
-            for k in range(1, top + 1):
-                if _apply(sq[k], ab) != rhs[k]:
+                    rhs ^= mul(p, q)
+            diff = (_apply(total, mul(a, b)) ^ rhs) & ((1 << bisect_right(deg, limit)) - 1)
+            if diff:
+                for k in sorted({deg[y] - base for y in _bits(diff)}):
                     failures.append(f"Sq^{k} of {name[a]}*{name[b]} breaks multiplicativity")
     return _report("cartan", checked, skipped, failures)
 
@@ -218,11 +238,34 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
     """Inadmissible composites rewrite as their standard sums.
 
     Runs over a < 2b with both indices at most k_max, which needs the
-    module to have stored operations up to 2 * k_max.
+    module to have stored operations up to 2 * k_max.  A composite
+    Sq^c Sq^j is a dict {x: row} over the nonzero values on the labels
+    with deg x <= deg_max - c - j, so it depends on (c, j) alone and is
+    built once per call; each pair compares the composite Sq^a Sq^b with
+    the XOR merge of its rewrite terms, zero values dropped.
     """
     if 2 * k_max > module.k_store:
         raise ValueError("composites need operations stored up to twice the bound")
-    sq = module.sq
+    deg, sq = module.deg, module.sq
+    # Per operation, its nonzero rows (x, row) in label order.
+    nonzero: dict[int, list[tuple[int, int]]] = {}
+    composites: dict[tuple[int, int], dict[int, int]] = {}
+
+    def composite(c: int, j: int) -> dict[int, int]:
+        out = composites.get((c, j))
+        if out is None:
+            if j not in nonzero:
+                nonzero[j] = [(x, row) for x, row in enumerate(sq[j]) if row]
+            inside = bisect_right(deg, module.deg_max - c - j)
+            out = {}
+            for x, row in nonzero[j]:
+                if x >= inside:
+                    break
+                if value := _apply(sq[c], row):
+                    out[x] = value
+            composites[(c, j)] = out
+        return out
+
     checked = skipped = 0
     failures = []
     for a in range(1, k_max + 1):
@@ -231,16 +274,21 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
                 continue
             js = [j for j in range(a // 2 + 1) if _binom_odd(b - 1 - j, a - 2 * j)]
             # Labels are in degree order, so the checkable ones come first.
-            inside = bisect_right(module.deg, module.deg_max - a - b)
+            inside = bisect_right(deg, module.deg_max - a - b)
             checked += inside
-            skipped += len(module.deg) - inside
-            for x in range(inside):
-                lhs = _apply(sq[a], sq[b][x])
-                rhs = 0
-                for j in js:
-                    rhs ^= _apply(sq[a + b - j], sq[j][x])
-                if lhs != rhs:
-                    failures.append(f"Sq^{a} Sq^{b} on {module.label[x]} breaks the rewrite rule")
+            skipped += len(deg) - inside
+            rhs: dict[int, int] = {}
+            for j in js:
+                for x, value in composite(a + b - j, j).items():
+                    if value := rhs.get(x, 0) ^ value:
+                        rhs[x] = value
+                    else:
+                        del rhs[x]
+            lhs = composite(a, b)
+            if lhs != rhs:
+                for x in sorted(lhs.keys() | rhs.keys()):
+                    if lhs.get(x) != rhs.get(x):
+                        failures.append(f"Sq^{a} Sq^{b} on {module.label[x]} breaks the rewrite rule")
     return _report("adem", checked, skipped, failures)
 
 

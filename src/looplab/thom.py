@@ -255,6 +255,27 @@ def model_homology_z(sp: Space, deg_max: int) -> GradedAb:
     return _trim(merge_groups(*parts), deg_max)
 
 
+def _cofiber_cells(sp: Space, q: int) -> list[tuple[str, int, int, int]]:
+    """(family, level, j, degree) of each mod 2 cell of the level q piece."""
+    n, r = sp.n, sp.r
+    shift = (n + 1) * r - 2
+    cells = []
+    if n % 2:
+        for j in range(n + 1):
+            cells.append(("c", q, j, q * shift + r - 1 + r * j))
+            cells.append(("d", q + 1, j, (q + 1) * shift + r * j))
+    else:
+        for j in range(n):
+            cells.append(("a", q, j, q * shift + r - 1 + r * j))
+            cells.append(("b", q + 1, j, (q + 1) * shift + r + r * j))
+    return cells
+
+
+def _cell_label(family: str, level: int, j: int) -> str:
+    """Label of a wedge cell; family "x" is the space's own power x^j."""
+    return _power_label(j, "") if family == "x" else f"{family}{level}^{j}"
+
+
 def cofiber_f2_labels(sp: Space, q: int) -> list[tuple[str, int]]:
     """Mod 2 cells of the suspended level q cofiber piece, with degrees.
 
@@ -262,17 +283,21 @@ def cofiber_f2_labels(sp: Space, q: int) -> list[tuple[str, int]]:
     even gives the a/b families stopping below n; the level index on
     the second family is already the successor level.
     """
+    return [(_cell_label(f, level, j), d) for f, level, j, d in _cofiber_cells(sp, q)]
+
+
+def _wedge_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:
+    """(family, level, j, degree) of every wedge cell inside the window.
+
+    The space's own powers x^j come first, as family "x" at level zero,
+    then every cofiber piece that reaches the window.
+    """
     n, r = sp.n, sp.r
-    shift = (n + 1) * r - 2
-    cells = []
-    if n % 2:
-        for j in range(n + 1):
-            cells.append((f"c{q}^{j}", q * shift + r - 1 + r * j))
-            cells.append((f"d{q + 1}^{j}", (q + 1) * shift + r * j))
-    else:
-        for j in range(n):
-            cells.append((f"a{q}^{j}", q * shift + r - 1 + r * j))
-            cells.append((f"b{q + 1}^{j}", (q + 1) * shift + r + r * j))
+    cells = [("x", 0, j, j * r) for j in range(n + 1) if j * r <= deg_max]
+    q = 0
+    while q * ((n + 1) * r - 2) + r - 1 <= deg_max:
+        cells += [cell for cell in _cofiber_cells(sp, q) if cell[3] <= deg_max]
+        q += 1
     return cells
 
 
@@ -285,40 +310,27 @@ def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
     each second-family piece when the space switches it on.
     """
     n, r = sp.n, sp.r
-    elements = [(_power_label(j, ""), j * r) for j in range(n + 1) if j * r <= deg_max]
-    q = 0
-    while q * ((n + 1) * r - 2) + r - 1 <= deg_max:
-        elements += [(label, d) for label, d in cofiber_f2_labels(sp, q) if d <= deg_max]
-        q += 1
-    powers = {_power_label(j, ""): j for j in range(n + 1)}
+    # label -> (family, level, j, degree, binomial top, largest j of the family)
+    cells = {}
+    for family, level, j, d in _wedge_cells(sp, deg_max):
+        if family == "x":
+            top, cap = j, n
+        else:
+            top = level * (n + 1) + j + (family == "b")
+            cap = n - 1 if family in ("a", "b") else n
+        cells[_cell_label(family, level, j)] = (family, level, j, d, top, cap)
 
     def rule(k: int, label: str):
-        if label in powers:
-            if k % r:
-                return []
-            i, j = k // r, powers[label]
-            if i + j <= n and lucas(j, i):
-                return [(_power_label(i + j, ""), r * (i + j))]
-            return []
-        family, rest = label[0], label[1:]
-        level, j = (int(piece) for piece in rest.split("^"))
-        shift = (n + 1) * r - 2
-        if family == "a":
-            degree, top, cap = level * shift + r - 1 + r * j, level * (n + 1) + j, n - 1
-        elif family == "b":
-            degree, top, cap = level * shift + r + r * j, level * (n + 1) + 1 + j, n - 1
-        elif family == "c":
-            degree, top, cap = level * shift + r - 1 + r * j, level * (n + 1) + j, n
-        else:
-            degree, top, cap = level * shift + r * j, level * (n + 1) + j, n
+        family, level, j, d, top, cap = cells[label]
         if k % r == 0:
             i = k // r
             if i + j <= cap and lucas(top, i):
-                return [(f"{family}{level}^{i + j}", degree + k)]
+                return [(_cell_label(family, level, i + j), d + k)]
         elif k == 1 and family == "d" and j == 0 and sp.odd_op:
-            return [(f"c{level - 1}^{n}", degree + 1)]
+            return [(_cell_label("c", level - 1, n), d + 1)]
         return []
 
+    elements = [(label, cell[3]) for label, cell in cells.items()]
     return FiniteAModule(deg_max, elements, rule, k_store)
 
 
@@ -330,26 +342,21 @@ def loop_dictionary(sp: Space, deg_max: int) -> dict[str, str]:
     an exterior class, each second-family cell on the polynomial class
     one level up.
     """
-    module = model_module_f2(sp, deg_max, 1)
     n = sp.n
     out = {}
-    for label, _ in module.labels():
-        if label == "1":
-            out[label] = "1"
-        elif label[0] == "x":
-            j = 1 if label == "x" else int(label[2:])
-            out[label] = odd_label((j, 0, 0)) if n % 2 else even_label(("b", j - 1, 0))
-        else:
-            family, rest = label[0], label[1:]
-            level, j = (int(piece) for piece in rest.split("^"))
-            if family == "c":
-                out[label] = odd_label((j, 1, level))
-            elif family == "d":
-                out[label] = odd_label((j, 0, level))
-            elif family == "a":
-                out[label] = even_label(("a", j, level))
+    for family, level, j, _ in _wedge_cells(sp, deg_max):
+        label = _cell_label(family, level, j)
+        if family == "x":
+            if j == 0:
+                out[label] = "1"
             else:
-                out[label] = even_label(("b", j, level))
+                out[label] = odd_label((j, 0, 0)) if n % 2 else even_label(("b", j - 1, 0))
+        elif family == "c":
+            out[label] = odd_label((j, 1, level))
+        elif family == "d":
+            out[label] = odd_label((j, 0, level))
+        else:
+            out[label] = even_label((family, j, level))
     return out
 
 

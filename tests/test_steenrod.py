@@ -433,6 +433,46 @@ def test_checkers_equal_the_reference_on_broken_modules():
                 assert report["failures"], report["check"]
 
 
+def test_cartan_break_fails_at_every_k_of_one_pair():
+    # x^3 * x^4 = x^7 has every Sq^k x^7 (k <= 7) nonzero, so dropping that
+    # product breaks each k up to the top one the window allows.
+    module = rebuilt(truncated_polynomial(16, 14, 8), drop=("x3", "x4"))
+    report = check_cartan(module, 8)
+    assert report == ref_cartan(module, 8)
+    pair = [f for f in report["failures"] if " of x3*x4 " in f]
+    assert pair == [f"Sq^{k} of x3*x4 breaks multiplicativity" for k in range(1, 8)]
+
+
+def test_adem_break_in_a_shared_composite_fails_every_pair_using_it():
+    # Sq^7 Sq^1 on x1 is a rewrite term of Sq^2 Sq^6, Sq^3 Sq^5 and Sq^4 Sq^4;
+    # a wrong Sq^7 x2 breaks all three, and the bare Sq^7 x2 terms as well.
+    module = rebuilt(truncated_polynomial(16, 15, 12), flip=(7, "x2", "x9"))
+    report = check_adem(module, 6)
+    assert report == ref_adem(module, 6)
+    on_x1 = [f for f in report["failures"] if f.endswith(" on x1 breaks the rewrite rule")]
+    assert [f.split(" on ")[0] for f in on_x1] == ["Sq^2 Sq^6", "Sq^3 Sq^5", "Sq^4 Sq^4"]
+    assert any(f.endswith(" on x2 breaks the rewrite rule") for f in report["failures"])
+
+
+def test_both_modules_pass_at_degree_320_and_sq_64():
+    started = time.perf_counter()
+    for name in sorted(SPACES):
+        sp = SPACES[name]
+        loop = loop_module(sp.n, sp.r, 320, 128, sq_one=sp.odd_op)
+        model = model_module_f2(sp, 320, 128)
+        for module, checker in (
+            (loop, check_instability),
+            (loop, check_cartan),
+            (loop, check_adem),
+            (model, check_instability),
+            (model, check_adem),
+        ):
+            report = checker(module, 64)
+            assert report["pass"], (name, report["check"], report["failures"][:3])
+            assert report["checked"] > 0, (name, report["check"])
+    assert time.perf_counter() - started < 60
+
+
 def test_loop_module_axioms_hold_at_degree_160_and_sq_32():
     started = time.perf_counter()
     for name in sorted(SPACES):
