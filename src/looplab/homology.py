@@ -47,6 +47,7 @@ __all__ = [
     "homology_at",
     "homology_dim",
     "cache_stats",
+    "clear_caches",
     "is_normalized",
     "is_cycle",
     "is_boundary",
@@ -248,6 +249,17 @@ def cache_stats() -> dict[str, dict[str, int]]:
             ("quotientLevel", _quotient_level.cache_info()),
         )
     }
+
+
+def clear_caches() -> None:
+    """Empty the slice pipeline and the quotient level caches.
+
+    Both grow without bound across a process; a long-lived caller that
+    moves on to other gradings can drop them, and the hit and miss
+    counts of ``cache_stats`` restart from zero.
+    """
+    _pipeline.cache_clear()
+    _quotient_level.cache_clear()
 
 
 def is_normalized(n: int, form: Form) -> bool:

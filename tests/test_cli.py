@@ -63,6 +63,8 @@ def test_main1_json_report(capsys):
         and set(caches["pipeline"]) == {"hits", "misses"}
         and caches["quotientLevel"]["misses"] > 0
     )
+    stages = report["stats"]["stages"]
+    assert set(stages) == {"parse", "run", "render"} and min(stages.values()) >= 0
 
 
 def test_ez_is_deterministic(capsys):
@@ -162,3 +164,43 @@ def test_module_invocation_smoke():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("item\tstatus\tdetail")
+
+
+COMPARE_CP2 = ["compare", "--space", "cp2", "--coeff", "z", "--max-degree", "120"]
+
+
+def test_a_separate_process_writes_the_whole_report(capsys, tmp_path):
+    # The CLI process freezes its heap and skips freeing it at exit; what it
+    # wrote must still reach the pipe and the file byte for byte.
+    code, expected, _ = run_cli(capsys, COMPARE_CP2)
+    assert code == 0
+    piped = subprocess.run(
+        [sys.executable, "-m", "looplab.cli", *COMPARE_CP2], capture_output=True
+    )
+    assert piped.returncode == 0
+    assert piped.stdout == expected.encode()
+    target = tmp_path / "report.tsv"
+    written = subprocess.run(
+        [sys.executable, "-m", "looplab.cli", *COMPARE_CP2, "--out", str(target)],
+        capture_output=True,
+    )
+    assert written.returncode == 0 and written.stdout == b""
+    assert target.read_bytes() == expected.encode()
+
+
+def test_main_freezes_the_import_time_heap(tmp_path):
+    child = (
+        "import gc, sys\n"
+        "from looplab import cli\n"
+        "before = gc.get_freeze_count()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(code, before, gc.get_freeze_count())\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", child, *COMPARE_CP2, "--out", str(tmp_path / "out.tsv")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    code, before, after = map(int, result.stdout.split())
+    assert (code, before) == (0, 0) and after > 0

@@ -236,3 +236,18 @@ def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
                 chain = homology_dim(spec, q, t)
                 assert chain == main1_dims(spec, q, t) == koszul_dim(spec, q, t), (spec, q, t)
     assert time.monotonic() - start < 60.0
+
+
+def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
+    spec = GradingSpec(1, 2)
+    homology_at(spec, 1, 6)
+    homology_dim(spec, 1, 6)
+    homology.clear_caches()
+    zero = {"hits": 0, "misses": 0}
+    assert homology.cache_stats() == {"pipeline": zero, "quotientLevel": zero}
+    homology_at(spec, 1, 6)
+    homology_dim(spec, 1, 6)
+    assert homology.cache_stats() == {
+        "pipeline": {"hits": 0, "misses": 1},
+        "quotientLevel": {"hits": 0, "misses": 2},
+    }
