@@ -13,13 +13,10 @@ __all__ = [
     "low_bit",
     "rref",
     "rank",
-    "transpose",
     "apply_row",
-    "kernel_basis",
     "left_kernel",
     "solve_in_span",
     "quotient_reps",
-    "quotient_dim",
 ]
 
 
@@ -76,17 +73,6 @@ def rank(rows: Sequence[int]) -> int:
     return len(pivots)
 
 
-def transpose(rows: Sequence[int], ncols: int) -> list[int]:
-    """Transpose; ncols must be passed since ints carry no width."""
-    out = []
-    for c in range(ncols):
-        x = 0
-        for i, r in enumerate(rows):
-            x |= (r >> c & 1) << i
-        out.append(x)
-    return out
-
-
 def apply_row(v: int, rows: Sequence[int]) -> int:
     """XOR of rows[i] over the set bits i of v (row-vector times matrix)."""
     acc = 0
@@ -96,36 +82,36 @@ def apply_row(v: int, rows: Sequence[int]) -> int:
     return acc
 
 
-def kernel_basis(rows: Sequence[int], ncols: int) -> list[int]:
-    """Basis of the solution space of M v = 0.
+def left_kernel(rows: Sequence[int]) -> list[int]:
+    """Basis of the vectors c with c M = 0, i.e. the dependencies among the rows.
 
-    Rows are read as equations in ncols unknowns.  The basis returned is
-    the standard one with identity on the free columns, listed in free
-    column order; its length is ncols - rank(M).
+    Forward elimination as in rank, with a tag on every row recording
+    which input rows were XORed into it; a row that reduces to zero
+    leaves its tag as a dependency.  The dependency found at row i has
+    i as its highest bit, so the dependencies are independent, and there
+    are len(rows) - rank(rows) of them.
 
-    >>> kernel_basis([0b011], 3)
-    [3, 4]
+    >>> left_kernel([0b01, 0b11, 0b10, 0b00])
+    [7, 8]
     """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for c, r in zip(pivots, red):
-            if r >> f & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
+    pivots: dict[int, tuple[int, int]] = {}
+    deps = []
+    for i, row in enumerate(rows):
+        tag = 1 << i
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (row, tag)
+                break
+            row ^= pivot[0]
+            tag ^= pivot[1]
+        if not row:
+            deps.append(tag)
+    return deps
 
 
-def left_kernel(rows: Sequence[int], ncols: int) -> list[int]:
-    """Vectors c with c M = 0, i.e. the dependencies among the rows."""
-    return kernel_basis(transpose(rows, ncols), len(rows))
-
-
-def solve_in_span(basis: Sequence[int], target: int, ncols: int) -> Optional[list[int]]:
+def solve_in_span(basis: Sequence[int], target: int) -> Optional[list[int]]:
     """Coefficients expressing target in the given spanning set, or None.
 
     The result is a 0/1 list aligned with basis order; XORing the chosen
@@ -152,7 +138,7 @@ def solve_in_span(basis: Sequence[int], target: int, ncols: int) -> Optional[lis
     return [t_acc >> i & 1 for i in range(len(basis))]
 
 
-def quotient_reps(z_basis: Sequence[int], b_basis: Sequence[int], ncols: int) -> list[int]:
+def quotient_reps(z_basis: Sequence[int], b_basis: Sequence[int]) -> list[int]:
     """Canonical representatives for span(z) modulo span(b).
 
     Requires span(b) to lie inside span(z) and checks that up front: a
@@ -178,7 +164,3 @@ def quotient_reps(z_basis: Sequence[int], b_basis: Sequence[int], ncols: int) ->
             reduced.append(z)
     return rref(reduced)[0]
 
-
-def quotient_dim(z_basis: Sequence[int], b_basis: Sequence[int], ncols: int) -> int:
-    """Dimension of span(z)/span(b); see quotient_reps for the contract."""
-    return len(quotient_reps(z_basis, b_basis, ncols))

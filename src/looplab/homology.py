@@ -4,15 +4,15 @@ A slice is the span of all level q monomials of one internal degree t,
 optionally refined by the finer (w, p) grading.  The degenerate
 monomials span a subcomplex D, and the normalized complex N (the common
 kernel of the faces 1 .. q, with the bottom face as differential) is
-isomorphic to the quotient C/D (Dold-Kan).  The two are used for
-different things:
-- dimensions come from C/D, whose basis is the nondegenerate monomials
-  and whose differential is the sum of all faces with degenerate images
-  dropped, so a dimension is a monomial count minus two boundary ranks;
-- representatives, cycle and boundary certificates come from N, the
-  Dold-Kan image of the nondegenerate monomials under the normalizing
-  projection, where homology is an exact quotient with canonical
-  representatives.
+isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on one
+complex, C/D, whose basis is the nondegenerate monomials and whose
+differential is the sum of all faces with degenerate images dropped:
+- a dimension is a monomial count minus two boundary ranks;
+- representatives are canonical on C/D and lifted to normalized cycles
+  by the normalizing projection P;
+- a normalized cycle's class is read off its nondegenerate terms.
+N itself is built only for the rows that the shuffle trials draw from
+(normalized_rows).
 Nothing here knows any closed-form answer; the closed forms live
 elsewhere and the two only ever meet in tests and in the command line
 cross checks.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import (
     Form,
@@ -37,7 +37,7 @@ from .algebra import (
     monomial_basis,
     nondegenerate_basis,
 )
-from .gf2 import apply_row, left_kernel, quotient_reps, rank, rref, solve_in_span
+from .gf2 import left_kernel, quotient_reps, rank, rref, solve_in_span
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 
 __all__ = [
@@ -69,14 +69,15 @@ class SliceHomology:
     reps: tuple[Form, ...]
 
 
-def _slice_basis(
+def _nondegenerate_slice(
     spec: GradingSpec,
     q: int,
     t: int,
     wp: Optional[tuple[int, int]],
     poly_only: bool,
 ) -> tuple[Mono, ...]:
-    basis = monomial_basis(q, spec, t)
+    """The nondegenerate monomials of a slice in the canonical order."""
+    basis = sorted(nondegenerate_basis(q, spec, t))
     if wp is not None:
         basis = [m for m in basis if mono_bigrading(spec.n, m) == wp]
     if poly_only:
@@ -84,79 +85,78 @@ def _slice_basis(
     return tuple(basis)
 
 
-def _n_vectors(
-    spec: GradingSpec,
-    q: int,
-    t: int,
-    wp: Optional[tuple[int, int]],
-    poly_only: bool,
-) -> tuple[tuple[Mono, ...], list[int]]:
-    """Slice basis plus the reduced basis of the normalized subspace.
+def _differential_rows(
+    n: int, sources: Iterable[Mono], targets: Iterable[Mono]
+) -> list[int]:
+    """Bit rows of the C/D differential from sources to the level below.
 
-    The rows are the projections of the nondegenerate monomials.  Faces
-    and degeneracies preserve degree, the (w, p) pair and polynomiality,
-    so every projection stays inside the slice.
+    The differential is the sum of the faces on nondegenerate monomials,
+    with degenerate images dropped.  No image is degenerate, as a face
+    keeps every slot filled (d_0 shifts the slots and an inner face
+    merges two filled slots), and the top face kills a filled top slot,
+    so only the faces below the top are applied and every surviving
+    image is looked up in targets; one missing from it raises rather
+    than being dropped.  Faces preserve degree, the (w, p) pair and
+    polynomiality, so a refined slice maps into the same refinement.
     """
-    basis = _slice_basis(spec, q, t, wp, poly_only)
-    index = {m: k for k, m in enumerate(basis)}
-    vecs = [
-        _to_vec(mono_normalize(spec.n, mono), index)
-        for mono in basis
-        if not mono_is_degenerate(mono)
-    ]
-    return basis, rref(vecs)[0]
+    index = {mono: k for k, mono in enumerate(targets)}
+    rows = []
+    for mono in sources:
+        row = 0
+        for i in range(mono.level):
+            img = mono_face(n, i, mono)
+            if img is not None:
+                row ^= 1 << index[img]
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def _pipeline(
+    spec: GradingSpec, q: int, t: int
+) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+    """Monomial basis of the (q, t) slice and the reduced basis of N in it.
+
+    The rows are the projections of the nondegenerate monomials, the
+    Dold-Kan image of C/D in N, reduced to a canonical basis.
+    """
+    basis = tuple(monomial_basis(q, spec, t))
+    index = {m: k for k, m in enumerate(basis)}
+    vecs = [
+        _to_vec(mono_normalize(spec.n, mono).terms, index)
+        for mono in basis
+        if not mono_is_degenerate(mono)
+    ]
+    return basis, tuple(rref(vecs)[0])
+
+
+@lru_cache(maxsize=None)
+def _classes(
     spec: GradingSpec,
     q: int,
     t: int,
     wp: Optional[tuple[int, int]],
     poly_only: bool,
-):
-    """Slice basis, normalized subspace, cycles, boundaries, representatives.
+) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
+    """Nondegenerate basis, boundaries and canonical representatives on C/D.
 
-    All subspaces are bit-row bases over the slice basis.  The normalized
-    subspace is the Dold-Kan image of the nondegenerate monomials, not a
-    face-kernel intersection.  The boundary space comes from the
-    normalized level above, and quotient_reps raises if it ever escapes
-    the cycle space, which would mean the face tables are inconsistent.
+    Boundaries and representatives are bit rows over the basis.  The
+    cycles are the dependencies among the differential rows, and
+    quotient_reps raises if the boundaries from the level above ever
+    escape them, which would mean the face tables are inconsistent.
     """
-    basis, n_basis = _n_vectors(spec, q, t, wp, poly_only)
-    index = {m: k for k, m in enumerate(basis)}
-    dim = len(basis)
-
-    if q == 0:
-        z_basis = list(n_basis)
-    else:
-        down = _slice_basis(spec, q - 1, t, wp, poly_only)
-        down_index = {m: k for k, m in enumerate(down)}
-        d0 = [_vec_image(spec.n, v, basis, down_index) for v in n_basis]
-        z_basis = rref([apply_row(c, n_basis) for c in left_kernel(d0, len(down))])[0]
-
-    up, up_n = _n_vectors(spec, q + 1, t, wp, poly_only)
-    b_basis = rref([_vec_image(spec.n, v, up, index) for v in up_n])[0]
-
-    reps = quotient_reps(z_basis, b_basis, dim)
-    return basis, tuple(n_basis), tuple(z_basis), tuple(b_basis), tuple(reps)
+    basis = _nondegenerate_slice(spec, q, t, wp, poly_only)
+    down = _nondegenerate_slice(spec, q - 1, t, wp, poly_only) if q else ()
+    up = _nondegenerate_slice(spec, q + 1, t, wp, poly_only)
+    cycles = left_kernel(_differential_rows(spec.n, basis, down))
+    b_basis = rref(_differential_rows(spec.n, up, basis))[0]
+    reps = quotient_reps(cycles, b_basis)
+    return basis, tuple(b_basis), tuple(reps)
 
 
-def _vec_image(n: int, vec: int, basis: tuple[Mono, ...], tgt_index: dict[Mono, int]) -> int:
-    out = 0
-    v = vec
-    while v:
-        k = (v & -v).bit_length() - 1
-        img = mono_face(n, 0, basis[k])
-        if img is not None:
-            out ^= 1 << tgt_index[img]
-        v &= v - 1
-    return out
-
-
-def _to_vec(form: Form, index: dict[Mono, int]) -> int:
+def _to_vec(monos: Iterable[Mono], index: dict[Mono, int]) -> int:
     vec = 0
-    for mono in form.terms:
+    for mono in monos:
         if mono not in index:
             raise ValueError("form has a term outside the slice")
         vec |= 1 << index[mono]
@@ -180,8 +180,7 @@ def normalized_rows(
     Bit k of a row stands for basis[k], and row j is the form
     normalized_basis(spec, q, t)[j].
     """
-    basis, n_basis, _, _, _ = _pipeline(spec, q, t, None, False)
-    return basis, n_basis
+    return _pipeline(spec, q, t)
 
 
 def normalized_basis(spec: GradingSpec, q: int, t: int) -> list[Form]:
@@ -196,9 +195,17 @@ def homology_at(
     t: int,
     wp: Optional[tuple[int, int]] = None,
 ) -> SliceHomology:
-    """Homology of the (q, t) slice, optionally refined to one (w, p)."""
-    basis, _, _, _, reps = _pipeline(spec, q, t, wp, False)
-    forms = tuple(_to_form(q, v, basis) for v in reps)
+    """Homology of the (q, t) slice, optionally refined to one (w, p).
+
+    The representatives are the canonical ones on C/D, lifted to
+    normalized cycles by the normalizing projection.
+    """
+    basis, _, reps = _classes(spec, q, t, wp, False)
+    n = spec.n
+    forms = tuple(
+        sum((mono_normalize(n, m) for m in _to_form(q, v, basis).terms), Form.zero(q))
+        for v in reps
+    )
     return SliceHomology(q, t, len(forms), forms)
 
 
@@ -206,59 +213,57 @@ def homology_at(
 def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
     """Dimension of C/D at (q, t) and the rank of its differential to level q-1.
 
-    The differential is the sum of the faces 0 .. q on nondegenerate
-    monomials, with degenerate images dropped.  No image is degenerate,
-    as a face keeps every slot filled (d_0 shifts the slots, an inner
-    face merges two filled slots, and d_q kills a filled top slot), so
-    every surviving image is looked up in the target basis and one
-    missing from it would raise rather than be dropped.
+    The bases stay in nondegenerate_basis's order: a rank does not
+    depend on it, so the sort that _classes needs is skipped here.
     """
     sources = nondegenerate_basis(q, spec, t)
-    if q == 0:
-        return len(sources), 0
-    n = spec.n
-    target = {mono: k for k, mono in enumerate(nondegenerate_basis(q - 1, spec, t))}
-    rows = []
-    for mono in sources:
-        row = 0
-        for i in range(q + 1):
-            img = mono_face(n, i, mono)
-            if img is not None:
-                row ^= 1 << target[img]
-        rows.append(row)
-    return len(sources), rank(rows)
+    down = nondegenerate_basis(q - 1, spec, t) if q else ()
+    return len(sources), rank(_differential_rows(spec.n, sources, down))
 
 
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     """Dimension of the (q, t) homology, read off the quotient C/D.
 
-    Equal to homology_at(spec, q, t).dim without building the normalized
-    complex.  Each level's dimension and boundary rank are cached as two
-    ints, so the slices at q and q+1 eliminate their shared boundary once.
+    Equal to homology_at(spec, q, t).dim without finding cycles or
+    representatives.  Each level's dimension and boundary rank are cached
+    as two ints, so the slices at q and q+1 eliminate their shared
+    boundary once.
+
+    For x truncated at x^3 with |x| = 2 (n = 2, m = 2), level 0 holds the
+    powers of x and dx x^j below the truncation, and level 1 the classes
+    x^j alpha and x^j beta in degrees 6 to 9:
+
+    >>> spec = GradingSpec(2, 2)
+    >>> [homology_dim(spec, 0, t) for t in range(6)]
+    [1, 1, 1, 1, 1, 0]
+    >>> [homology_dim(spec, 1, t) for t in range(5, 11)]
+    [0, 1, 1, 1, 1, 0]
     """
     chains, boundary_out = _quotient_level(spec, q, t)
     return chains - boundary_out - _quotient_level(spec, q + 1, t)[1]
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits and misses of the slice pipeline and the quotient level caches."""
+    """Hits and misses of the slice pipeline, class and quotient level caches."""
     return {
         name: {"hits": info.hits, "misses": info.misses}
         for name, info in (
             ("pipeline", _pipeline.cache_info()),
+            ("classes", _classes.cache_info()),
             ("quotientLevel", _quotient_level.cache_info()),
         )
     }
 
 
 def clear_caches() -> None:
-    """Empty the slice pipeline and the quotient level caches.
+    """Empty the slice pipeline, class and quotient level caches.
 
-    Both grow without bound across a process; a long-lived caller that
+    All three grow without bound across a process; a long-lived caller that
     moves on to other gradings can drop them, and the hit and miss
     counts of ``cache_stats`` restart from zero.
     """
     _pipeline.cache_clear()
+    _classes.cache_clear()
     _quotient_level.cache_clear()
 
 
@@ -290,27 +295,22 @@ def _require_cycle(spec: GradingSpec, form: Form) -> tuple[int, int]:
 
 
 def is_boundary(spec: GradingSpec, form: Form) -> bool:
-    """Whether a normalized cycle bounds; the zero form trivially does."""
-    if not form:
-        return True
-    q, t = _require_cycle(spec, form)
-    basis, _, _, b_basis, _ = _pipeline(spec, q, t, None, False)
-    index = {m: k for k, m in enumerate(basis)}
-    return solve_in_span(b_basis, _to_vec(form, index), len(basis)) is not None
+    """Whether a normalized cycle bounds, i.e. its class is zero; the zero form does."""
+    return not form or not any(class_of(spec, form))
 
 
 def class_of(spec: GradingSpec, form: Form) -> tuple[int, ...]:
     """Coordinates of a cycle against the canonical representatives.
 
     The order matches homology_at(spec, q, t).reps.  Requires a nonzero
-    homogeneous normalized cycle.
+    homogeneous normalized cycle.  Its image in C/D drops the degenerate
+    terms, and is a cycle there exactly when the form is one in N.
     """
     q, t = _require_cycle(spec, form)
-    basis, _, _, b_basis, reps = _pipeline(spec, q, t, None, False)
+    basis, b_basis, reps = _classes(spec, q, t, None, False)
     index = {m: k for k, m in enumerate(basis)}
-    coords = solve_in_span(
-        list(b_basis) + list(reps), _to_vec(form, index), len(basis)
-    )
+    vec = _to_vec((m for m in form.terms if not mono_is_degenerate(m)), index)
+    coords = solve_in_span(b_basis + reps, vec)
     if coords is None:
         raise ValueError("cycle does not reduce against the slice homology")
     return tuple(coords[len(b_basis) :])
@@ -382,12 +382,12 @@ def check_pi0(spec: GradingSpec, max_level: int, max_degree: int) -> list[str]:
     bad = []
     survivors = {a * m for a in range(n + 1)}
     for t in range(max_degree + 1):
-        basis, _, z, b, reps = _pipeline(spec, 0, t, None, True)
+        reps = _classes(spec, 0, t, None, True)[2]
         want = 1 if t in survivors else 0
         if len(reps) != want:
             bad.append(f"level 0 degree {t}: dim {len(reps)}, expected {want}")
         for q in range(1, max_level):
-            _, _, _, _, reps_q = _pipeline(spec, q, t, None, True)
+            reps_q = _classes(spec, q, t, None, True)[2]
             if reps_q:
                 bad.append(f"level {q} degree {t}: dim {len(reps_q)}, expected 0")
     return bad

@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from looplab import algebra, closedform, ez, gf2, rng
+from looplab import algebra, closedform, ez, gf2, homology, rng
 
 
-@pytest.mark.parametrize("module", [algebra, closedform, ez, gf2, rng])
+@pytest.mark.parametrize("module", [algebra, closedform, ez, gf2, homology, rng])
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from looplab.gf2 import (
     apply_row,
-    kernel_basis,
     left_kernel,
-    quotient_dim,
     quotient_reps,
     rank,
     rref,
     solve_in_span,
-    transpose,
 )
 
 
@@ -29,6 +26,47 @@ def span_elements(rows):
 
 def random_rows(rng, nrows, ncols):
     return [rng.getrandbits(ncols) for _ in range(nrows)]
+
+
+# The transpose-based left kernel that gf2.left_kernel replaced, kept as
+# the reference it is checked against; the kernel tests check the
+# reference itself.
+def transpose(rows, ncols):
+    out = []
+    for c in range(ncols):
+        x = 0
+        for i, r in enumerate(rows):
+            x |= (r >> c & 1) << i
+        out.append(x)
+    return out
+
+
+def kernel_basis(rows, ncols):
+    """Solutions of M v = 0, identity on the free columns (reference)."""
+    red, pivots = rref(rows)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = 1 << f
+        for c, r in zip(pivots, red):
+            if r >> f & 1:
+                v |= 1 << c
+        basis.append(v)
+    return basis
+
+
+def transposed_left_kernel(rows):
+    """The left kernel as the kernel of the transpose (reference)."""
+    ncols = max((r.bit_length() for r in rows), default=0)
+    return kernel_basis(transpose(rows, ncols), len(rows))
+
+
+def assert_complete_left_kernel(rows):
+    ker = left_kernel(rows)
+    for c in ker:
+        assert apply_row(c, rows) == 0
+    assert len(ker) == len(rows) - rank(rows)
+    assert rank(ker) == len(ker)
+    assert rref(ker)[0] == rref(transposed_left_kernel(rows))[0]
 
 
 def test_rank_identity():
@@ -100,8 +138,22 @@ def test_kernel_multiplies_back_to_zero():
 def test_left_kernel_kills_rows():
     rng = random.Random(604)
     rows = random_rows(rng, 5, 4)
-    for c in left_kernel(rows, 4):
+    for c in left_kernel(rows):
         assert apply_row(c, rows) == 0
+
+
+def test_left_kernel_is_complete_on_seeded_matrices():
+    rng = random.Random(609)
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 12), rng.randint(1, 10)
+        rows = random_rows(rng, nrows, ncols)
+        rows += [0] * rng.randint(0, 2)
+        if rows:
+            rows += [apply_row(rng.getrandbits(len(rows)), rows) for _ in range(2)]
+        rng.shuffle(rows)
+        assert_complete_left_kernel(rows)
+    assert left_kernel([]) == []
+    assert left_kernel([0, 0]) == [1, 2]
 
 
 def test_solve_in_span_round_trip():
@@ -110,7 +162,7 @@ def test_solve_in_span_round_trip():
         basis = random_rows(rng, 5, 9)
         pick = rng.getrandbits(5)
         target = apply_row(pick, basis)
-        coeffs = solve_in_span(basis, target, 9)
+        coeffs = solve_in_span(basis, target)
         assert coeffs is not None
         acc = 0
         for c, row in zip(coeffs, basis):
@@ -121,7 +173,7 @@ def test_solve_in_span_round_trip():
 
 def test_solve_in_span_rejects_outside_vector():
     basis = [0b0011, 0b0110]
-    assert solve_in_span(basis, 0b1000, 4) is None
+    assert solve_in_span(basis, 0b1000) is None
 
 
 def test_quotient_dims_and_joint_independence():
@@ -129,23 +181,23 @@ def test_quotient_dims_and_joint_independence():
     for _ in range(30):
         z = random_rows(rng, 6, 9)
         picks = [apply_row(rng.getrandbits(6), z) for _ in range(3)]
-        reps = quotient_reps(z, picks, 9)
+        reps = quotient_reps(z, picks)
         assert len(reps) == rank(z) - rank(picks)
         assert rank(reps + rref(picks)[0]) == rank(z)
         for r in reps:
-            assert solve_in_span(picks, r, 9) is None
+            assert solve_in_span(picks, r) is None
 
 
 def test_quotient_rejects_subspace_outside_span():
     with pytest.raises(ValueError):
-        quotient_dim([0b001], [0b010], 3)
+        quotient_reps([0b001], [0b010])
 
 
 def test_quotient_reps_depend_only_on_spans():
     z = [0b0111, 0b1010, 0b0101]
     b = [0b0111]
-    one = quotient_reps(z, b, 4)
-    two = quotient_reps([z[1], z[0] ^ z[2], z[2]], [b[0] ^ 0], 4)
+    one = quotient_reps(z, b)
+    two = quotient_reps([z[1], z[0] ^ z[2], z[2]], [b[0] ^ 0])
     assert one == two
 
 
@@ -155,6 +207,12 @@ bit_matrix = st.integers(1, 7).flatmap(
         st.lists(st.integers(0, 2**ncols - 1), min_size=1, max_size=7),
     )
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**7 - 1), max_size=9))
+def test_left_kernel_is_complete(rows):
+    assert_complete_left_kernel(rows)
 
 
 @settings(max_examples=150, deadline=None)

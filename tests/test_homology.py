@@ -11,11 +11,12 @@ from looplab.algebra import (
     gen_x,
     internal_degree,
     mono_bigrading,
+    monomial_basis,
     nondegenerate_basis,
     parse_form,
 )
 from looplab.closedform import main1_dims
-from looplab.gf2 import left_kernel, rref
+from looplab.gf2 import apply_row, left_kernel, quotient_reps, rref, solve_in_span
 from looplab import homology
 from looplab.homology import (
     check_pi0,
@@ -28,10 +29,19 @@ from looplab.homology import (
     koszul_boundary,
     koszul_dim,
     normalized_basis,
+    normalized_rows,
     table_tsv,
     homology_table,
 )
-from looplab.simplicial import alpha, beta, face, mono_face, mono_is_degenerate, omega
+from looplab.simplicial import (
+    alpha,
+    beta,
+    face,
+    mono_face,
+    mono_is_degenerate,
+    mono_normalize,
+    omega,
+)
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
@@ -147,14 +157,25 @@ def test_table_rendering():
     assert any(line.split("\t")[:3] == ["1", "3", "1"] for line in lines)
 
 
-def _kernel_of_faces(spec, q, t, wp, poly_only):
+def _slice_basis(spec, q, t, wp=None, poly_only=False):
+    """The monomials of a slice, optionally refined to one (w, p) or to
+    the polynomial part."""
+    basis = monomial_basis(q, spec, t)
+    if wp is not None:
+        basis = [m for m in basis if mono_bigrading(spec.n, m) == wp]
+    if poly_only:
+        basis = [m for m in basis if not m.dx and not any(m.dy)]
+    return tuple(basis)
+
+
+def _kernel_of_faces(spec, q, t, wp=None, poly_only=False):
     """The normalized subspace by definition: the common kernel of faces 1 .. q.
 
     Each slice basis row is written as its images under d_1 .. d_q side by
     side, and the dependencies among those rows are the normalized vectors.
     """
-    basis = homology._slice_basis(spec, q, t, wp, poly_only)
-    down = homology._slice_basis(spec, q - 1, t, wp, poly_only) if q else ()
+    basis = _slice_basis(spec, q, t, wp, poly_only)
+    down = _slice_basis(spec, q - 1, t, wp, poly_only) if q else ()
     down_index = {m: k for k, m in enumerate(down)}
     rows = []
     for mono in basis:
@@ -164,7 +185,7 @@ def _kernel_of_faces(spec, q, t, wp, poly_only):
             if img is not None:
                 row |= 1 << ((i - 1) * len(down) + down_index[img])
         rows.append(row)
-    return rref(left_kernel(rows, q * len(down)))[0]
+    return rref(left_kernel(rows))[0]
 
 
 def test_normalized_vectors_equal_the_common_kernel_of_the_faces():
@@ -173,19 +194,129 @@ def test_normalized_vectors_equal_the_common_kernel_of_the_faces():
         spec = GradingSpec(n, m)
         for q in range(4):
             for t in range(3 * (n + 1) * m + 1):
-                slices += [(spec, q, t, None, False), (spec, q, t, None, True)]
-    spec, q, t = GradingSpec(2, 2), 2, 12
-    pairs = {mono_bigrading(spec.n, m) for m in homology._slice_basis(spec, q, t, None, False)}
-    slices += [(spec, q, t, wp, False) for wp in sorted(pairs)]
+                slices.append((spec, q, t))
     seen = set()
     for args in slices:
-        _, vecs = homology._n_vectors(*args)
-        assert vecs == _kernel_of_faces(*args), args
+        basis, vecs = normalized_rows(*args)
+        assert basis == _slice_basis(*args)
+        assert list(vecs) == _kernel_of_faces(*args), args
         if vecs:
-            seen.add((args[1], args[3] is not None, args[4]))
-    # every level, both polynomial filters and the bigraded slices met a nonzero subspace
-    want = {(q, False, poly) for q in range(4) for poly in (False, True)}
-    assert seen == want | {(2, True, False)}
+            seen.add(args[1])
+    assert seen == set(range(4))
+
+
+def _vec(form, basis):
+    index = {m: k for k, m in enumerate(basis)}
+    return sum(1 << index[m] for m in form.terms)
+
+
+def _form(q, vec, basis):
+    return Form.from_monos(q, [basis[k] for k in range(len(basis)) if vec >> k & 1])
+
+
+def _bottom_face_rows(spec, q, vecs, basis, target):
+    return [_vec(face(spec.n, 0, _form(q, v, basis)), target) for v in vecs]
+
+
+def _normalized_classes(spec, q, t, wp=None, poly_only=False):
+    """Slice homology on N, the reference for the classes read on C/D.
+
+    N is the common kernel of the faces 1 .. q over the monomial slice
+    basis, its differential the bottom face; the cycles are the left
+    kernel of the bottom face rows, the boundaries the bottom face images
+    of N one level up.  Returns the basis, boundaries and representatives
+    as bit rows over the basis.
+    """
+    basis = _slice_basis(spec, q, t, wp, poly_only)
+    n_basis = _kernel_of_faces(spec, q, t, wp, poly_only)
+    cycles = n_basis
+    if q:
+        down = _slice_basis(spec, q - 1, t, wp, poly_only)
+        d0 = _bottom_face_rows(spec, q, n_basis, basis, down)
+        cycles = [apply_row(c, n_basis) for c in left_kernel(d0)]
+    up = _slice_basis(spec, q + 1, t, wp, poly_only)
+    up_n = _kernel_of_faces(spec, q + 1, t, wp, poly_only)
+    b_basis = rref(_bottom_face_rows(spec, q + 1, up_n, up, basis))[0]
+    return basis, b_basis, quotient_reps(cycles, b_basis)
+
+
+def _assert_matches_the_normalized_route(spec, q, t, wp=None, poly_only=False):
+    """Compare one slice with _normalized_classes; returns the number of
+    representatives and of classified boundaries met."""
+    basis, b_basis, reps = _normalized_classes(spec, q, t, wp, poly_only)
+    forms = [_form(q, v, basis) for v in reps]
+    if poly_only:
+        # homology_at has no polynomial filter: compare on C/D, where a
+        # normalized cycle is its nondegenerate part, and lift back by P.
+        nd_basis, _, nd_reps = homology._classes(spec, q, t, wp, True)
+        lifted = []
+        for v in nd_reps:
+            monos = _form(q, v, nd_basis).terms
+            lifted.append(sum((mono_normalize(spec.n, m) for m in monos), Form.zero(q)))
+        assert lifted == forms, (spec, q, t)
+        return len(forms), 0
+    h = homology_at(spec, q, t, wp)
+    assert [str(r) for r in h.reps] == [str(f) for f in forms], (spec, q, t, wp)
+    if wp is not None:
+        return len(forms), 0
+    # cycles to classify: the representatives, some boundaries, and their sums
+    bounds = [_form(q, b, basis) for b in b_basis[:3]]
+    for cycle in forms + bounds + [f + b for f, b in zip(forms, bounds)]:
+        vec = _vec(cycle, basis)
+        bounding = solve_in_span(b_basis, vec) is not None
+        assert is_boundary(spec, cycle) == bounding, (spec, q, t, cycle)
+        coords = solve_in_span(b_basis + reps, vec)
+        assert class_of(spec, cycle) == tuple(coords[len(b_basis) :]), (spec, q, t, cycle)
+    return len(forms), len(bounds)
+
+
+def _normalized_pi0(spec, max_level, max_degree):
+    """check_pi0's failure lines, read off _normalized_classes."""
+    bad = []
+    survivors = {a * spec.m for a in range(spec.n + 1)}
+    for t in range(max_degree + 1):
+        dim = len(_normalized_classes(spec, 0, t, poly_only=True)[2])
+        want = 1 if t in survivors else 0
+        if dim != want:
+            bad.append(f"level 0 degree {t}: dim {dim}, expected {want}")
+        for q in range(1, max_level):
+            dim = len(_normalized_classes(spec, q, t, poly_only=True)[2])
+            if dim:
+                bad.append(f"level {q} degree {t}: dim {dim}, expected 0")
+    return bad
+
+
+def test_quotient_classes_equal_the_normalized_route_on_the_acceptance_grid():
+    met = {False: [0, 0], True: [0, 0]}
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        max_t = 3 * (n + 1) * m
+        for q in range(4):
+            for t in range(max_t + 1):
+                for poly_only in (False, True):
+                    got = _assert_matches_the_normalized_route(spec, q, t, None, poly_only)
+                    met[poly_only] = [a + b for a, b in zip(met[poly_only], got)]
+        assert check_pi0(spec, 3, max_t) == _normalized_pi0(spec, 3, max_t)
+    # representatives and classified boundaries were met, polynomial ones too
+    assert all(met[False]) and met[True][0]
+
+
+def test_bigraded_classes_equal_the_normalized_route():
+    met = [0, 0]
+    for spec, q, t in (
+        (GradingSpec(1, 2), 2, 7),
+        (GradingSpec(2, 2), 2, 12),
+        (GradingSpec(2, 2), 3, 18),
+        (GradingSpec(3, 2), 1, 12),
+        (GradingSpec(3, 2), 2, 16),
+        (GradingSpec(2, 3), 2, 19),
+        (GradingSpec(2, 3), 2, 20),
+    ):
+        pairs = {mono_bigrading(spec.n, m) for m in monomial_basis(q, spec, t)}
+        for wp in sorted(pairs):
+            met[0] += _assert_matches_the_normalized_route(spec, q, t, wp)[0]
+            met[1] += _assert_matches_the_normalized_route(spec, q, t, wp, True)[0]
+    assert met[0] >= 6
 
 
 def test_even_pair_dimensions_agree_to_level_five_and_degree_forty():
@@ -216,7 +347,7 @@ def test_faces_of_nondegenerate_monomials_are_nondegenerate_or_vanish():
 
 
 def test_quotient_dimensions_equal_the_normalized_homology_on_the_acceptance_grid():
-    # homology_dim counts on C/D; homology_at builds the normalized complex N.
+    # homology_dim counts ranks on C/D; homology_at eliminates to cycles there.
     for n, m in ACCEPTANCE_PAIRS:
         spec = GradingSpec(n, m)
         for q in range(4):
@@ -244,10 +375,12 @@ def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     homology_dim(spec, 1, 6)
     homology.clear_caches()
     zero = {"hits": 0, "misses": 0}
-    assert homology.cache_stats() == {"pipeline": zero, "quotientLevel": zero}
+    assert homology.cache_stats() == {"pipeline": zero, "classes": zero, "quotientLevel": zero}
     homology_at(spec, 1, 6)
     homology_dim(spec, 1, 6)
+    normalized_basis(spec, 1, 6)
     assert homology.cache_stats() == {
         "pipeline": {"hits": 0, "misses": 1},
+        "classes": {"hits": 0, "misses": 1},
         "quotientLevel": {"hits": 0, "misses": 2},
     }

@@ -213,7 +213,7 @@ def _degenerate_by_span(spec, form):
             for mono in monomial_basis(q - 1, spec, t)
             for i in range(q)
         ]
-        if solve_in_span(span, target, len(basis)) is None:
+        if solve_in_span(span, target) is None:
             return False
     return True
 
