@@ -11,12 +11,12 @@ from typing import Optional, Sequence
 
 __all__ = [
     "low_bit",
+    "echelon",
     "rref",
     "rank",
     "apply_row",
     "left_kernel",
     "solve_in_span",
-    "quotient_reps",
 ]
 
 
@@ -25,41 +25,17 @@ def low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def rref(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of a bit-row matrix.
+def echelon(rows: Sequence[int]) -> dict[int, int]:
+    """Forward elimination: the independent rows keyed by their lowest set bit.
 
-    Returns (reduced_rows, pivot_columns) with rows sorted by pivot
-    column and fully reduced, so every pivot column meets exactly one
-    row.  The pivot of a row is its lowest set bit.  The output depends
-    only on the row span, which makes it usable as a canonical form.
-    """
-    piv: list[tuple[int, int]] = []
-    for row in rows:
-        for c, r in piv:
-            if row >> c & 1:
-                row ^= r
-        if row:
-            c = low_bit(row)
-            for i, (pc, pr) in enumerate(piv):
-                if pr >> c & 1:
-                    piv[i] = (pc, pr ^ row)
-            piv.append((c, row))
-    piv.sort()
-    return [r for _, r in piv], [c for c, _ in piv]
+    A new row is reduced until its lowest bit is free or it vanishes, so
+    every kept row has a different lowest bit, which is its key as a
+    one-bit int (1 << column).  No row is ever back-reduced.  The keys
+    are the pivot columns of the row span and do not depend on the row
+    order; the rows under them do.
 
-
-def rank(rows: Sequence[int]) -> int:
-    """Rank over GF(2), by forward elimination only.
-
-    Each independent row is kept under its lowest set bit; a new row is
-    reduced until its lowest bit is free or it vanishes.  No row is ever
-    back-reduced, since only the count is wanted; use rref for a
-    canonical basis.
-
-    >>> rank([0b10, 0b01])
-    2
-    >>> rank([0b11, 0b11])
-    1
+    >>> {bin(k): bin(r) for k, r in echelon([0b110, 0b011, 0b101]).items()}
+    {'0b10': '0b110', '0b1': '0b11'}
     """
     pivots: dict[int, int] = {}
     for row in rows:
@@ -70,7 +46,44 @@ def rank(rows: Sequence[int]) -> int:
                 pivots[low] = row
                 break
             row ^= pivot
-    return len(pivots)
+    return pivots
+
+
+def rref(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of a bit-row matrix.
+
+    Returns (reduced_rows, pivot_columns) with rows sorted by pivot
+    column and fully reduced, so every pivot column meets exactly one
+    row.  The pivot of a row is its lowest set bit.  The output depends
+    only on the row span, which makes it usable as a canonical form.
+
+    The echelon rows are back-reduced from the highest pivot down: a
+    row's bits in the higher pivot columns are XORed out with those
+    columns' rows, which are already reduced and have no other pivot bit.
+    """
+    pivots = echelon(rows)
+    order = sorted(pivots)
+    mask = 0
+    for low in reversed(order):
+        row = pivots[low]
+        higher = row & mask
+        while higher:
+            row ^= pivots[higher & -higher]
+            higher &= higher - 1
+        pivots[low] = row
+        mask |= low
+    return [pivots[k] for k in order], [low_bit(k) for k in order]
+
+
+def rank(rows: Sequence[int]) -> int:
+    """Rank over GF(2): the number of echelon rows.
+
+    >>> rank([0b10, 0b01])
+    2
+    >>> rank([0b11, 0b11])
+    1
+    """
+    return len(echelon(rows))
 
 
 def apply_row(v: int, rows: Sequence[int]) -> int:
@@ -85,7 +98,7 @@ def apply_row(v: int, rows: Sequence[int]) -> int:
 def left_kernel(rows: Sequence[int]) -> list[int]:
     """Basis of the vectors c with c M = 0, i.e. the dependencies among the rows.
 
-    Forward elimination as in rank, with a tag on every row recording
+    Forward elimination as in echelon, with a tag on every row recording
     which input rows were XORed into it; a row that reduces to zero
     leaves its tag as a dependency.  The dependency found at row i has
     i as its highest bit, so the dependencies are independent, and there
@@ -116,51 +129,16 @@ def solve_in_span(basis: Sequence[int], target: int) -> Optional[list[int]]:
 
     The result is a 0/1 list aligned with basis order; XORing the chosen
     rows reproduces target exactly.  Dependent spanning sets are fine,
-    one valid certificate is returned.
+    one valid certificate is returned.  Target is appended as the last
+    row: it lies in the span exactly when it reduces to zero, which
+    leaves a last dependency with bit len(basis) set.
+
+    >>> solve_in_span([0b011, 0b110, 0b101], 0b101)
+    [1, 1, 0]
+    >>> solve_in_span([0b011, 0b110], 0b100) is None
+    True
     """
-    piv: list[tuple[int, int, int]] = []
-    for i, row in enumerate(basis):
-        tag = 1 << i
-        for c, r, t in piv:
-            if row >> c & 1:
-                row ^= r
-                tag ^= t
-        if row:
-            piv.append((low_bit(row), row, tag))
-    piv.sort()
-    t_acc = 0
-    for c, r, t in piv:
-        if target >> c & 1:
-            target ^= r
-            t_acc ^= t
-    if target:
+    deps = left_kernel([*basis, target])
+    if not deps or not deps[-1] >> len(basis) & 1:
         return None
-    return [t_acc >> i & 1 for i in range(len(basis))]
-
-
-def quotient_reps(z_basis: Sequence[int], b_basis: Sequence[int]) -> list[int]:
-    """Canonical representatives for span(z) modulo span(b).
-
-    Requires span(b) to lie inside span(z) and checks that up front: a
-    violation means the caller's chain structure is broken, and it should
-    surface here as an error rather than as a silently wrong dimension.
-    Representatives are reduced modulo span(b), so none of them has a
-    bit in a pivot column of b, and they stay independent from b jointly.
-    """
-    z_red, z_piv = rref(z_basis)
-    b_red, b_piv = rref(b_basis)
-    for b in b_red:
-        for c, r in zip(z_piv, z_red):
-            if b >> c & 1:
-                b ^= r
-        if b:
-            raise ValueError("quotient by a subspace not contained in the ambient span")
-    reduced = []
-    for z in z_red:
-        for c, r in zip(b_piv, b_red):
-            if z >> c & 1:
-                z ^= r
-        if z:
-            reduced.append(z)
-    return rref(reduced)[0]
-
+    return [deps[-1] >> i & 1 for i in range(len(basis))]

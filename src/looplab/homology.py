@@ -8,8 +8,10 @@ isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on one
 complex, C/D, whose basis is the nondegenerate monomials and whose
 differential is the sum of all faces with degenerate images dropped:
 - a dimension is a monomial count minus two boundary ranks;
-- representatives are canonical on C/D and lifted to normalized cycles
-  by the normalizing projection P;
+- representatives are the cycles of C/D with no bit in a pivot column
+  of the boundaries' echelon form, reduced to a canonical basis, and
+  lifted to normalized cycles by the normalizing projection P; a
+  boundary that is not a cycle (d∘d ≠ 0) raises ValueError;
 - a normalized cycle's class is read off its nondegenerate terms.
 N itself is built only for the rows that the shuffle trials draw from
 (normalized_rows).
@@ -37,7 +39,7 @@ from .algebra import (
     monomial_basis,
     nondegenerate_basis,
 )
-from .gf2 import left_kernel, quotient_reps, rank, rref, solve_in_span
+from .gf2 import apply_row, echelon, left_kernel, rank, rref, solve_in_span
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 
 __all__ = [
@@ -140,18 +142,27 @@ def _classes(
 ) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
     """Nondegenerate basis, boundaries and canonical representatives on C/D.
 
-    Boundaries and representatives are bit rows over the basis.  The
-    cycles are the dependencies among the differential rows, and
-    quotient_reps raises if the boundaries from the level above ever
-    escape them, which would mean the face tables are inconsistent.
+    Boundaries and representatives are bit rows over the basis; the
+    boundaries are the echelon rows of the differential from the level
+    above.  Every cycle reduces modulo the boundaries to exactly one cycle
+    with no bit in a pivot column of the boundaries, so the cycles off the
+    pivots represent the homology: they are the dependencies among the
+    differential rows of the free (non-pivot) basis monomials, reduced to
+    a canonical basis.  A boundary that is not a cycle (d∘d ≠ 0) means
+    the face tables are inconsistent and raises ValueError.
     """
     basis = _nondegenerate_slice(spec, q, t, wp, poly_only)
     down = _nondegenerate_slice(spec, q - 1, t, wp, poly_only) if q else ()
     up = _nondegenerate_slice(spec, q + 1, t, wp, poly_only)
-    cycles = left_kernel(_differential_rows(spec.n, basis, down))
-    b_basis = rref(_differential_rows(spec.n, up, basis))[0]
-    reps = quotient_reps(cycles, b_basis)
-    return basis, tuple(b_basis), tuple(reps)
+    rows = _differential_rows(spec.n, basis, down)
+    bounds = echelon(_differential_rows(spec.n, up, basis))
+    if any(apply_row(b, rows) for b in bounds.values()):
+        raise ValueError("a boundary is not a cycle: the face tables break d∘d = 0")
+    pivots = sum(bounds)
+    free = [k for k in range(len(basis)) if not pivots >> k & 1]
+    units = [1 << k for k in free]
+    reps = [apply_row(dep, units) for dep in left_kernel([rows[k] for k in free])]
+    return basis, tuple(bounds.values()), tuple(rref(reps)[0])
 
 
 def _to_vec(monos: Iterable[Mono], index: dict[Mono, int]) -> int:

@@ -31,7 +31,6 @@ __all__ = [
     "thom_module",
     "cofiber_z",
     "suspended_cofiber_z",
-    "cofiber_f2_labels",
     "sphere_piece",
     "sphere_layer",
     "model_homology_z",
@@ -274,16 +273,6 @@ def _cofiber_cells(sp: Space, q: int) -> list[tuple[str, int, int, int]]:
 def _cell_label(family: str, level: int, j: int) -> str:
     """Label of a wedge cell; family "x" is the space's own power x^j."""
     return _power_label(j, "") if family == "x" else f"{family}{level}^{j}"
-
-
-def cofiber_f2_labels(sp: Space, q: int) -> list[tuple[str, int]]:
-    """Mod 2 cells of the suspended level q cofiber piece, with degrees.
-
-    Odd truncation exponent gives the c/d families on indices up to n,
-    even gives the a/b families stopping below n; the level index on
-    the second family is already the successor level.
-    """
-    return [(_cell_label(f, level, j), d) for f, level, j, d in _cofiber_cells(sp, q)]
 
 
 def _wedge_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:

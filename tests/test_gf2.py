@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from looplab.gf2 import (
     apply_row,
+    echelon,
     left_kernel,
-    quotient_reps,
     rank,
     rref,
     solve_in_span,
 )
+from support import list_rref, quotient_reps
 
 
 def span_elements(rows):
@@ -176,6 +177,57 @@ def test_solve_in_span_rejects_outside_vector():
     assert solve_in_span(basis, 0b1000) is None
 
 
+def seeded_matrices(rng):
+    """Row lists with zero rows, duplicates and dependent rows, wide ones too."""
+    yield []
+    yield [0, 0]
+    for ncols in (1, 5, 64, 3000):
+        for _ in range(10):
+            rows = random_rows(rng, rng.randint(0, 12), ncols)
+            rows += [0] * rng.randint(0, 2)
+            if rows:
+                rows += [rng.choice(rows) for _ in range(rng.randint(0, 3))]
+                rows += [apply_row(rng.getrandbits(len(rows)), rows) for _ in range(2)]
+            rng.shuffle(rows)
+            yield rows
+
+
+def assert_echelon_matches_the_list_scan(rows):
+    red, pivots = rref(rows)
+    assert (red, pivots) == list_rref(rows)
+    assert set(echelon(rows)) == {1 << c for c in pivots}
+    for low, row in echelon(rows).items():
+        assert row & -row == low
+
+
+def test_rref_and_echelon_equal_the_list_scan_on_seeded_matrices():
+    rng = random.Random(610)
+    for rows in seeded_matrices(rng):
+        assert_echelon_matches_the_list_scan(rows)
+
+
+def assert_solve_in_span_matches_the_span(basis, targets):
+    span = span_elements(basis)
+    for target in targets:
+        coeffs = solve_in_span(basis, target)
+        assert (coeffs is None) == (target not in span), (basis, target)
+        if coeffs is not None:
+            assert len(coeffs) == len(basis)
+            assert apply_row(sum(c << i for i, c in enumerate(coeffs)), basis) == target
+
+
+def test_solve_in_span_fails_exactly_outside_the_span():
+    rng = random.Random(611)
+    assert solve_in_span([], 0) == []
+    assert solve_in_span([], 1) is None
+    assert solve_in_span([0, 0], 0) == [0, 0]
+    for _ in range(40):
+        basis = random_rows(rng, rng.randint(0, 6), 6)
+        if basis:
+            basis += [apply_row(rng.getrandbits(len(basis)), basis), rng.choice(basis), 0]
+        assert_solve_in_span_matches_the_span(basis, range(2**6))
+
+
 def test_quotient_dims_and_joint_independence():
     rng = random.Random(607)
     for _ in range(30):
@@ -207,6 +259,18 @@ bit_matrix = st.integers(1, 7).flatmap(
         st.lists(st.integers(0, 2**ncols - 1), min_size=1, max_size=7),
     )
 )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**7 - 1), max_size=9))
+def test_rref_and_echelon_equal_the_list_scan(rows):
+    assert_echelon_matches_the_list_scan(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 2**5 - 1), max_size=7), st.integers(0, 2**5 - 1))
+def test_solve_in_span_fails_exactly_outside_the_span_of_any_rows(basis, target):
+    assert_solve_in_span_matches_the_span(basis, [target, 0])
 
 
 @settings(max_examples=150, deadline=None)

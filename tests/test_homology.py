@@ -16,7 +16,7 @@ from looplab.algebra import (
     parse_form,
 )
 from looplab.closedform import main1_dims
-from looplab.gf2 import apply_row, left_kernel, quotient_reps, rref, solve_in_span
+from looplab.gf2 import apply_row, left_kernel, rref, solve_in_span
 from looplab import homology
 from looplab.homology import (
     check_pi0,
@@ -42,6 +42,7 @@ from looplab.simplicial import (
     mono_normalize,
     omega,
 )
+from support import quotient_reps
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
@@ -367,6 +368,35 @@ def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
                 chain = homology_dim(spec, q, t)
                 assert chain == main1_dims(spec, q, t) == koszul_dim(spec, q, t), (spec, q, t)
     assert time.monotonic() - start < 60.0
+
+
+def test_classes_certify_every_representative_to_level_six_and_degree_forty_eight():
+    spec = GradingSpec(2, 2)
+    start = time.monotonic()
+    for q in range(7):
+        for t in range(49):
+            h = homology_at(spec, q, t)
+            assert h.dim == homology_dim(spec, q, t), (q, t)
+            for k, rep in enumerate(h.reps):
+                assert class_of(spec, rep) == tuple(int(j == k) for j in range(h.dim))
+                assert not is_boundary(spec, rep), (q, t)
+    assert check_pi0(spec, 6, 48) == []
+    assert time.monotonic() - start < 60.0
+
+
+def test_a_boundary_that_is_not_a_cycle_raises(monkeypatch):
+    # Without face 1 on level 2 the C/D differential from level 2 is d_0
+    # alone, and d_0 d_0 is not zero on the (1, 2) slice at q = 1, t = 8.
+    def broken_face(n, i, mono):
+        return None if mono.level == 2 and i == 1 else mono_face(n, i, mono)
+
+    monkeypatch.setattr(homology, "mono_face", broken_face)
+    homology.clear_caches()
+    try:
+        with pytest.raises(ValueError, match="d∘d"):
+            homology_at(GradingSpec(1, 2), 1, 8)
+    finally:
+        homology.clear_caches()
 
 
 def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
