@@ -23,13 +23,13 @@ __all__ = [
     "Form",
     "mono_mul",
     "mono_degree",
-    "mono_bigrading",
+    "mono_word_length",
     "mono_str",
     "parse_mono",
     "parse_form",
     "derham_d",
     "internal_degree",
-    "bigrading",
+    "word_length",
     "monomial_basis",
     "nondegenerate_basis",
     "gen_x",
@@ -95,11 +95,14 @@ def mono_degree(spec: GradingSpec, mono: Mono) -> int:
     )
 
 
-def mono_bigrading(n: int, mono: Mono) -> tuple[int, int]:
-    """(word length, unweighted degree) pair; independent of m."""
-    w = mono.dx + sum(mono.dy)
-    p = 2 * mono.x + mono.dx + (2 * n + 2) * sum(mono.y) + (2 * n + 1) * sum(mono.dy)
-    return w, p
+def mono_word_length(mono: Mono) -> int:
+    """Word length w = dx + sum(dy); t + w is a multiple of m, so t and w
+    fix every other grading.  Faces keep w and derham_d raises it by one.
+
+    >>> mono_word_length(parse_mono("x^2*dx*dy1*dy3", 3))
+    3
+    """
+    return mono.dx + sum(mono.dy)
 
 
 def mono_str(mono: Mono) -> str:
@@ -301,22 +304,18 @@ def derham_d(form: Form) -> Form:
 
 def internal_degree(spec: GradingSpec, form: Form) -> Optional[int]:
     """Common internal degree of the terms; None for zero, error if mixed."""
-    degrees = {mono_degree(spec, t) for t in form.terms}
-    if not degrees:
-        return None
-    if len(degrees) > 1:
-        raise ValueError(f"form is not homogeneous, degrees {sorted(degrees)}")
-    return degrees.pop()
+    return _common("degrees", {mono_degree(spec, t) for t in form.terms})
 
 
-def bigrading(n: int, form: Form) -> Optional[tuple[int, int]]:
-    """Common (w, p) of the terms; None for zero, error if mixed."""
-    pairs = {mono_bigrading(n, t) for t in form.terms}
-    if not pairs:
-        return None
-    if len(pairs) > 1:
-        raise ValueError(f"form is not bihomogeneous, bidegrees {sorted(pairs)}")
-    return pairs.pop()
+def word_length(form: Form) -> Optional[int]:
+    """Common word length of the terms; None for zero, error if mixed."""
+    return _common("word lengths", {mono_word_length(t) for t in form.terms})
+
+
+def _common(grading: str, values: set[int]) -> Optional[int]:
+    if len(values) > 1:
+        raise ValueError(f"form is not homogeneous, {grading} {sorted(values)}")
+    return values.pop() if values else None
 
 
 def monomial_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:

@@ -1,13 +1,14 @@
 """Homology of the resolution, computed by brute force slice by slice.
 
 A slice is the span of all level q monomials of one internal degree t,
-optionally refined by the finer (w, p) grading.  The degenerate
-monomials span a subcomplex D, and the normalized complex N (the common
-kernel of the faces 1 .. q, with the bottom face as differential) is
-isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on one
+optionally refined by the word length w, which fixes every other
+grading given t; faces preserve w, so a slice is block-diagonal in w.
+The degenerate monomials span a subcomplex D, and the normalized
+complex N (the common kernel of the faces 1 .. q, with the bottom face
+as differential) is isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on one
 complex, C/D, whose basis is the nondegenerate monomials and whose
 differential is the sum of all faces with degenerate images dropped:
-- a dimension is a monomial count minus two boundary ranks;
+- a dimension is a monomial count minus two boundary ranks, summed over w;
 - representatives are the cycles of C/D with no bit in a pivot column
   of the boundaries' echelon form, reduced to a canonical basis, and
   lifted to normalized cycles by the normalizing projection P; a
@@ -35,7 +36,7 @@ from .algebra import (
     GradingSpec,
     Mono,
     internal_degree,
-    mono_bigrading,
+    mono_word_length,
     monomial_basis,
     nondegenerate_basis,
 )
@@ -72,18 +73,12 @@ class SliceHomology:
 
 
 def _nondegenerate_slice(
-    spec: GradingSpec,
-    q: int,
-    t: int,
-    wp: Optional[tuple[int, int]],
-    poly_only: bool,
+    spec: GradingSpec, q: int, t: int, w: Optional[int]
 ) -> tuple[Mono, ...]:
     """The nondegenerate monomials of a slice in the canonical order."""
     basis = sorted(nondegenerate_basis(q, spec, t))
-    if wp is not None:
-        basis = [m for m in basis if mono_bigrading(spec.n, m) == wp]
-    if poly_only:
-        basis = [m for m in basis if not m.dx and not any(m.dy)]
+    if w is not None:
+        basis = [m for m in basis if mono_word_length(m) == w]
     return tuple(basis)
 
 
@@ -98,8 +93,8 @@ def _differential_rows(
     merges two filled slots), and the top face kills a filled top slot,
     so only the faces below the top are applied and every surviving
     image is looked up in targets; one missing from it raises rather
-    than being dropped.  Faces preserve degree, the (w, p) pair and
-    polynomiality, so a refined slice maps into the same refinement.
+    than being dropped.  Faces preserve degree and word length, so a
+    slice refined to one w maps into the same refinement.
     """
     index = {mono: k for k, mono in enumerate(targets)}
     rows = []
@@ -134,11 +129,7 @@ def _pipeline(
 
 @lru_cache(maxsize=None)
 def _classes(
-    spec: GradingSpec,
-    q: int,
-    t: int,
-    wp: Optional[tuple[int, int]],
-    poly_only: bool,
+    spec: GradingSpec, q: int, t: int, w: Optional[int]
 ) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
     """Nondegenerate basis, boundaries and canonical representatives on C/D.
 
@@ -151,9 +142,9 @@ def _classes(
     a canonical basis.  A boundary that is not a cycle (d∘d ≠ 0) means
     the face tables are inconsistent and raises ValueError.
     """
-    basis = _nondegenerate_slice(spec, q, t, wp, poly_only)
-    down = _nondegenerate_slice(spec, q - 1, t, wp, poly_only) if q else ()
-    up = _nondegenerate_slice(spec, q + 1, t, wp, poly_only)
+    basis = _nondegenerate_slice(spec, q, t, w)
+    down = _nondegenerate_slice(spec, q - 1, t, w) if q else ()
+    up = _nondegenerate_slice(spec, q + 1, t, w)
     rows = _differential_rows(spec.n, basis, down)
     bounds = echelon(_differential_rows(spec.n, up, basis))
     if any(apply_row(b, rows) for b in bounds.values()):
@@ -201,17 +192,14 @@ def normalized_basis(spec: GradingSpec, q: int, t: int) -> list[Form]:
 
 
 def homology_at(
-    spec: GradingSpec,
-    q: int,
-    t: int,
-    wp: Optional[tuple[int, int]] = None,
+    spec: GradingSpec, q: int, t: int, w: Optional[int] = None
 ) -> SliceHomology:
-    """Homology of the (q, t) slice, optionally refined to one (w, p).
+    """Homology of the (q, t) slice, optionally refined to one word length w.
 
     The representatives are the canonical ones on C/D, lifted to
     normalized cycles by the normalizing projection.
     """
-    basis, _, reps = _classes(spec, q, t, wp, False)
+    basis, _, reps = _classes(spec, q, t, w)
     n = spec.n
     forms = tuple(
         sum((mono_normalize(n, m) for m in _to_form(q, v, basis).terms), Form.zero(q))
@@ -224,12 +212,26 @@ def homology_at(
 def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
     """Dimension of C/D at (q, t) and the rank of its differential to level q-1.
 
-    The bases stay in nondegenerate_basis's order: a rank does not
-    depend on it, so the sort that _classes needs is skipped here.
+    Faces preserve w, so the rank is the sum of the ranks of the w blocks,
+    each on rows as wide as its target block.  The blocks keep
+    nondegenerate_basis's order: a rank does not depend on it, so the
+    sort that _classes needs is skipped here.
     """
     sources = nondegenerate_basis(q, spec, t)
-    down = nondegenerate_basis(q - 1, spec, t) if q else ()
-    return len(sources), rank(_differential_rows(spec.n, sources, down))
+    down = _word_length_blocks(nondegenerate_basis(q - 1, spec, t)) if q else {}
+    boundary = sum(
+        rank(_differential_rows(spec.n, block, down.get(w, ())))
+        for w, block in _word_length_blocks(sources).items()
+    )
+    return len(sources), boundary
+
+
+def _word_length_blocks(monos: Iterable[Mono]) -> dict[int, list[Mono]]:
+    """The monomials grouped by word length, each group in the given order."""
+    blocks: dict[int, list[Mono]] = {}
+    for mono in monos:
+        blocks.setdefault(mono_word_length(mono), []).append(mono)
+    return blocks
 
 
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
@@ -318,7 +320,7 @@ def class_of(spec: GradingSpec, form: Form) -> tuple[int, ...]:
     terms, and is a cycle there exactly when the form is one in N.
     """
     q, t = _require_cycle(spec, form)
-    basis, b_basis, reps = _classes(spec, q, t, None, False)
+    basis, b_basis, reps = _classes(spec, q, t, None)
     index = {m: k for k, m in enumerate(basis)}
     vec = _to_vec((m for m in form.terms if not mono_is_degenerate(m)), index)
     coords = solve_in_span(b_basis + reps, vec)
@@ -383,7 +385,7 @@ def koszul_dim(spec: GradingSpec, q: int, t: int) -> int:
 
 
 def check_pi0(spec: GradingSpec, max_level: int, max_degree: int) -> list[str]:
-    """Connectivity check on the polynomial part of the resolution.
+    """Connectivity check on the polynomial part (w = 0) of the resolution.
 
     The bottom homology must be one dimensional exactly at the degrees
     of the surviving powers of x and every homology between level 1 and
@@ -393,14 +395,11 @@ def check_pi0(spec: GradingSpec, max_level: int, max_degree: int) -> list[str]:
     bad = []
     survivors = {a * m for a in range(n + 1)}
     for t in range(max_degree + 1):
-        reps = _classes(spec, 0, t, None, True)[2]
-        want = 1 if t in survivors else 0
-        if len(reps) != want:
-            bad.append(f"level 0 degree {t}: dim {len(reps)}, expected {want}")
-        for q in range(1, max_level):
-            reps_q = _classes(spec, q, t, None, True)[2]
-            if reps_q:
-                bad.append(f"level {q} degree {t}: dim {len(reps_q)}, expected 0")
+        for q in range(max(max_level, 1)):
+            dim = len(_classes(spec, q, t, 0)[2])
+            want = int(q == 0 and t in survivors)
+            if dim != want:
+                bad.append(f"level {q} degree {t}: dim {dim}, expected {want}")
     return bad
 
 

@@ -59,3 +59,12 @@ def quotient_reps(z_basis, b_basis):
         if z:
             reduced.append(z)
     return list_rref(reduced)[0]
+
+
+# The (w, p) bigrading that the word length w alone replaced, kept as the
+# reference the w refinement is checked against.
+def mono_bigrading(n, mono):
+    """(word length, unweighted degree) pair; independent of m."""
+    w = mono.dx + sum(mono.dy)
+    p = 2 * mono.x + mono.dx + (2 * n + 2) * sum(mono.y) + (2 * n + 1) * sum(mono.dy)
+    return w, p

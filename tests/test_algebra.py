@@ -11,7 +11,6 @@ from looplab.algebra import (
     Form,
     GradingSpec,
     Mono,
-    bigrading,
     derham_d,
     gen_dx,
     gen_dy,
@@ -24,10 +23,11 @@ from looplab.algebra import (
     nondegenerate_basis,
     parse_form,
     parse_mono,
+    word_length,
 )
 from looplab.simplicial import mono_is_degenerate
 
-from support import random_form
+from support import mono_bigrading, random_form
 
 SPEC = GradingSpec(n=2, m=2)
 
@@ -118,21 +118,32 @@ def test_degree_additivity_and_d_shift():
             assert internal_degree(SPEC, df) == internal_degree(SPEC, mono_a) - 1
 
 
+def _bigrading(form):
+    """(w, p) of a form under SPEC, with p read off t and w alone:
+    t + w = m*S and p = 2*S - w."""
+    w = word_length(form)
+    return w, 2 * (internal_degree(SPEC, form) + w) // SPEC.m - w
+
+
 def test_bigrading_values_and_d_shift():
-    assert bigrading(2, gen_y(1, 1)) == (0, 6)
-    assert bigrading(2, gen_dy(1, 1)) == (1, 5)
-    assert bigrading(2, gen_x(1) * gen_dx(1)) == (1, 3)
+    assert _bigrading(gen_y(1, 1)) == (0, 6)
+    assert _bigrading(gen_dy(1, 1)) == (1, 5)
+    assert _bigrading(gen_x(1) * gen_dx(1)) == (1, 3)
+    assert word_length(Form.zero(1)) is None
+    with pytest.raises(ValueError):
+        word_length(gen_x(1) + gen_dx(1))
     rng = random.Random(75)
     for _ in range(30):
         f = random_form(rng, 2, n_terms=1)
         df = derham_d(f)
         if f and df:
-            w, p = bigrading(2, f)
-            assert bigrading(2, df) == (w + 1, p - 1)
+            w, p = _bigrading(f)
+            assert _bigrading(df) == (w + 1, p - 1)
 
 
 def test_gradings_are_consistent():
-    # doubling the internal degree must equal m*p + (m-2)*w termwise
+    # t + w is a multiple of m, so t and w fix the reference p; doubling
+    # the internal degree must equal m*p + (m-2)*w termwise
     rng = random.Random(76)
     for spec in (GradingSpec(1, 2), GradingSpec(2, 3), GradingSpec(3, 4)):
         for _ in range(20):
@@ -140,8 +151,11 @@ def test_gradings_are_consistent():
             if not f:
                 continue
             (term,) = f.terms
-            w, p = bigrading(spec.n, f)
-            assert 2 * mono_degree(spec, term) == spec.m * p + (spec.m - 2) * w
+            t, w = mono_degree(spec, term), word_length(f)
+            assert (t + w) % spec.m == 0
+            w_ref, p = mono_bigrading(spec.n, term)
+            assert w_ref == w and p == 2 * (t + w) // spec.m - w
+            assert 2 * t == spec.m * p + (spec.m - 2) * w
 
 
 def test_monomial_basis_is_complete_and_sorted():

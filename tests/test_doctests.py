@@ -1,10 +1,14 @@
-"""Keep the examples in the docstrings honest."""
+"""Keep the examples in the docstrings and the README honest."""
 
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
 from looplab import algebra, closedform, ez, gf2, homology, rng
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.mark.parametrize("module", [algebra, closedform, ez, gf2, homology, rng])
@@ -12,3 +16,10 @@ def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

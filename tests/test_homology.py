@@ -10,13 +10,13 @@ from looplab.algebra import (
     gen_dx,
     gen_x,
     internal_degree,
-    mono_bigrading,
+    mono_word_length,
     monomial_basis,
     nondegenerate_basis,
     parse_form,
 )
 from looplab.closedform import main1_dims
-from looplab.gf2 import apply_row, left_kernel, rref, solve_in_span
+from looplab.gf2 import apply_row, left_kernel, rank, rref, solve_in_span
 from looplab import homology
 from looplab.homology import (
     check_pi0,
@@ -39,10 +39,9 @@ from looplab.simplicial import (
     face,
     mono_face,
     mono_is_degenerate,
-    mono_normalize,
     omega,
 )
-from support import quotient_reps
+from support import mono_bigrading, quotient_reps
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
@@ -134,12 +133,8 @@ def test_bigraded_slices_refine_the_degree_slice():
     n = spec.n
     for q, t in [(1, 6), (1, 7), (2, 11), (2, 12), (0, 4)]:
         total = homology_dim(spec, q, t)
-        split = 0
-        for w in range(0, 2 * q + 2):
-            double_p = 2 * t - (spec.m - 2) * w
-            if double_p % spec.m or double_p < 0:
-                continue
-            split += homology_at(spec, q, t, wp=(w, double_p // spec.m)).dim
+        # a level q monomial has at most q + 1 exterior factors
+        split = sum(homology_at(spec, q, t, w).dim for w in range(q + 2))
         assert split == total, (q, t)
 
 
@@ -241,24 +236,19 @@ def _normalized_classes(spec, q, t, wp=None, poly_only=False):
     return basis, b_basis, quotient_reps(cycles, b_basis)
 
 
-def _assert_matches_the_normalized_route(spec, q, t, wp=None, poly_only=False):
-    """Compare one slice with _normalized_classes; returns the number of
-    representatives and of classified boundaries met."""
+def _assert_matches_the_normalized_route(spec, q, t, w=None, poly_only=False):
+    """Compare homology_at(spec, q, t, w) with _normalized_classes; returns
+    the number of representatives and of classified boundaries met.
+
+    The reference is refined to the (w, p) that w fixes given t, and with
+    poly_only to its own polynomial filter, which homology_at reads as w = 0.
+    """
+    wp = None if w is None else (w, 2 * (t + w) // spec.m - w)
     basis, b_basis, reps = _normalized_classes(spec, q, t, wp, poly_only)
     forms = [_form(q, v, basis) for v in reps]
-    if poly_only:
-        # homology_at has no polynomial filter: compare on C/D, where a
-        # normalized cycle is its nondegenerate part, and lift back by P.
-        nd_basis, _, nd_reps = homology._classes(spec, q, t, wp, True)
-        lifted = []
-        for v in nd_reps:
-            monos = _form(q, v, nd_basis).terms
-            lifted.append(sum((mono_normalize(spec.n, m) for m in monos), Form.zero(q)))
-        assert lifted == forms, (spec, q, t)
-        return len(forms), 0
-    h = homology_at(spec, q, t, wp)
-    assert [str(r) for r in h.reps] == [str(f) for f in forms], (spec, q, t, wp)
-    if wp is not None:
+    h = homology_at(spec, q, t, 0 if poly_only else w)
+    assert [str(r) for r in h.reps] == [str(f) for f in forms], (spec, q, t, w, poly_only)
+    if wp is not None or poly_only:
         return len(forms), 0
     # cycles to classify: the representatives, some boundaries, and their sums
     bounds = [_form(q, b, basis) for b in b_basis[:3]]
@@ -314,9 +304,11 @@ def test_bigraded_classes_equal_the_normalized_route():
         (GradingSpec(2, 3), 2, 20),
     ):
         pairs = {mono_bigrading(spec.n, m) for m in monomial_basis(q, spec, t)}
-        for wp in sorted(pairs):
-            met[0] += _assert_matches_the_normalized_route(spec, q, t, wp)[0]
-            met[1] += _assert_matches_the_normalized_route(spec, q, t, wp, True)[0]
+        for w, p in sorted(pairs):
+            assert p == 2 * (t + w) // spec.m - w, (spec, q, t, w, p)
+            met[0] += _assert_matches_the_normalized_route(spec, q, t, w)[0]
+            if w == 0:
+                met[1] += _assert_matches_the_normalized_route(spec, q, t, w, True)[0]
     assert met[0] >= 6
 
 
@@ -367,6 +359,39 @@ def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
             for t in range(max_t + 1):
                 chain = homology_dim(spec, q, t)
                 assert chain == main1_dims(spec, q, t) == koszul_dim(spec, q, t), (spec, q, t)
+    assert time.monotonic() - start < 60.0
+
+
+def _one_matrix_quotient_level(spec, q, t):
+    """_quotient_level as one rank over the whole slice, the reference for
+    the rank taken block by block in w."""
+    sources = nondegenerate_basis(q, spec, t)
+    down = nondegenerate_basis(q - 1, spec, t) if q else ()
+    return len(sources), rank(homology._differential_rows(spec.n, sources, down))
+
+
+def test_block_ranks_equal_the_one_matrix_rank():
+    levels = [
+        (GradingSpec(n, m), q, t)
+        for n, m in ACCEPTANCE_PAIRS
+        for q in range(5)
+        for t in range(3 * (n + 1) * m + 1)
+    ]
+    levels += [(GradingSpec(2, 2), q, t) for q in range(8) for t in range(49)]
+    split = 0
+    for spec, q, t in levels:
+        got = homology._quotient_level(spec, q, t)
+        assert got == _one_matrix_quotient_level(spec, q, t), (spec, q, t)
+        lengths = {mono_word_length(m) for m in nondegenerate_basis(q, spec, t)}
+        split += got[1] > 0 and len(lengths) > 1
+    # the check meets many levels whose nonzero rank spans several w blocks
+    assert split > 100
+
+
+def test_dimensions_agree_at_level_seven_and_degree_sixty_two():
+    spec = GradingSpec(2, 2)
+    start = time.monotonic()
+    assert homology_dim(spec, 7, 62) == main1_dims(spec, 7, 62) == koszul_dim(spec, 7, 62)
     assert time.monotonic() - start < 60.0
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
+from looplab.algebra import GradingSpec
 from looplab.closedform import loop_module, lucas
+from looplab.homology import homology_dim
 from looplab.steenrod import check_adem, check_cartan, check_instability, module_iso
 from looplab.thom import (
     FAMILIES,
@@ -194,3 +196,28 @@ def test_abelian_rows_render_plainly():
         "2\t1\t2\n"
         "3\t0\t2,4\n"
     )
+
+
+def _even_orders(groups, deg):
+    return sum(order % 2 == 0 for order in groups.get(deg, (0, ()))[1])
+
+
+def test_chain_homology_meets_the_stable_splitting_in_total_degree():
+    # Total degree is internal degree minus level, and a nondegenerate
+    # level q monomial has total degree at least q((n+1)r - 2), so the
+    # chain sum over levels is finite.  The reference is integral: its
+    # mod 2 Betti numbers follow from the universal coefficient theorem.
+    checked = 0
+    for sp in SPACES.values():
+        spec = GradingSpec(sp.n, sp.r)
+        step = (sp.n + 1) * sp.r - 2
+        deg_max = 8 * step
+        loop = loop_module(sp.n, sp.r, deg_max, 0, sq_one=sp.odd_op).dims()
+        model = model_module_f2(sp, deg_max, 0).dims()
+        ref = reference_loop_homology(sp, deg_max)
+        for d in range(deg_max + 1):
+            chain = sum(homology_dim(spec, q, d + q) for q in range(d // step + 1))
+            uct = ref.get(d, (0, ()))[0] + _even_orders(ref, d) + _even_orders(ref, d - 1)
+            assert chain == loop.get(d, 0) == model.get(d, 0) == uct, (sp.name, d)
+            checked += 1
+    assert checked == 829
