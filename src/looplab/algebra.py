@@ -342,32 +342,35 @@ def monomial_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
     return out
 
 
-def nondegenerate_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
-    """The level q monomials of degree t in which every slot is filled.
+def nondegenerate_basis(q: int, spec: GradingSpec, t: int, w: int) -> list[Mono]:
+    """The level q monomials of degree t and word length w with every slot filled.
 
     Slot j is filled when y_j > 0 or dy_j = 1; these are the monomials
     that no degeneracy reaches (simplicial.mono_is_degenerate), so they
-    are a basis of the quotient by the degenerate subcomplex.  Each slot
-    without dy_j gets y_j = 1 up front and only the rest of the degree is
-    distributed, the same way for every dy pattern with as many dy
-    factors.  The order is not canonical.
+    are a basis of the quotient by the degenerate subcomplex.  The w - dx
+    slots with dy_j = 1 are chosen, every other slot gets y_j = 1, and the
+    rest of the degree is distributed.  The order is not canonical.  At
+    m = 2 the blocks with t + w odd are empty, as are all with w > q + 1:
+
+    >>> [len(nondegenerate_basis(2, GradingSpec(1, 2), 11, w)) for w in range(5)]
+    [0, 7, 0, 3, 0]
     """
     n, m = spec.n, spec.m
     y_deg = (n + 1) * m
     out = []
     for dx in (0, 1):
-        for ones in range(q + 1):
-            rest = t - (m - 1) * dx - (y_deg - 1) * ones - y_deg * (q - ones)
-            if rest < 0 or rest % m:
-                continue
-            extras = [
-                (y, (rest - y_deg * sum(y)) // m) for y in _exponents(q, rest // y_deg)
-            ]
-            for at in combinations(range(q), ones):
-                dy = tuple(1 if j in at else 0 for j in range(q))
-                floor = tuple(1 - d for d in dy)
-                for y, x in extras:
-                    out.append(Mono(x, dx, tuple(map(add, floor, y)), dy))
+        ones = w - dx
+        rest = t - (m - 1) * dx - (y_deg - 1) * ones - y_deg * (q - ones)
+        if not 0 <= ones <= q or rest < 0 or rest % m:
+            continue
+        extras = [
+            (y, (rest - y_deg * sum(y)) // m) for y in _exponents(q, rest // y_deg)
+        ]
+        for at in combinations(range(q), ones):
+            dy = tuple(1 if j in at else 0 for j in range(q))
+            floor = tuple(1 - d for d in dy)
+            for y, x in extras:
+                out.append(Mono(x, dx, tuple(map(add, floor, y)), dy))
     return out
 
 

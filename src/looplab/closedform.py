@@ -174,83 +174,66 @@ def main1_dims(spec: GradingSpec, q: int, t: int) -> int:
 # whose on/off switch depends on the space and is passed in by the
 # caller.
 
-def _odd_elements(n: int, m: int, deg_max: int):
-    q = 0
-    while q * ((n + 1) * m - 2) <= deg_max:
-        for a in range(n + 1):
-            for eps in (0, 1):
-                total = m * a + (m - 1) * eps + q * ((n + 1) * m - 2)
-                if total <= deg_max:
-                    yield (a, eps, q), total
-        q += 1
+def _odd_square(n: int, m: int, k: int, key: OddKey, sq_one: bool) -> Optional[OddKey]:
+    a, eps, q = key
+    if k % m == 0:
+        i = k // m
+        if a + i <= n and lucas(q * (n + 1) + a, i):
+            return (a + i, eps, q)
+    elif k == 1 and sq_one and q >= 1 and a == 0 and eps == 0:
+        return (n, 1, q - 1)
+    return None
 
 
-def _even_elements(n: int, m: int, deg_max: int):
-    yield ("one",), 0
-    q = 0
-    while q * ((n + 1) * m - 2) <= deg_max:
-        for j in range(n):
-            for kind, base in (("a", m - 1), ("b", m)):
-                total = m * j + base + q * ((n + 1) * m - 2)
-                if total <= deg_max:
-                    yield (kind, j, q), total
-        q += 1
+def _even_square(
+    n: int, m: int, k: int, key: EvenKey, sq_one: bool
+) -> Optional[EvenKey]:
+    if key == ("one",) or k % m:
+        return None
+    kind, j, q = key
+    i = k // m
+    top = q * (n + 1) + j + (0 if kind == "a" else 1)
+    if j + i <= n - 1 and lucas(top, i):
+        return (kind, j + i, q)
+    return None
 
 
 def loop_module(
-    n: int,
-    m: int,
-    deg_max: int,
-    k_store: int,
-    sq_one: bool = False,
+    n: int, m: int, deg_max: int, k_store: int, sq_one: bool = False
 ) -> FiniteAModule:
     """Finite window of the loop cohomology with its operations.
 
-    sq_one switches the one odd-degree operation on the divided power
+    The labels are the classes of level_keys at every level whose lowest
+    total degree, q * ((n + 1) * m - 2), lies in the window.  sq_one
+    switches the one odd-degree operation on the divided power
     generators; it only applies when the truncation exponent is odd and
     its value is a property of the underlying space, not of (n, m).
     """
-    odd = n % 2 == 1
-    if odd:
-        elements = list(_odd_elements(n, m, deg_max))
-        key_of = {}
-        for key, total in elements:
-            key_of[odd_label(key)] = (key, total)
+    spec = GradingSpec(n, m)
+    label, key_degree, square, times = (
+        (odd_label, odd_key_degree, _odd_square, odd_product)
+        if n % 2
+        else (even_label, even_key_degree, _even_square, even_product)
+    )
+    elements = []
+    for q in range(deg_max // ((n + 1) * m - 2) + 1):
+        for key in level_keys(spec, q):
+            total = key_degree(spec, key) - q
+            if total <= deg_max:
+                elements.append((key, total))
+    key_of = {label(key): (key, total) for key, total in elements}
 
-        def rule(k: int, label: str):
-            (a, eps, q), total = key_of[label]
-            if k % m == 0:
-                i = k // m
-                if a + i <= n and lucas(q * (n + 1) + a, i):
-                    return [(odd_label((a + i, eps, q)), total + k)]
-            elif k == 1 and sq_one and q >= 1 and a == 0 and eps == 0:
-                return [(odd_label((n, 1, q - 1)), total + 1)]
+    def rule(k: int, name: str):
+        # Only Sq^1 and multiples of m act; skip the rest before the lookup.
+        if k % m and k > 1:
             return []
+        key, total = key_of[name]
+        out = square(n, m, k, key, sq_one)
+        return [] if out is None else [(label(out), total + k)]
 
-        def product(la: str, lb: str):
-            out = odd_product(n, key_of[la][0], key_of[lb][0])
-            return [] if out is None else [odd_label(out)]
+    def product(la: str, lb: str):
+        out = times(n, key_of[la][0], key_of[lb][0])
+        return [] if out is None else [label(out)]
 
-    else:
-        elements = list(_even_elements(n, m, deg_max))
-        key_of = {}
-        for key, total in elements:
-            key_of[even_label(key)] = (key, total)
-
-        def rule(k: int, label: str):
-            key, total = key_of[label]
-            if key == ("one",) or k % m:
-                return []
-            kind, j, q = key
-            i = k // m
-            top = q * (n + 1) + j + (0 if kind == "a" else 1)
-            if j + i <= n - 1 and lucas(top, i):
-                return [(even_label((kind, j + i, q)), total + k)]
-            return []
-
-        def product(la: str, lb: str):
-            out = even_product(n, key_of[la][0], key_of[lb][0])
-            return [] if out is None else [even_label(out)]
-
-    labelled = [(odd_label(k) if odd else even_label(k), d) for k, d in elements]
+    labelled = [(label(key), total) for key, total in elements]
     return FiniteAModule(deg_max, labelled, rule, k_store, product=product)

@@ -186,9 +186,7 @@ def _killed_by_faces(n: int, form: Form) -> int:
     return form.level
 
 
-def ez_face_checks(
-    spec: GradingSpec, a: Form, b: Form, i_max: Optional[int] = None
-) -> list[tuple[int, str]]:
+def ez_face_checks(spec: GradingSpec, a: Form, b: Form) -> list[tuple[int, str]]:
     """Higher faces of a shuffle product of sufficiently normalized factors.
 
     When both factors are killed by their faces 1 .. i (cut off at
@@ -197,11 +195,10 @@ def ez_face_checks(
     so a caller feeding random forms can see how many checks bit.
     """
     p, q = a.level, b.level
-    top = p + q if i_max is None else min(i_max, p + q)
     rho = shuffle_product(a, b)
     killed_a, killed_b = _killed_by_faces(spec.n, a), _killed_by_faces(spec.n, b)
     out = []
-    for i in range(1, top + 1):
+    for i in range(1, p + q + 1):
         if min(i, p) > killed_a or min(i, q) > killed_b:
             out.append((i, "vacuous"))
         else:

@@ -1,18 +1,19 @@
 """Homology of the resolution, computed by brute force slice by slice.
 
-A slice is the span of all level q monomials of one internal degree t,
-optionally refined by the word length w, which fixes every other
-grading given t; faces preserve w, so a slice is block-diagonal in w.
-The degenerate monomials span a subcomplex D, and the normalized
-complex N (the common kernel of the faces 1 .. q, with the bottom face
-as differential) is isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on one
-complex, C/D, whose basis is the nondegenerate monomials and whose
-differential is the sum of all faces with degenerate images dropped:
+A slice is the span of all level q monomials of one internal degree t;
+faces preserve the word length w, which fixes every other grading given
+t, so a slice is the direct sum of its (q, t, w) blocks.  The degenerate
+monomials span a subcomplex D, and the normalized complex N (the common
+kernel of the faces 1 .. q, with the bottom face as differential) is
+isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on C/D,
+whose basis is the nondegenerate monomials and whose differential is the
+sum of all faces with degenerate images dropped, one block at a time:
 - a dimension is a monomial count minus two boundary ranks, summed over w;
-- representatives are the cycles of C/D with no bit in a pivot column
+- a block's representatives are its cycles with no bit in a pivot column
   of the boundaries' echelon form, reduced to a canonical basis, and
   lifted to normalized cycles by the normalizing projection P; a
-  boundary that is not a cycle (d∘d ≠ 0) raises ValueError;
+  boundary that is not a cycle (d∘d ≠ 0) raises ValueError; a slice
+  merges its blocks' representatives by their lowest monomial;
 - a normalized cycle's class is read off its nondegenerate terms.
 N itself is built only for the rows that the shuffle trials draw from
 (normalized_rows).
@@ -40,7 +41,7 @@ from .algebra import (
     monomial_basis,
     nondegenerate_basis,
 )
-from .gf2 import apply_row, echelon, left_kernel, rank, rref, solve_in_span
+from .gf2 import apply_row, echelon, left_kernel, low_bit, rank, rref, solve_in_span
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 
 __all__ = [
@@ -72,16 +73,6 @@ class SliceHomology:
     reps: tuple[Form, ...]
 
 
-def _nondegenerate_slice(
-    spec: GradingSpec, q: int, t: int, w: Optional[int]
-) -> tuple[Mono, ...]:
-    """The nondegenerate monomials of a slice in the canonical order."""
-    basis = sorted(nondegenerate_basis(q, spec, t))
-    if w is not None:
-        basis = [m for m in basis if mono_word_length(m) == w]
-    return tuple(basis)
-
-
 def _differential_rows(
     n: int, sources: Iterable[Mono], targets: Iterable[Mono]
 ) -> list[int]:
@@ -94,7 +85,7 @@ def _differential_rows(
     so only the faces below the top are applied and every surviving
     image is looked up in targets; one missing from it raises rather
     than being dropped.  Faces preserve degree and word length, so a
-    slice refined to one w maps into the same refinement.
+    (q, t, w) block maps into the (q - 1, t, w) block.
     """
     index = {mono: k for k, mono in enumerate(targets)}
     rows = []
@@ -129,22 +120,23 @@ def _pipeline(
 
 @lru_cache(maxsize=None)
 def _classes(
-    spec: GradingSpec, q: int, t: int, w: Optional[int]
+    spec: GradingSpec, q: int, t: int, w: int
 ) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
-    """Nondegenerate basis, boundaries and canonical representatives on C/D.
+    """Nondegenerate basis, boundaries and canonical representatives of a w block.
 
-    Boundaries and representatives are bit rows over the basis; the
-    boundaries are the echelon rows of the differential from the level
-    above.  Every cycle reduces modulo the boundaries to exactly one cycle
-    with no bit in a pivot column of the boundaries, so the cycles off the
-    pivots represent the homology: they are the dependencies among the
-    differential rows of the free (non-pivot) basis monomials, reduced to
-    a canonical basis.  A boundary that is not a cycle (d∘d ≠ 0) means
+    The basis is the (q, t, w) block of C/D, sorted; boundaries and
+    representatives are bit rows over it, the boundaries being the echelon
+    rows of the differential from the block above.  Every cycle reduces
+    modulo the boundaries to exactly one cycle with no bit in a pivot column
+    of the boundaries, so the cycles off the pivots represent the homology:
+    the dependencies among the differential rows of the free (non-pivot)
+    basis monomials, reduced to a canonical basis (so the neighbouring
+    blocks need no sort).  A boundary that is not a cycle (d∘d ≠ 0) means
     the face tables are inconsistent and raises ValueError.
     """
-    basis = _nondegenerate_slice(spec, q, t, w)
-    down = _nondegenerate_slice(spec, q - 1, t, w) if q else ()
-    up = _nondegenerate_slice(spec, q + 1, t, w)
+    basis = tuple(sorted(nondegenerate_basis(q, spec, t, w)))
+    down = nondegenerate_basis(q - 1, spec, t, w)
+    up = nondegenerate_basis(q + 1, spec, t, w)
     rows = _differential_rows(spec.n, basis, down)
     bounds = echelon(_differential_rows(spec.n, up, basis))
     if any(apply_row(b, rows) for b in bounds.values()):
@@ -194,16 +186,20 @@ def normalized_basis(spec: GradingSpec, q: int, t: int) -> list[Form]:
 def homology_at(
     spec: GradingSpec, q: int, t: int, w: Optional[int] = None
 ) -> SliceHomology:
-    """Homology of the (q, t) slice, optionally refined to one word length w.
+    """Homology of the (q, t) slice, or of its w block when w is given.
 
-    The representatives are the canonical ones on C/D, lifted to
-    normalized cycles by the normalizing projection.
+    Representatives are the canonical ones of each block on C/D, lifted to
+    normalized cycles by the normalizing projection.  A slice orders them
+    by lowest nondegenerate monomial, the order of its own reduced echelon
+    form, which is the union of its blocks' (they sit on disjoint columns).
     """
-    basis, _, reps = _classes(spec, q, t, w)
-    n = spec.n
+    reps = []
+    for v in range(q + 2) if w is None else (w,):
+        basis, _, vecs = _classes(spec, q, t, v)
+        reps += [(basis[low_bit(vec)], _to_form(q, vec, basis)) for vec in vecs]
     forms = tuple(
-        sum((mono_normalize(n, m) for m in _to_form(q, v, basis).terms), Form.zero(q))
-        for v in reps
+        sum((mono_normalize(spec.n, m) for m in form.terms), Form.zero(q))
+        for _, form in sorted(reps, key=lambda rep: rep[0])
     )
     return SliceHomology(q, t, len(forms), forms)
 
@@ -212,26 +208,19 @@ def homology_at(
 def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
     """Dimension of C/D at (q, t) and the rank of its differential to level q-1.
 
-    Faces preserve w, so the rank is the sum of the ranks of the w blocks,
-    each on rows as wide as its target block.  The blocks keep
-    nondegenerate_basis's order: a rank does not depend on it, so the
-    sort that _classes needs is skipped here.
+    Faces preserve w, so both are sums over the w blocks, each rank on
+    rows as wide as its target block; empty source blocks are skipped.
+    The blocks keep nondegenerate_basis's order: a rank does not depend
+    on it, so the sort that _classes needs is skipped here.
     """
-    sources = nondegenerate_basis(q, spec, t)
-    down = _word_length_blocks(nondegenerate_basis(q - 1, spec, t)) if q else {}
-    boundary = sum(
-        rank(_differential_rows(spec.n, block, down.get(w, ())))
-        for w, block in _word_length_blocks(sources).items()
-    )
-    return len(sources), boundary
-
-
-def _word_length_blocks(monos: Iterable[Mono]) -> dict[int, list[Mono]]:
-    """The monomials grouped by word length, each group in the given order."""
-    blocks: dict[int, list[Mono]] = {}
-    for mono in monos:
-        blocks.setdefault(mono_word_length(mono), []).append(mono)
-    return blocks
+    chains = boundary = 0
+    for w in range(q + 2):
+        sources = nondegenerate_basis(q, spec, t, w)
+        if sources:
+            down = nondegenerate_basis(q - 1, spec, t, w)
+            chains += len(sources)
+            boundary += rank(_differential_rows(spec.n, sources, down))
+    return chains, boundary
 
 
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
@@ -317,16 +306,21 @@ def class_of(spec: GradingSpec, form: Form) -> tuple[int, ...]:
 
     The order matches homology_at(spec, q, t).reps.  Requires a nonzero
     homogeneous normalized cycle.  Its image in C/D drops the degenerate
-    terms, and is a cycle there exactly when the form is one in N.
+    terms, and is a cycle there exactly when the form is one in N; the
+    image splits by word length and is solved block by block.
     """
     q, t = _require_cycle(spec, form)
-    basis, b_basis, reps = _classes(spec, q, t, None)
-    index = {m: k for k, m in enumerate(basis)}
-    vec = _to_vec((m for m in form.terms if not mono_is_degenerate(m)), index)
-    coords = solve_in_span(b_basis + reps, vec)
-    if coords is None:
-        raise ValueError("cycle does not reduce against the slice homology")
-    return tuple(coords[len(b_basis) :])
+    terms = [m for m in form.terms if not mono_is_degenerate(m)]
+    coords = []
+    for w in range(q + 2):
+        basis, b_basis, reps = _classes(spec, q, t, w)
+        index = {m: k for k, m in enumerate(basis)}
+        vec = _to_vec((m for m in terms if mono_word_length(m) == w), index)
+        solved = solve_in_span(b_basis + reps, vec)
+        if solved is None:
+            raise ValueError("cycle does not reduce against the slice homology")
+        coords += zip((basis[low_bit(r)] for r in reps), solved[len(b_basis) :])
+    return tuple(c for _, c in sorted(coords))
 
 
 def _koszul_basis(spec: GradingSpec, h: int, t: int) -> list[tuple[int, int, int, int]]:

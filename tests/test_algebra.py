@@ -19,6 +19,7 @@ from looplab.algebra import (
     internal_degree,
     mono_degree,
     mono_str,
+    mono_word_length,
     monomial_basis,
     nondegenerate_basis,
     parse_form,
@@ -223,10 +224,17 @@ def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
         spec = GradingSpec(n, m)
         for q in range(5):
             for t in range(41):
-                direct = nondegenerate_basis(q, spec, t)
                 want = [mono for mono in monomial_basis(q, spec, t) if not mono_is_degenerate(mono)]
-                assert sorted(direct) == want, (n, q, t)
+                blocks = [nondegenerate_basis(q, spec, t, w) for w in range(q + 2)]
+                for w, block in enumerate(blocks):
+                    length_w = [x for x in want if mono_word_length(x) == w]
+                    assert sorted(block) == length_w, (n, q, t, w)
+                # the blocks for w in 0 .. q + 1 partition the slice
+                assert sorted(x for block in blocks for x in block) == want, (n, q, t)
+                assert nondegenerate_basis(q, spec, t, q + 2) == []
                 seen += len(want)
+        for t in range(41):
+            assert all(nondegenerate_basis(-1, spec, t, w) == [] for w in range(3))
     assert seen
 
 

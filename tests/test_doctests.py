@@ -2,11 +2,12 @@
 
 import doctest
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from looplab import algebra, closedform, ez, gf2, homology, rng
+from looplab import algebra, cli, closedform, ez, gf2, homology, rng
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +24,17 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_command_lines_exit_zero(capsys):
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    commands = [
+        shlex.split(line)[1:]
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("looplab ")
+    ]
+    assert commands
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()

@@ -354,5 +354,4 @@ def test_face_checks_mark_the_faces_beyond_a_partial_kill_vacuous():
     expect = [(1, "pass"), (2, "pass"), (3, "vacuous"), (4, "vacuous"), (5, "vacuous")]
     assert ez_face_checks(EVEN, KILLS_FACES_1_2, omega(2)) == expect
     assert ez_face_checks(EVEN, omega(2), KILLS_FACES_1_2) == expect
-    assert ez_face_checks(EVEN, KILLS_FACES_1_2, omega(2), i_max=2) == expect[:2]
     assert ez_face_checks(EVEN, gen_x(2), omega(1)) == [(i, "vacuous") for i in (1, 2, 3)]

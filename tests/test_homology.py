@@ -39,6 +39,7 @@ from looplab.simplicial import (
     face,
     mono_face,
     mono_is_degenerate,
+    mono_normalize,
     omega,
 )
 from support import mono_bigrading, quotient_reps
@@ -322,6 +323,11 @@ def test_even_pair_dimensions_agree_to_level_five_and_degree_forty():
     assert time.monotonic() - start < 120.0
 
 
+def _whole_slice(spec, q, t):
+    """The nondegenerate monomials of a whole (q, t) slice, its w blocks chained."""
+    return [mono for w in range(q + 2) for mono in nondegenerate_basis(q, spec, t, w)]
+
+
 def test_faces_of_nondegenerate_monomials_are_nondegenerate_or_vanish():
     # Why the C/D differential never meets a degenerate image, and why
     # its top face contributes nothing.
@@ -330,7 +336,7 @@ def test_faces_of_nondegenerate_monomials_are_nondegenerate_or_vanish():
         spec = GradingSpec(n, m)
         for q in range(1, 5):
             for t in range(41):
-                for mono in nondegenerate_basis(q, spec, t):
+                for mono in _whole_slice(spec, q, t):
                     assert mono_face(n, q, mono) is None
                     for i in range(q):
                         img = mono_face(n, i, mono)
@@ -365,8 +371,8 @@ def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
 def _one_matrix_quotient_level(spec, q, t):
     """_quotient_level as one rank over the whole slice, the reference for
     the rank taken block by block in w."""
-    sources = nondegenerate_basis(q, spec, t)
-    down = nondegenerate_basis(q - 1, spec, t) if q else ()
+    sources = _whole_slice(spec, q, t)
+    down = _whole_slice(spec, q - 1, t)
     return len(sources), rank(homology._differential_rows(spec.n, sources, down))
 
 
@@ -382,7 +388,7 @@ def test_block_ranks_equal_the_one_matrix_rank():
     for spec, q, t in levels:
         got = homology._quotient_level(spec, q, t)
         assert got == _one_matrix_quotient_level(spec, q, t), (spec, q, t)
-        lengths = {mono_word_length(m) for m in nondegenerate_basis(q, spec, t)}
+        lengths = {mono_word_length(m) for m in _whole_slice(spec, q, t)}
         split += got[1] > 0 and len(lengths) > 1
     # the check meets many levels whose nonzero rank spans several w blocks
     assert split > 100
@@ -424,6 +430,23 @@ def test_a_boundary_that_is_not_a_cycle_raises(monkeypatch):
         homology.clear_caches()
 
 
+def test_whole_slices_merge_their_blocks_by_lowest_monomial(monkeypatch):
+    # On every real slice checked the homology sits in one w block (the
+    # closed-form classes of a level differ in w by at most one, and t + w
+    # is a multiple of m), so the merge order is pinned here on two faked
+    # one-class blocks whose lowest monomials run against w.
+    spec, q, t = GradingSpec(1, 2), 1, 8
+    short, long_ = (tuple(sorted(nondegenerate_basis(q, spec, t, w))) for w in (0, 2))
+    assert long_[0] < short[1]
+    fake = {0: (short, (), (0b10,)), 2: (long_, (), (0b01,))}
+    monkeypatch.setattr(homology, "_classes", lambda s, q, t, w: fake.get(w, ((), (), ())))
+    monkeypatch.setattr(homology, "_require_cycle", lambda s, form: (q, t))
+    lifts = [mono_normalize(spec.n, mono) for mono in (long_[0], short[1])]
+    assert homology_at(spec, q, t).reps == tuple(lifts)
+    assert class_of(spec, Form.from_monos(q, [long_[0]])) == (1, 0)
+    assert class_of(spec, Form.from_monos(q, [short[1]])) == (0, 1)
+
+
 def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     spec = GradingSpec(1, 2)
     homology_at(spec, 1, 6)
@@ -436,6 +459,6 @@ def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     normalized_basis(spec, 1, 6)
     assert homology.cache_stats() == {
         "pipeline": {"hits": 0, "misses": 1},
-        "classes": {"hits": 0, "misses": 1},
+        "classes": {"hits": 0, "misses": 3},
         "quotientLevel": {"hits": 0, "misses": 2},
     }
