@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from operator import add
+from operator import add, and_, or_
 from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -71,16 +71,13 @@ class Mono(NamedTuple):
 
 def mono_mul(a: Mono, b: Mono) -> Optional[Mono]:
     """Product of two monomials, or None when an exterior square kills it."""
-    if a.dx and b.dx:
+    if a.dx and b.dx or any(map(and_, a.dy, b.dy)):
         return None
-    for s, t in zip(a.dy, b.dy):
-        if s and t:
-            return None
     return Mono(
         a.x + b.x,
         a.dx | b.dx,
-        tuple(u + v for u, v in zip(a.y, b.y)),
-        tuple(s | t for s, t in zip(a.dy, b.dy)),
+        tuple(map(add, a.y, b.y)),
+        tuple(map(or_, a.dy, b.dy)),
     )
 
 

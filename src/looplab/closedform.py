@@ -12,7 +12,7 @@ never as inputs to the machinery that checks them.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .algebra import Form, GradingSpec, gen_dx, gen_x
 from .simplicial import alpha, beta, omega

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 __all__ = ["SplitMix"]
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -34,17 +35,26 @@ class SplitMix:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform draw from [0, bound), exact via rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
+        """Uniform draw from [0, bound), exact via rejection, for 1 <= bound <= 2^64.
+
+        A larger bound would leave no accepted draw, so it is refused.
+        """
+        if not 0 < bound <= _SPAN:
+            raise ValueError("bound must lie in 1 .. 2^64")
+        limit = _SPAN - _SPAN % bound
         while True:
             v = self.next64()
             if v < limit:
                 return v % bound
 
     def bits(self, k: int) -> int:
-        """k uniform random bits as an int, any k from 0 up."""
+        """k uniform random bits as an int, any k from 0 up.
+
+        Up to 64 bits come from one draw, masked; more take the low bits
+        of each draw in turn, the first draw lowest.  bits(0) draws nothing.
+        """
+        if 0 < k <= 64:
+            return self.next64() & ((1 << k) - 1)
         out = 0
         got = 0
         while got < k:

@@ -21,6 +21,8 @@ level once the indices have been checked.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import repeat
 from typing import Callable, Optional
 
 from .algebra import (
@@ -96,6 +98,14 @@ def mono_degeneracy(i: int, mono: Mono) -> Mono:
     return Mono(x, dx, y[:i] + (0,) + y[i:], dy[:i] + (0,) + dy[i:])
 
 
+# The Form-level map reads its images through this memo: the shuffle
+# trials hand it the same few hundred (i, monomial) pairs tens of
+# thousands of times.  It holds only pairs that reached degeneracy();
+# mono_normalize and the homology lifts call mono_degeneracy directly,
+# so slice-scale work never fills it.
+_cached_degeneracy = cache(mono_degeneracy)
+
+
 def face(n: int, i: int, form: Form) -> Form:
     """Face i as a map from level q forms to level q-1 forms."""
     q = form.level
@@ -126,7 +136,7 @@ def degeneracy(i: int, form: Form) -> Form:
     if not form.terms:
         return Form.zero(q + 1)
     # Injective on monomials, so no two images can cancel.
-    return Form(q + 1, frozenset(mono_degeneracy(i, m) for m in form.terms))
+    return Form(q + 1, frozenset(map(_cached_degeneracy, repeat(i), form.terms)))
 
 
 def omega(q: int) -> Form:

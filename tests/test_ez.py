@@ -198,6 +198,31 @@ def test_trials_are_deterministic_and_clean():
     assert other != one
 
 
+def test_trial_failures_are_named_by_trial_and_branch(monkeypatch):
+    # Every checker is swapped for one that fails a named branch, so the
+    # report must name each failure as "trial <t>: <branch>".
+    monkeypatch.setattr("looplab.ez.ez_bottom_check", lambda spec, a, b: False)
+    monkeypatch.setattr(
+        "looplab.ez.ez_face_checks", lambda spec, a, b: [(1, "pass"), (2, "fail")]
+    )
+    monkeypatch.setattr(
+        "looplab.ez.lemma_products_check",
+        lambda spec, a, b, c, x: {"membership": "fail", "cycle": "vacuous"},
+    )
+    monkeypatch.setattr(
+        "looplab.ez.lemma_squares_check", lambda spec, a, b, c: {"boundary": "fail"}
+    )
+    report = run_trials(ODD, max_level=2, trials=2, seed=0)
+    assert report["passed"] == 2 and report["vacuous"] == 2
+    assert report["failures"] == [
+        f"trial {t}: {branch}"
+        for t in range(2)
+        for branch in (
+            "bottom face", "face 2 of product", "products membership", "squares boundary"
+        )
+    ]
+
+
 # The definitional shuffle product and diagonal, composing degeneracies
 # over whole forms; the library computes both by interleaving slots.
 

@@ -7,9 +7,7 @@ import pytest
 from looplab.algebra import (
     Form,
     GradingSpec,
-    gen_dx,
     gen_x,
-    internal_degree,
     mono_word_length,
     monomial_basis,
     nondegenerate_basis,

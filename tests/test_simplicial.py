@@ -326,11 +326,25 @@ def reference_degeneracy(i, form):
     return Form.from_monos(form.level + 1, images)
 
 
+def reference_mono_mul(a, b):
+    if a.dx and b.dx:
+        return None
+    for s, t in zip(a.dy, b.dy):
+        if s and t:
+            return None
+    return Mono(
+        a.x + b.x,
+        a.dx | b.dx,
+        tuple(u + v for u, v in zip(a.y, b.y)),
+        tuple(s | t for s, t in zip(a.dy, b.dy)),
+    )
+
+
 def reference_product(a, b):
     acc = set()
     for u in a.terms:
         for v in b.terms:
-            p = mono_mul(u, v)
+            p = reference_mono_mul(u, v)
             if p is not None:
                 acc ^= {p}
     return Form(a.level, frozenset(acc))
@@ -353,6 +367,25 @@ def test_slot_kernels_equal_the_loop_reference_on_every_monomial(n):
                     assert got == reference_mono_face(n, i, mono), (n, i, mono)
                     dead += got is None
     assert dead > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mono_mul_equals_the_loop_reference_on_every_pair(n):
+    # Every pair of level q <= 3 monomials whose product has degree at
+    # most 24; both exterior deaths occur, dx * dx and a shared dy_j.
+    spec = GradingSpec(n, 2)
+    deaths = {"dx": 0, "dy": 0}
+    for q in range(4):
+        slices = [monomial_basis(q, spec, t) for t in range(25)]
+        for t, left in enumerate(slices):
+            right = [v for block in slices[: 25 - t] for v in block]
+            for u in left:
+                for v in right:
+                    got = mono_mul(u, v)
+                    assert got == reference_mono_mul(u, v), (u, v)
+                    if got is None:
+                        deaths["dx" if u.dx and v.dx else "dy"] += 1
+    assert deaths["dx"] > 0 and deaths["dy"] > 0, deaths
 
 
 def test_maps_and_arithmetic_equal_the_loop_reference_on_random_forms():
