@@ -14,16 +14,20 @@ caches, and the wall seconds of the parse, run and render stages).
 collection needs to walk it; without the freeze, the final collection
 at interpreter exit walks and frees it, which takes longer than most
 short jobs compute.
+
+The command line is one fixed grammar, the table ``GRAMMAR``, walked by
+``parse_args``.  argparse is not used: importing it and building its
+parsers (with their message catalogue lookups) cost a short job about
+as much as its computation, and ``json`` loads only for --format json.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import resource
 import sys
 import time
+from types import SimpleNamespace
 
 from .algebra import GradingSpec
 from .closedform import loop_module, main1_dims
@@ -39,96 +43,193 @@ from .thom import (
     space,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "parse_args"]
 
 
-def _exponent(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("the truncation exponent must be at least 1")
-    return value
+def _at_least(low: int, message: str):
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise ValueError(message)
+        return value
+
+    return convert
 
 
-def _weight(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("the generator degree must be at least 2")
-    return value
+_exponent = _at_least(1, "the truncation exponent must be at least 1")
+_weight = _at_least(2, "the generator degree must be at least 2")
+_nonneg = _at_least(0, "must not be negative")
+_positive = _at_least(1, "must be positive")
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+def _choice(*options: str):
+    def convert(text: str) -> str:
+        if text not in options:
+            shown = ", ".join(repr(o) for o in options)
+            raise ValueError(f"invalid choice: {text!r} (choose from {shown})")
+        return text
+
+    convert.options = options
+    return convert
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+# A default that marks an option every invocation must give.
+REQUIRED = object()
+
+_OUTPUT = {"--format": (_choice("tsv", "json"), "tsv"), "--out": (str, None)}
+
+# The whole command line: each command path maps to its one-line summary
+# and its options, each option name to (converter, default or REQUIRED).
+# A parsed option is the attribute named after it ("--max-level" becomes
+# max_level); the command words are "command" and, under verify, "suite".
+GRAMMAR = {
+    ("verify", "main1"): (
+        "closed form dimensions against two chain level computations",
+        {
+            "--n": (_exponent, REQUIRED),
+            "--m": (_weight, REQUIRED),
+            "--max-level": (_nonneg, 3),
+            "--max-degree": (_nonneg, None),
+            **_OUTPUT,
+        },
+    ),
+    ("verify", "steenrod"): (
+        "operation axioms on both module descriptions of one space",
+        {
+            "--space": (space, REQUIRED),
+            "--max-degree": (_nonneg, 80),
+            "--max-sq": (_positive, 16),
+            **_OUTPUT,
+        },
+    ),
+    ("verify", "ez"): (
+        "seeded random trials of the chain level product identities",
+        {
+            "--n": (_exponent, REQUIRED),
+            "--m": (_weight, REQUIRED),
+            "--max-level": (_positive, 3),
+            "--trials": (_positive, 200),
+            "--seed": (_nonneg, 0),
+            **_OUTPUT,
+        },
+    ),
+    ("compare",): (
+        "wedge model against the loop side in one coefficient system",
+        {
+            "--space": (space, REQUIRED),
+            "--coeff": (_choice("f2", "z"), REQUIRED),
+            "--max-degree": (_nonneg, 120),
+            "--max-sq": (_positive, 16),
+            **_OUTPUT,
+        },
+    ),
+}
+
+_HELP = ("-h", "--help")
+# The trials draw every degree below 2(n+1)m + 1 from one 64-bit word.
+_DRAW_SPAN = 1 << 64
 
 
-def _space_arg(text: str):
-    try:
-        return space(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _next_words(path: tuple) -> list:
+    """The command words that may follow path, in table order."""
+    depth = len(path)
+    return list(dict.fromkeys(k[depth] for k in GRAMMAR if k[:depth] == path and len(k) > depth))
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    parser.add_argument("--out", metavar="FILE", default=None)
+def _flag(name: str, convert) -> str:
+    """An option as usage shows it, with a placeholder for its value."""
+    options = getattr(convert, "options", None)
+    value = "{" + ",".join(options) + "}" if options else name[2:].upper().replace("-", "_")
+    return f"{name} {value}"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="looplab",
-        description="Cross checks for free loop space homology computations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(path: tuple) -> str:
+    head = " ".join(("usage: looplab", *path))
+    if path not in GRAMMAR:
+        return f"{head} [-h] {{{','.join(_next_words(path))}}} ..."
+    shown = [
+        _flag(name, convert) if default is REQUIRED else f"[{_flag(name, convert)}]"
+        for name, (convert, default) in GRAMMAR[path][1].items()
+    ]
+    return f"{head} [-h] {' '.join(shown)}"
 
-    verify = sub.add_parser("verify", help="run one verification suite")
-    suites = verify.add_subparsers(dest="suite", required=True)
 
-    main1 = suites.add_parser(
-        "main1", help="closed form dimensions against two chain level computations"
-    )
-    main1.add_argument("--n", type=_exponent, required=True)
-    main1.add_argument("--m", type=_weight, required=True)
-    main1.add_argument("--max-level", type=_nonneg, default=3)
-    main1.add_argument("--max-degree", type=_nonneg, default=None)
-    _add_output_flags(main1)
+def _help(path: tuple):
+    lines = [_usage(path), ""]
+    if path in GRAMMAR:
+        summary, options = GRAMMAR[path]
+        lines += [summary, "", "options:"]
+        rows = []
+        for name, (convert, default) in options.items():
+            note = "required" if default is REQUIRED else f"default {default}"
+            rows.append((_flag(name, convert), "" if default is None else note))
+    else:
+        lines += ["Cross checks for free loop space homology computations.", "", "commands:"]
+        rows = [(" ".join(k), GRAMMAR[k][0]) for k in GRAMMAR if k[: len(path)] == path]
+    width = max(len(left) for left, _ in rows)
+    lines += [f"  {left.ljust(width)}  {right}".rstrip() for left, right in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
-    steenrod = suites.add_parser(
-        "steenrod", help="operation axioms on both module descriptions of one space"
-    )
-    steenrod.add_argument("--space", type=_space_arg, required=True)
-    steenrod.add_argument("--max-degree", type=_nonneg, default=80)
-    steenrod.add_argument("--max-sq", type=_positive, default=16)
-    _add_output_flags(steenrod)
 
-    ez = suites.add_parser(
-        "ez", help="seeded random trials of the chain level product identities"
-    )
-    ez.add_argument("--n", type=_exponent, required=True)
-    ez.add_argument("--m", type=_weight, required=True)
-    ez.add_argument("--max-level", type=_positive, default=3)
-    ez.add_argument("--trials", type=_positive, default=200)
-    ez.add_argument("--seed", type=_nonneg, default=0)
-    _add_output_flags(ez)
+def _fail(path: tuple, message: str):
+    sys.stderr.write(f"{_usage(path)}\nlooplab: error: {message}\n")
+    raise SystemExit(2)
 
-    compare = sub.add_parser(
-        "compare", help="wedge model against the loop side in one coefficient system"
-    )
-    compare.add_argument("--space", type=_space_arg, required=True)
-    compare.add_argument("--coeff", choices=("f2", "z"), required=True)
-    compare.add_argument("--max-degree", type=_nonneg, default=120)
-    compare.add_argument("--max-sq", type=_positive, default=16)
-    _add_output_flags(compare)
 
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """Parse argv against GRAMMAR; a usage error exits 2, help exits 0.
+
+    Options take exact names only, as "--name value" or "--name=value",
+    each at most once; "-h" or "--help" at any level prints that level's
+    usage.
+    """
+    rest = list(argv)
+    path = ()
+    while path not in GRAMMAR:
+        words = _next_words(path)
+        if not rest:
+            _fail(path, f"expected one of: {', '.join(words)}")
+        word = rest.pop(0)
+        if word in _HELP:
+            _help(path)
+        if word not in words:
+            _fail(path, f"invalid choice: {word!r} (choose from {', '.join(words)})")
+        path += (word,)
+    options = GRAMMAR[path][1]
+    given = {}
+    while rest:
+        token = rest.pop(0)
+        if token in _HELP:
+            _help(path)
+        name, eq, text = token.partition("=")
+        if name not in options:
+            _fail(path, f"unrecognized argument: {token}")
+        if name in given:
+            _fail(path, f"argument {name}: given more than once")
+        if not eq:
+            if not rest or rest[0].startswith("--"):
+                _fail(path, f"argument {name}: expected one value")
+            text = rest.pop(0)
+        try:
+            given[name] = options[name][0](text)
+        except ValueError as err:
+            _fail(path, f"argument {name}: {err}")
+    missing = [
+        name for name, (_, default) in options.items() if default is REQUIRED and name not in given
+    ]
+    if missing:
+        _fail(path, f"the following arguments are required: {', '.join(missing)}")
+    fields = dict(zip(("command", "suite"), path))
+    for name, (_, default) in options.items():
+        fields[name[2:].replace("-", "_")] = given.get(name, default)
+    args = SimpleNamespace(**fields)
+    if path == ("verify", "ez") and 2 * (args.n + 1) * args.m + 1 > _DRAW_SPAN:
+        _fail(path, "arguments --n, --m: the degree bound 2(n+1)m + 1 must not exceed 2^64")
+    return args
 
 
 def _group_text(value: tuple[int, tuple[int, ...]]) -> str:
@@ -308,6 +409,8 @@ def _stats(parse_s: float, run_s: float) -> dict:
 
 def _render(name, params, verdicts, counts, table, fmt, parse_s, run_s) -> str:
     if fmt == "json":
+        import json
+
         started = time.perf_counter()
         report = {
             "command": name,
@@ -335,7 +438,7 @@ def main(argv=None) -> int:
     # compute.  What the job itself allocates stays collectable.
     gc.freeze()
     started = time.perf_counter()
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     parsed = time.perf_counter()
     name, params, verdicts, counts, table = _dispatch(args)
     ran = time.perf_counter()

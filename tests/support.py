@@ -1,6 +1,9 @@
 """Shared helpers for the test suite."""
 
+import argparse
+
 from looplab.algebra import Form, Mono
+from looplab.thom import space
 
 
 def random_form(rng, level, n_terms=3, x_max=4, y_max=2):
@@ -68,3 +71,94 @@ def mono_bigrading(n, mono):
     w = mono.dx + sum(mono.dy)
     p = 2 * mono.x + mono.dx + (2 * n + 2) * sum(mono.y) + (2 * n + 1) * sum(mono.dy)
     return w, p
+
+
+# The argparse command line that cli.parse_args replaced, kept as the
+# reference it is checked against.
+def _exponent(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("the truncation exponent must be at least 1")
+    return value
+
+
+def _weight(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("the generator degree must be at least 2")
+    return value
+
+
+def _nonneg(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
+
+
+def _space_arg(text: str):
+    try:
+        return space(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    parser.add_argument("--out", metavar="FILE", default=None)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="looplab",
+        description="Cross checks for free loop space homology computations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    verify = sub.add_parser("verify", help="run one verification suite")
+    suites = verify.add_subparsers(dest="suite", required=True)
+
+    main1 = suites.add_parser(
+        "main1", help="closed form dimensions against two chain level computations"
+    )
+    main1.add_argument("--n", type=_exponent, required=True)
+    main1.add_argument("--m", type=_weight, required=True)
+    main1.add_argument("--max-level", type=_nonneg, default=3)
+    main1.add_argument("--max-degree", type=_nonneg, default=None)
+    _add_output_flags(main1)
+
+    steenrod = suites.add_parser(
+        "steenrod", help="operation axioms on both module descriptions of one space"
+    )
+    steenrod.add_argument("--space", type=_space_arg, required=True)
+    steenrod.add_argument("--max-degree", type=_nonneg, default=80)
+    steenrod.add_argument("--max-sq", type=_positive, default=16)
+    _add_output_flags(steenrod)
+
+    ez = suites.add_parser(
+        "ez", help="seeded random trials of the chain level product identities"
+    )
+    ez.add_argument("--n", type=_exponent, required=True)
+    ez.add_argument("--m", type=_weight, required=True)
+    ez.add_argument("--max-level", type=_positive, default=3)
+    ez.add_argument("--trials", type=_positive, default=200)
+    ez.add_argument("--seed", type=_nonneg, default=0)
+    _add_output_flags(ez)
+
+    compare = sub.add_parser(
+        "compare", help="wedge model against the loop side in one coefficient system"
+    )
+    compare.add_argument("--space", type=_space_arg, required=True)
+    compare.add_argument("--coeff", choices=("f2", "z"), required=True)
+    compare.add_argument("--max-degree", type=_nonneg, default=120)
+    compare.add_argument("--max-sq", type=_positive, default=16)
+    _add_output_flags(compare)
+
+    return parser

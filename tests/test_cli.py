@@ -1,12 +1,18 @@
 """Driver behaviour: arguments, formats, exit codes, determinism."""
 
+import itertools
 import json
+import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from support import build_parser
 
 from looplab import cli
+from looplab.rng import SplitMix
 
 
 def run_cli(capsys, argv):
@@ -204,3 +210,163 @@ def test_main_freezes_the_import_time_heap(tmp_path):
     assert result.returncode == 0, result.stderr
     code, before, after = map(int, result.stdout.split())
     assert (code, before) == (0, 0) and after > 0
+
+
+# --- the grammar table against the argparse parser it replaced ---
+
+README_COMMANDS = [
+    "verify main1 --n 2 --m 2 --max-level 3 --max-degree 24",
+    "verify steenrod --space cp2 --max-degree 60 --max-sq 8",
+    "verify ez --n 1 --m 2 --max-level 3 --trials 100 --seed 7",
+    "compare --space hp2 --coeff z --max-degree 80",
+    "compare --space s4 --coeff f2 --max-degree 60 --max-sq 8",
+]
+
+# A valid value for every option.
+SAMPLE_VALUES = {
+    "--n": "2", "--m": "4", "--max-level": "5", "--max-degree": "17", "--max-sq": "8",
+    "--trials": "9", "--seed": "11", "--space": "hp2", "--coeff": "f2",
+    "--format": "json", "--out": "report.txt",
+}
+
+
+def _benchmark_jobs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    workload_jobs = runpy.run_path(str(path))["workload_jobs"]
+    return [argv for w in ("slices", "modules", "trials") for argv in workload_jobs(w, 3)]
+
+
+def _valid_grid():
+    grid = [line.split() for line in README_COMMANDS] + _benchmark_jobs()
+    for path, (_, options) in cli.GRAMMAR.items():
+        required = [name for name, (_, d) in options.items() if d is cli.REQUIRED]
+        optional = [name for name in options if name not in required]
+        for size in range(len(optional) + 1):
+            for chosen in itertools.combinations(optional, size):
+                names = required + list(chosen)
+                grid.append([*path, *(t for n in names for t in (n, SAMPLE_VALUES[n]))])
+                grid.append([*path, *(f"{n}={SAMPLE_VALUES[n]}" for n in reversed(names))])
+    return grid
+
+
+def test_the_grammar_parses_like_the_argparse_parser(monkeypatch):
+    # Loading the benchmark's job lists puts its directory on sys.path.
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    reference = build_parser()
+    grid = _valid_grid()
+    assert len(grid) > 150
+    for argv in grid:
+        assert vars(cli.parse_args(argv)) == vars(reference.parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["verify"],
+        ["verify", "main2", "--n", "1", "--m", "2"],
+        ["verify", "main1", "--n", "1"],
+        ["compare", "--space", "cp2"],
+        ["verify", "main1", "--n", "two", "--m", "2"],
+        ["verify", "ez", "--n", "1", "--m", "2", "--trials", "1.5"],
+        ["verify", "main1", "--n", "0", "--m", "2"],
+        ["verify", "main1", "--n", "1", "--m", "1"],
+        ["verify", "main1", "--n", "1", "--m", "2", "--max-level", "-1"],
+        ["verify", "ez", "--n", "1", "--m", "2", "--max-level", "0"],
+        ["verify", "steenrod", "--space", "cp2", "--max-sq", "0"],
+        ["compare", "--space", "cp2", "--coeff", "q"],
+        ["compare", "--space", "cp2", "--coeff", "z", "--format", "xml"],
+        ["compare", "--space", "nope", "--coeff", "z"],
+        ["verify", "steenrod", "--space", "cp9"],
+    ],
+)
+def test_both_parsers_refuse_the_same_usage_errors(argv, capsys):
+    for parse in (cli.parse_args, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main1", "--n", "1", "--m", "2", "--max-l", "1"],
+        ["compare", "--space", "cp2", "--coe", "z"],
+        ["verify", "main1", "--n", "1", "--m", "2", "--n", "3"],
+        ["verify", "ez", "--n", "1", "--m", "2", "--seed=1", "--seed", "2"],
+    ],
+)
+def test_abbreviations_and_repeats_are_refused(argv, capsys):
+    # argparse took the prefix of a unique name and kept the last repeat.
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert "looplab: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "main1", "--n", "1", "--m"],
+        ["verify", "main1", "--n", "1", "--m", "2", "--out"],
+        ["verify", "main1", "--n", "1", "--m", "2", "--out", "--format", "json"],
+    ],
+)
+def test_a_flag_without_its_value_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    assert exc.value.code == 2
+    assert "expected one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path", [(), ("verify",), ("verify", "main1"), ("verify", "steenrod"), ("verify", "ez"),
+             ("compare",)]
+)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_each_level_exits_zero(path, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args([*path, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(("usage: looplab", *path)))
+    if path in cli.GRAMMAR:
+        assert all(name in out for name in cli.GRAMMAR[path][1])
+
+
+def test_importing_the_cli_loads_no_parser_or_json_modules():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    show = "import sys; print(' '.join(sys.modules))"
+
+    def loaded(code):
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        return set(result.stdout.split())
+
+    added = loaded("import looplab.cli; " + show) - loaded(show)
+    assert "looplab.cli" in added
+    assert not {m.split(".")[0] for m in added} & {"argparse", "gettext", "locale", "json"}
+
+
+def test_ez_refuses_a_degree_bound_past_the_sampler():
+    result = subprocess.run(
+        [sys.executable, "-m", "looplab.cli", "verify", "ez", "--n", "18446744073709551616",
+         "--m", "2", "--max-level", "1", "--trials", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    usage, error = result.stderr.splitlines()
+    assert usage.startswith("usage: looplab verify ez")
+    assert error.startswith("looplab: error:") and "2^64" in error
+    # The largest bound a spec can reach below 2^64 is 2^64 - 1, at n = 6.
+    m = (2**63 - 1) // 7
+    args = cli.parse_args(["verify", "ez", "--n", "6", "--m", str(m)])
+    assert 2 * (args.n + 1) * args.m + 1 == 2**64 - 1
+    assert SplitMix(0).below(2 * (args.n + 1) * args.m + 1) >= 0
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["verify", "ez", "--n", "6", "--m", str(m + 1)])
+    assert exc.value.code == 2
