@@ -11,7 +11,6 @@ truncation only ever appears in homology.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from operator import add, and_, or_
@@ -39,16 +38,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradingSpec:
-    """Degree weights: |x| = m and |y_j| = (n+1)m, with n >= 1, m >= 2."""
-
+class _GradingFields(NamedTuple):
     n: int
     m: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.m < 2:
+
+class GradingSpec(_GradingFields):
+    """Degree weights: |x| = m and |y_j| = (n+1)m, with n >= 1, m >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, m: int) -> "GradingSpec":
+        self = super().__new__(cls, n, m)
+        if n < 1 or m < 2:
             raise ValueError(f"grading spec needs n >= 1 and m >= 2, got {self}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "GradingSpec":
+        # _replace builds through _make, which would bypass __new__.
+        return cls(*fields)
 
 
 class Mono(NamedTuple):
@@ -162,17 +171,46 @@ def parse_mono(text: str, level: int) -> Mono:
     return Mono(x, dx, tuple(y), tuple(dy))
 
 
-@dataclass(frozen=True)
 class Form:
     """A GF(2) sum of monomials at a fixed level.
 
     The term set is duplicate free by construction; an empty set is the
     zero form, which still remembers its level so that sums and products
     of forms can insist on matching levels.
+
+    A form is immutable, and equal to another form only.  It is not a
+    tuple on purpose: iterating, len, ordering and ``2 * form`` raise
+    TypeError instead of acting on the (level, terms) pair.
     """
 
+    __slots__ = ("level", "terms")
     level: int
     terms: frozenset[Mono]
+
+    def __init__(self, level: int, terms: frozenset[Mono]) -> None:
+        # The slots' own setters, as __setattr__ refuses every field.
+        _set_level(self, level)
+        _set_terms(self, terms)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Form, (self.level, self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.level == other.level and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.terms))
+
+    def __repr__(self) -> str:
+        return f"Form(level={self.level!r}, terms={self.terms!r})"
 
     @staticmethod
     @cache
@@ -245,6 +283,10 @@ class Form:
         if not self.terms:
             return "0"
         return " + ".join(mono_str(t) for t in self.sorted_terms())
+
+
+_set_level = Form.level.__set__
+_set_terms = Form.terms.__set__
 
 
 def parse_form(text: str, level: int) -> Form:

@@ -19,12 +19,19 @@ The command line is one fixed grammar, the table ``GRAMMAR``, walked by
 ``parse_args``.  argparse is not used: importing it and building its
 parsers (with their message catalogue lookups) cost a short job about
 as much as its computation, and ``json`` loads only for --format json.
+
+Beyond the modules that interpreter start-up already holds, importing
+this module loads only the package, ``gc`` and ``__future__``.  The
+package's value classes are NamedTuples or plain slotted classes, not
+data classes: the standard library's data class module pulls in
+``inspect``, ``ast``, ``dis`` and ``tokenize``, and each short job paid
+to load them and to tear them down at exit.  ``resource``, read only for
+the peak memory of a JSON report, loads in that branch next to ``json``.
 """
 
 from __future__ import annotations
 
 import gc
-import resource
 import sys
 import time
 from types import SimpleNamespace
@@ -129,7 +136,8 @@ GRAMMAR = {
 }
 
 _HELP = ("-h", "--help")
-# The trials draw every degree below 2(n+1)m + 1 from one 64-bit word.
+# The trials draw every degree below 2(n+1)m + 1 and every level below
+# max_level + 1 from one 64-bit word.
 _DRAW_SPAN = 1 << 64
 
 
@@ -227,8 +235,11 @@ def parse_args(argv) -> SimpleNamespace:
     for name, (_, default) in options.items():
         fields[name[2:].replace("-", "_")] = given.get(name, default)
     args = SimpleNamespace(**fields)
-    if path == ("verify", "ez") and 2 * (args.n + 1) * args.m + 1 > _DRAW_SPAN:
-        _fail(path, "arguments --n, --m: the degree bound 2(n+1)m + 1 must not exceed 2^64")
+    if path == ("verify", "ez"):
+        if 2 * (args.n + 1) * args.m + 1 > _DRAW_SPAN:
+            _fail(path, "arguments --n, --m: the degree bound 2(n+1)m + 1 must not exceed 2^64")
+        if args.max_level + 1 > _DRAW_SPAN:
+            _fail(path, "argument --max-level: the level bound max_level + 1 must not exceed 2^64")
     return args
 
 
@@ -396,29 +407,26 @@ def _dispatch(args):
     return (name, *result)
 
 
-def _stats(parse_s: float, run_s: float) -> dict:
-    # ru_maxrss is in kilobytes on Linux.
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return {
-        "peakRssMb": round(peak_kb / 1024, 1),
-        "caches": cache_stats(),
-        # _render fills in the render time once the report text is encoded.
-        "stages": {"parse": round(parse_s, 6), "run": round(run_s, 6), "render": None},
-    }
-
-
 def _render(name, params, verdicts, counts, table, fmt, parse_s, run_s) -> str:
     if fmt == "json":
         import json
+        import resource
 
         started = time.perf_counter()
+        # ru_maxrss is in kilobytes on Linux.
+        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         report = {
             "command": name,
             "parameters": params,
             "verdicts": verdicts,
             "counts": counts,
             "wallTime": round(run_s, 6),
-            "stats": _stats(parse_s, run_s),
+            "stats": {
+                "peakRssMb": round(peak_kb / 1024, 1),
+                "caches": cache_stats(),
+                # Filled in below, once the report text is encoded.
+                "stages": {"parse": round(parse_s, 6), "run": round(run_s, 6), "render": None},
+            },
         }
         text = json.dumps(report, indent=2) + "\n"
         # The render time covers encoding the text that carries it, so it

@@ -28,9 +28,8 @@ agree with the brute force answer degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .algebra import (
     Form,
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SliceHomology:
+class SliceHomology(NamedTuple):
     """Homology of one slice: dimension plus canonical representatives."""
 
     q: int

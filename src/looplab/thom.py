@@ -17,7 +17,7 @@ cell description takes over for every sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closedform import even_label, lucas, odd_label
 from .steenrod import FiniteAModule
@@ -49,14 +49,7 @@ GradedAb = dict[int, tuple[int, tuple[int, ...]]]
 FAMILIES = ("sphere", "cp", "hp", "cayley")
 
 
-@dataclass(frozen=True)
-class Space:
-    """One truncated polynomial space: x in degree r, truncated past x^n.
-
-    The family (one of FAMILIES) picks the wedge assembly and the
-    reference table; the name is only a label.
-    """
-
+class _SpaceFields(NamedTuple):
     name: str
     n: int
     r: int
@@ -64,10 +57,28 @@ class Space:
     odd_op: bool
     family: str
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+
+class Space(_SpaceFields):
+    """One truncated polynomial space: x in degree r, truncated past x^n.
+
+    The family (one of FAMILIES) picks the wedge assembly and the
+    reference table; the name is only a label.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, n: int, r: int, chi: int, odd_op: bool, family: str
+    ) -> "Space":
+        if family not in FAMILIES:
             known = ", ".join(FAMILIES)
-            raise ValueError(f"unknown space family {self.family!r}; known: {known}")
+            raise ValueError(f"unknown space family {family!r}; known: {known}")
+        return super().__new__(cls, name, n, r, chi, odd_op, family)
+
+    @classmethod
+    def _make(cls, fields) -> "Space":
+        # _replace builds through _make, which would bypass __new__.
+        return cls(*fields)
 
     @property
     def dim(self) -> int:

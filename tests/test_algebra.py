@@ -1,6 +1,8 @@
 """Forms algebra: ring axioms, the differential, gradings, the basis."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -34,10 +36,61 @@ SPEC = GradingSpec(n=2, m=2)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        GradingSpec(n=0, m=2)
-    with pytest.raises(ValueError):
-        GradingSpec(n=1, m=1)
+    for n, m in ((0, 2), (1, 1)):
+        with pytest.raises(ValueError) as err:
+            GradingSpec(n=n, m=m)
+        assert str(err.value) == (
+            f"grading spec needs n >= 1 and m >= 2, got GradingSpec(n={n}, m={m})"
+        )
+        with pytest.raises(ValueError):
+            SPEC._replace(n=n, m=m)
+
+
+def test_spec_is_a_frozen_value():
+    assert SPEC == GradingSpec(2, 2) and hash(SPEC) == hash(GradingSpec(2, 2))
+    for other in (GradingSpec(2, 3), GradingSpec(3, 2)):
+        assert SPEC != other and hash(SPEC) != hash(other)
+    assert repr(SPEC) == "GradingSpec(n=2, m=2)"
+    assert (SPEC.n, SPEC.m) == (2, 2)
+    with pytest.raises(AttributeError):
+        SPEC.n = 3
+    with pytest.raises(AttributeError):
+        SPEC.extra = 1
+    assert SPEC == GradingSpec(2, 2)
+    assert pickle.loads(pickle.dumps(SPEC)) == SPEC
+
+
+def test_form_is_a_frozen_value_and_not_a_tuple():
+    terms = frozenset({Mono(1, 0, (0,), (1,)), Mono(0, 0, (1,), (0,))})
+    form = Form(1, terms)
+    assert form == Form(level=1, terms=frozenset(terms)) == parse_form("x*dy1 + y1", 1)
+    assert hash(form) == hash(Form(1, frozenset(terms)))
+    for other in (Form(2, terms), Form(1, terms - {Mono(0, 0, (1,), (0,))}), Form.zero(1)):
+        assert form != other and hash(form) != hash(other)
+    assert Form.zero(1) != Form.zero(2)
+    assert repr(gen_x(1)) == "Form(level=1, terms=frozenset({Mono(x=1, dx=0, y=(0,), dy=(0,))}))"
+    assert repr(Form.zero(2)) == "Form(level=2, terms=frozenset())"
+    assert (form.level, form.terms) == (1, terms)
+    with pytest.raises(AttributeError, match="cannot assign to field 'terms'"):
+        form.terms = frozenset()
+    with pytest.raises(AttributeError, match="cannot assign to field 'level'"):
+        form.level = 2
+    with pytest.raises(AttributeError):
+        form.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'terms'"):
+        del form.terms
+    assert form == Form(1, terms)
+    # A tuple base would make each of these a silent wrong answer.
+    assert form != (1, terms) and (1, terms) != form
+    with pytest.raises(TypeError):
+        list(form)
+    with pytest.raises(TypeError):
+        len(form)
+    with pytest.raises(TypeError):
+        2 * form
+    with pytest.raises(TypeError):
+        form < Form.zero(1)
+    assert copy.copy(form) == form == pickle.loads(pickle.dumps(form))
 
 
 def test_exterior_squares_vanish():

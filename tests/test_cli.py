@@ -348,7 +348,9 @@ def test_importing_the_cli_loads_no_parser_or_json_modules():
 
     added = loaded("import looplab.cli; " + show) - loaded(show)
     assert "looplab.cli" in added
-    assert not {m.split(".")[0] for m in added} & {"argparse", "gettext", "locale", "json"}
+    assert not {m.split(".")[0] for m in added} & {
+        "argparse", "gettext", "locale", "json", "dataclasses", "inspect", "resource"
+    }
 
 
 def test_ez_refuses_a_degree_bound_past_the_sampler():
@@ -370,3 +372,24 @@ def test_ez_refuses_a_degree_bound_past_the_sampler():
     with pytest.raises(SystemExit) as exc:
         cli.parse_args(["verify", "ez", "--n", "6", "--m", str(m + 1)])
     assert exc.value.code == 2
+
+
+def test_ez_refuses_a_level_bound_past_the_sampler():
+    # Only parsed and refused: a sweep at such a level would build forms
+    # with that many slots.
+    result = subprocess.run(
+        [sys.executable, "-m", "looplab.cli", "verify", "ez", "--n", "1", "--m", "2",
+         "--max-level", str(2**64), "--trials", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert "Traceback" not in result.stderr
+    usage, error = result.stderr.splitlines()
+    assert usage.startswith("usage: looplab verify ez")
+    assert error == (
+        "looplab: error: argument --max-level: the level bound max_level + 1 must not exceed 2^64"
+    )
+    args = cli.parse_args(["verify", "ez", "--n", "1", "--m", "2", "--max-level", str(2**64 - 1)])
+    assert args.max_level + 1 == 2**64
+    assert SplitMix(0).below(args.max_level + 1) >= 0

@@ -7,6 +7,7 @@ import pytest
 from looplab.algebra import (
     Form,
     GradingSpec,
+    Mono,
     gen_x,
     mono_word_length,
     monomial_basis,
@@ -17,6 +18,7 @@ from looplab.closedform import main1_dims
 from looplab.gf2 import apply_row, left_kernel, rank, rref, solve_in_span
 from looplab import homology
 from looplab.homology import (
+    SliceHomology,
     check_pi0,
     class_of,
     homology_at,
@@ -411,6 +413,24 @@ def test_classes_certify_every_representative_to_level_six_and_degree_forty_eigh
                 assert not is_boundary(spec, rep), (q, t)
     assert check_pi0(spec, 6, 48) == []
     assert time.monotonic() - start < 60.0
+
+
+def test_slice_homology_is_a_frozen_value():
+    h = homology_at(GradingSpec(1, 2), 1, 4)
+    rep = Form(1, frozenset({Mono(0, 1, (0,), (1,))}))
+    assert h == SliceHomology(q=1, t=4, dim=1, reps=(rep,))
+    assert hash(h) == hash(SliceHomology(1, 4, 1, (rep,)))
+    for other in (SliceHomology(1, 5, 1, (rep,)), SliceHomology(1, 4, 0, ())):
+        assert h != other and hash(h) != hash(other)
+    assert repr(h) == (
+        "SliceHomology(q=1, t=4, dim=1, reps=(Form(level=1, terms=frozenset("
+        "{Mono(x=0, dx=1, y=(0,), dy=(1,))})),))"
+    )
+    with pytest.raises(AttributeError):
+        h.dim = 2
+    with pytest.raises(AttributeError):
+        h.extra = 1
+    assert h.dim == 1
 
 
 def test_a_boundary_that_is_not_a_cycle_raises(monkeypatch):

@@ -1,7 +1,6 @@
 """Face and degeneracy layer: table values, relations, compatibility."""
 
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -421,7 +420,7 @@ def test_zero_is_one_frozen_instance_per_level():
     zero = Form.zero(3)
     assert zero is Form.zero(3)
     assert zero == Form(3, frozenset()) != Form.zero(2)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         zero.terms = frozenset({Mono(1, 0, (0, 0, 0), (0, 0, 0))})
     assert face(2, 1, zero) is Form.zero(2)
     assert degeneracy(0, zero) is Form.zero(4)

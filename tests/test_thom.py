@@ -42,8 +42,28 @@ def test_reference_table_rejects_a_space_outside_the_shipped_families():
 
 def test_an_unknown_family_is_rejected():
     for family in ("rp", "s", "CP", ""):
-        with pytest.raises(ValueError, match="unknown space family"):
+        with pytest.raises(ValueError) as err:
             Space("x", 1, 2, 2, False, family)
+        assert str(err.value) == (
+            f"unknown space family {family!r}; known: sphere, cp, hp, cayley"
+        )
+        with pytest.raises(ValueError):
+            space("cp2")._replace(family=family)
+
+
+def test_space_is_a_frozen_value():
+    cp2 = space("cp2")
+    same = Space(name="cp2", n=2, r=2, chi=3, odd_op=False, family="cp")
+    assert cp2 == same and hash(cp2) == hash(same)
+    for other in (cp2._replace(name="s2"), cp2._replace(odd_op=True), space("cp3")):
+        assert cp2 != other and hash(cp2) != hash(other)
+    assert repr(cp2) == "Space(name='cp2', n=2, r=2, chi=3, odd_op=False, family='cp')"
+    assert (cp2.dim, cp2.odd_op_from_euler) == (4, False)
+    with pytest.raises(AttributeError):
+        cp2.name = "s2"
+    with pytest.raises(AttributeError):
+        cp2.extra = 1
+    assert cp2 == same
 
 
 def test_every_shipped_space_names_its_family():
