@@ -1,6 +1,6 @@
-"""Exact mod-2 loop space homology, computed three independent ways.
+"""Exact loop space homology, cross-checked by several routes.
 
-The package has three layers that deliberately do not share code paths:
+The routes sit in three layers that deliberately do not share code paths:
 brute-force homology of a simplicial resolution (`algebra`, `simplicial`,
 `homology`), closed-form answers with their multiplicative structure
 (`closedform`, `ez`), and a stable-wedge model built from Thom space

@@ -9,10 +9,13 @@ independently sourced reference tables for the same homology, so the
 two descriptions can be compared degree by degree without either one
 feeding the other.
 
-Torsion bookkeeping is exact.  A piece whose attaching multiple is
-zero has no cyclic summand to speak of, so the integral cofiber
-description refuses odd dimensional spheres outright and a dedicated
-cell description takes over for every sphere.
+One cofiber rule serves all four families.  The level q piece is
+the cofiber of a map that multiplies the top cell by the Euler
+characteristic chi, and its integral homology is exact for every chi:
+the cokernel Z/chi, which is Z when chi = 0, plus the kernel, which is
+a free class one degree up exactly when chi = 0 (the odd spheres).
+The wedge therefore reads only n, r and chi; the family matters only to
+the reference tables, which are the independent route.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ __all__ = [
     "SPACES",
     "space",
     "sw_classes",
-    "thom_module",
     "cofiber_z",
     "suspended_cofiber_z",
-    "sphere_piece",
     "sphere_layer",
     "model_homology_z",
     "model_module_f2",
@@ -46,7 +47,18 @@ __all__ = [
 GradedAb = dict[int, tuple[int, tuple[int, ...]]]
 
 
-FAMILIES = ("sphere", "cp", "hp", "cayley")
+# family -> (whether n, r, chi have its shape, that shape in words)
+_SHAPES = {
+    "sphere": (
+        lambda n, r, chi: n == 1 and r >= 2 and chi == (0 if r % 2 else 2),
+        "n = 1, r >= 2 and chi = 2 for even r, 0 for odd r",
+    ),
+    "cp": (lambda n, r, chi: n >= 1 and r == 2 and chi == n + 1, "n >= 1, r = 2 and chi = n + 1"),
+    "hp": (lambda n, r, chi: n >= 1 and r == 4 and chi == n + 1, "n >= 1, r = 4 and chi = n + 1"),
+    "cayley": (lambda n, r, chi: (n, r, chi) == (2, 8, 3), "n = 2, r = 8 and chi = 3"),
+}
+
+FAMILIES = tuple(_SHAPES)
 
 
 class _SpaceFields(NamedTuple):
@@ -61,8 +73,10 @@ class _SpaceFields(NamedTuple):
 class Space(_SpaceFields):
     """One truncated polynomial space: x in degree r, truncated past x^n.
 
-    The family (one of FAMILIES) picks the wedge assembly and the
-    reference table; the name is only a label.
+    The family (one of FAMILIES) fixes the shape (n, r, chi) a space
+    may have and picks the reference table; the name is only a label.
+    The odd switch is not checked against chi here, so a space with
+    the switch flipped can serve as a negative control.
     """
 
     __slots__ = ()
@@ -73,6 +87,9 @@ class Space(_SpaceFields):
         if family not in FAMILIES:
             known = ", ".join(FAMILIES)
             raise ValueError(f"unknown space family {family!r}; known: {known}")
+        fits, shape = _SHAPES[family]
+        if not fits(n, r, chi):
+            raise ValueError(f"{family} space needs {shape}, got n={n}, r={r}, chi={chi}")
         return super().__new__(cls, name, n, r, chi, odd_op, family)
 
     @classmethod
@@ -151,81 +168,33 @@ def sw_classes(sp: Space, q: int) -> list[int]:
     return [lucas(q * (sp.n + 1), i) for i in range(sp.n + 1)]
 
 
-def _power_label(j: int, stem: str) -> str:
-    if j == 0:
-        return stem if stem else "1"
-    prefix = "x" if j == 1 else f"x^{j}"
-    return f"{prefix}*{stem}" if stem else prefix
-
-
-def thom_module(sp: Space, q: int, deg_max: int, k_store: int) -> FiniteAModule:
-    """Cells x^j u_q of one one-point compactified bundle level.
-
-    Level zero is the space itself with its cup product; higher levels
-    are plain modules and carry no product.
-    """
-    n, r = sp.n, sp.r
-    stem = "" if q == 0 else f"u{q}"
-    base = q * sp.dim
-    elements = [
-        (_power_label(j, stem), base + r * j)
-        for j in range(n + 1)
-        if base + r * j <= deg_max
-    ]
-    by_label = {label: j for j, (label, _) in enumerate(elements)}
-
-    def rule(k: int, label: str):
-        if k % r:
-            return []
-        i = k // r
-        j = by_label[label]
-        if j + i <= n and lucas(q * (n + 1) + j, i):
-            return [(_power_label(j + i, stem), base + r * (j + i))]
-        return []
-
-    product = None
-    if q == 0:
-        def product(la: str, lb: str):
-            j = by_label[la] + by_label[lb]
-            return [_power_label(j, "")] if j <= n else []
-
-    return FiniteAModule(deg_max, elements, rule, k_store, product=product)
-
-
 def cofiber_z(sp: Space, q: int) -> GradedAb:
     """Integral homology of the unsuspended level q cofiber piece.
 
-    The attaching map multiplies by the Euler characteristic, so a
-    space with vanishing characteristic has no cyclic summand here and
-    is refused; spheres of odd dimension go through sphere_piece.
+    The attaching map multiplies by the Euler characteristic chi, so
+    degree (q+1)*dim holds the cokernel Z/chi and the degree above it
+    the kernel.  Both are exact for every chi: when chi = 0 (the odd
+    spheres) the cokernel is Z and the kernel a second free class.
+
+    >>> cofiber_z(space("cp2"), 0)[4]
+    (0, (3,))
+    >>> sorted(cofiber_z(space("s3"), 0).items())
+    [(1, (1, ())), (3, (1, ())), (4, (1, ())), (6, (1, ()))]
     """
-    if sp.chi == 0:
-        raise ValueError(f"{sp.name} has zero Euler characteristic; use sphere_piece")
     n, r, d = sp.n, sp.r, sp.dim
     groups: GradedAb = {}
     for j in range(n):
         groups[q * d + 1 + j * r] = (1, ())
         groups[(q + 1) * d + (j + 1) * r] = (1, ())
-    groups[(q + 1) * d] = (0, (sp.chi,))
+    if sp.chi:
+        groups[(q + 1) * d] = (0, (sp.chi,))
+    else:
+        groups[(q + 1) * d] = groups[(q + 1) * d + 1] = (1, ())
     return groups
 
 
 def suspended_cofiber_z(sp: Space, q: int) -> GradedAb:
     return shift_groups(cofiber_z(sp, q), (sp.r - 2) * (q + 1))
-
-
-def sphere_piece(m: int, q: int) -> GradedAb:
-    """Integral homology of the suspended level q piece of a sphere.
-
-    Already in its suspended position, and valid for both parities;
-    the odd case replaces the would-be cyclic summand with two free
-    cells one degree apart.
-    """
-    lower = (2 * q + 1) * (m - 1)
-    upper = 2 * (q + 1) * (m - 1)
-    if m % 2:
-        return {lower: (1, ()), upper: (1, ()), upper + 1: (1, ()), upper + m: (1, ())}
-    return {lower: (1, ()), upper: (0, (2,)), upper + m: (1, ())}
 
 
 def sphere_layer(m: int, k: int) -> GradedAb:
@@ -246,8 +215,6 @@ def sphere_layer(m: int, k: int) -> GradedAb:
 
 def _piece_floor(sp: Space, q: int) -> int:
     """Lowest degree in which the level q piece can contribute."""
-    if sp.family == "sphere":
-        return (2 * q + 1) * (sp.r - 1)
     return q * ((sp.n + 1) * sp.r - 2) + sp.r - 1
 
 
@@ -256,11 +223,7 @@ def model_homology_z(sp: Space, deg_max: int) -> GradedAb:
     parts: list[GradedAb] = [{j * sp.r: (1, ()) for j in range(sp.n + 1)}]
     q = 0
     while _piece_floor(sp, q) <= deg_max:
-        if sp.family == "sphere":
-            piece = sphere_piece(sp.r, q)
-        else:
-            piece = suspended_cofiber_z(sp, q)
-        parts.append(_trim(piece, deg_max))
+        parts.append(_trim(suspended_cofiber_z(sp, q), deg_max))
         q += 1
     return _trim(merge_groups(*parts), deg_max)
 
@@ -283,7 +246,9 @@ def _cofiber_cells(sp: Space, q: int) -> list[tuple[str, int, int, int]]:
 
 def _cell_label(family: str, level: int, j: int) -> str:
     """Label of a wedge cell; family "x" is the space's own power x^j."""
-    return _power_label(j, "") if family == "x" else f"{family}{level}^{j}"
+    if family != "x":
+        return f"{family}{level}^{j}"
+    return "1" if j == 0 else "x" if j == 1 else f"x^{j}"
 
 
 def _wedge_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:
@@ -295,7 +260,7 @@ def _wedge_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:
     n, r = sp.n, sp.r
     cells = [("x", 0, j, j * r) for j in range(n + 1) if j * r <= deg_max]
     q = 0
-    while q * ((n + 1) * r - 2) + r - 1 <= deg_max:
+    while _piece_floor(sp, q) <= deg_max:
         cells += [cell for cell in _cofiber_cells(sp, q) if cell[3] <= deg_max]
         q += 1
     return cells

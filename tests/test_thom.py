@@ -1,11 +1,13 @@
 """Wedge model internals and the reference tables they must reproduce."""
 
+import re
+
 import pytest
 
 from looplab.algebra import GradingSpec
 from looplab.closedform import loop_module, lucas
 from looplab.homology import homology_dim
-from looplab.steenrod import check_adem, check_cartan, check_instability, module_iso
+from looplab.steenrod import check_adem, check_instability, module_iso
 from looplab.thom import (
     FAMILIES,
     SPACES,
@@ -17,10 +19,8 @@ from looplab.thom import (
     model_module_f2,
     reference_loop_homology,
     space,
-    sphere_piece,
     suspended_cofiber_z,
     sw_classes,
-    thom_module,
 )
 
 
@@ -49,6 +49,24 @@ def test_an_unknown_family_is_rejected():
         )
         with pytest.raises(ValueError):
             space("cp2")._replace(family=family)
+
+
+def test_a_shape_outside_the_family_is_rejected():
+    bad = {
+        "cp": ((2, 2, 0), "n >= 1, r = 2 and chi = n + 1"),
+        "hp": ((2, 2, 3), "n >= 1, r = 4 and chi = n + 1"),
+        "cayley": ((1, 8, 3), "n = 2, r = 8 and chi = 3"),
+        "sphere": ((1, 3, 2), "n = 1, r >= 2 and chi = 2 for even r, 0 for odd r"),
+    }
+    assert set(bad) == set(FAMILIES)
+    for family, ((n, r, chi), shape) in bad.items():
+        with pytest.raises(ValueError) as err:
+            Space("x", n, r, chi, False, family)
+        assert str(err.value) == f"{family} space needs {shape}, got n={n}, r={r}, chi={chi}"
+    for sp in SPACES.values():
+        assert Space(*sp) == sp
+        with pytest.raises(ValueError):
+            sp._replace(chi=sp.chi + 1)
 
 
 def test_space_is_a_frozen_value():
@@ -80,7 +98,7 @@ def test_the_family_not_the_name_picks_the_branches():
     assert reference_loop_homology(named_like_a_sphere, 60) == reference_loop_homology(
         cp2, 60
     )
-    # The sphere branches would give s2's answer instead.
+    # The sphere reference table would give s2's answer instead.
     s2 = space("s2")
     assert model_homology_z(named_like_a_sphere, 60) != model_homology_z(s2, 60)
 
@@ -91,41 +109,34 @@ def test_odd_switch_agrees_with_the_euler_characteristic():
 
 
 def test_bundle_classes_explain_the_operation_rule():
-    # The coefficient on each operation must be the convolution of the
-    # base coefficient with the bundle's characteristic classes.
-    for name in ("cp2", "cp3", "hp2", "cayley", "s4"):
-        sp = space(name)
-        for q in range(4):
-            sw = sw_classes(sp, q)
-            for j in range(sp.n + 1):
-                for i in range(sp.n + 1):
-                    direct = lucas(q * (sp.n + 1) + j, i)
-                    folded = 0
-                    for s in range(i + 1):
-                        if i - s <= sp.n:
-                            folded ^= lucas(j, s) & sw[i - s]
-                    assert direct == folded, (name, q, j, i)
-
-
-def test_level_zero_module_is_the_space_itself():
-    mod = thom_module(space("cp2"), 0, 10, 8)
-    assert mod.dims() == {0: 1, 2: 1, 4: 1}
-    assert mod.sq_label(2, "x") == frozenset({"x^2"})
-    assert check_instability(mod, 4)["pass"]
-    assert check_cartan(mod, 4)["pass"]
-    assert check_adem(mod, 4)["pass"]
-
-
-def test_higher_level_module_values():
-    mod = thom_module(space("cp2"), 1, 20, 8)
-    assert mod.dims() == {4: 1, 6: 1, 8: 1}
-    assert mod.sq_label(2, "u1") == frozenset({"x*u1"})
-    assert mod.sq_label(2, "x*u1") == frozenset()
-    assert mod.sq_label(4, "u1") == frozenset({"x^2*u1"})
-    assert mod.sq_label(1, "u1") == frozenset()
-    mod = thom_module(space("s3"), 2, 20, 4)
-    assert mod.dims() == {6: 1, 9: 1}
-    assert mod.sq_label(3, "u2") == frozenset()
+    # Each stored operation on a cofiber cell x^j u_level must be the
+    # convolution of the base coefficient with the characteristic classes
+    # of the level's bundle; the Thom index of a b cell is one above j.
+    # Rows with i > n must be empty, as no cell x^(j+i) exists there.
+    cell = re.compile(r"([abcd])(\d+)\^(\d+)")
+    rows = hits = 0
+    for sp in SPACES.values():
+        mod = model_module_f2(sp, 120, 40)
+        for label, d in mod.labels():
+            match = cell.fullmatch(label)
+            if match is None:
+                continue
+            family, level, j = match[1], int(match[2]), int(match[3])
+            thom = j + (family == "b")
+            sw = sw_classes(sp, level)
+            i = 1
+            while d + i * sp.r <= 120 and i * sp.r <= 40:
+                folded = 0
+                for s in range(i + 1):
+                    if i - s <= sp.n:
+                        folded ^= lucas(thom, s) & sw[i - s]
+                target = mod.index.get(f"{family}{level}^{j + i}")
+                want = 1 << target if folded and target is not None else 0
+                assert mod.sq[i * sp.r][mod.index[label]] == want, (sp.name, label, i)
+                rows += 1
+                hits += bool(want)
+                i += 1
+    assert (rows, hits) == (18336, 179)
 
 
 def test_cofiber_groups():
@@ -137,8 +148,6 @@ def test_cofiber_groups():
         4: (0, (3,)),
     }
     assert cofiber_z(space("s4"), 0) == {1: (1, ()), 8: (1, ()), 4: (0, (2,))}
-    with pytest.raises(ValueError):
-        cofiber_z(space("s3"), 0)
 
 
 def test_suspended_degree_sets():
@@ -156,11 +165,19 @@ def test_suspended_degree_sets():
             assert groups[stride * (q + 1)][1] == (sp.chi,)
 
 
-def test_even_sphere_pieces_agree_with_the_cofiber_route():
-    for name in ("s2", "s4", "s6"):
-        sp = space(name)
+def test_sphere_pieces_are_pinned_for_both_parities():
+    # An odd sphere has chi = 0: the would-be cyclic summand is a free
+    # class, and the kernel adds a second one a degree higher.
+    for m in range(2, 7):
+        sp = space(f"s{m}")
         for q in range(5):
-            assert sphere_piece(sp.r, q) == suspended_cofiber_z(sp, q), (name, q)
+            lower = (2 * q + 1) * (m - 1)
+            upper = 2 * (q + 1) * (m - 1)
+            if m % 2:
+                want = {d: (1, ()) for d in (lower, upper, upper + 1, upper + m)}
+            else:
+                want = {lower: (1, ()), upper: (0, (2,)), upper + m: (1, ())}
+            assert suspended_cofiber_z(sp, q) == want, (m, q)
 
 
 def test_model_matches_the_reference_tables():
