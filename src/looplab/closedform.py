@@ -223,13 +223,15 @@ def loop_module(
                 elements.append((key, total))
     key_of = {label(key): (key, total) for key, total in elements}
 
-    def rule(k: int, name: str):
-        # Only Sq^1 and multiples of m act; skip the rest before the lookup.
-        if k % m and k > 1:
-            return []
-        key, total = key_of[name]
-        out = square(n, m, k, key, sq_one)
-        return [] if out is None else [(label(out), total + k)]
+    # Only Sq^1 and the multiples of m act.
+    acting = [k for k in range(1, k_store + 1) if k == 1 or k % m == 0]
+
+    def rule(name: str):
+        key = key_of[name][0]
+        for k in acting:
+            out = square(n, m, k, key, sq_one)
+            if out is not None:
+                yield k, label(out)
 
     def product(la: str, lb: str):
         out = times(n, key_of[la][0], key_of[lb][0])

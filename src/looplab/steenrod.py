@@ -2,12 +2,14 @@
 
 Labels are numbered once, in degree order up to a cutoff, and every
 value is a Python int used as a bit vector over that index, so the
-checkers only XOR rows.  A value beyond the cutoff is not stored; the
-drop is counted, and every checker reports how many instances it skipped
-for that reason.  The checkers know nothing about where a module came
-from, which lets one of them compare two modules built from entirely
-different descriptions.  The Cartan check runs over unordered pairs of
-labels, so it assumes a commutative product.
+checkers only XOR rows.  A module asks its rule once per label for the
+nonzero operations on it, however many operations it stores.  A value
+beyond the cutoff is not stored; the drop is counted, and every checker
+reports how many instances it skipped for that reason.  The checkers
+know nothing about where a module came from, which lets one of them
+compare two modules built from entirely different descriptions.  The
+Cartan check runs over unordered pairs of labels, so it assumes a
+commutative product.
 
 The two composite checkers compare whole values at once.  Every label
 has one degree and Sq^k raises it by k, so the terms of one identity at
@@ -32,7 +34,8 @@ __all__ = [
     "module_iso",
 ]
 
-SqRule = Callable[[int, str], Iterable[tuple[str, int]]]
+# label -> the (k, target label) summands of its nonzero Sq^k, k >= 1
+SqRule = Callable[[str], Iterable[tuple[int, str]]]
 ProductRule = Callable[[str, str], Iterable[str]]
 
 
@@ -64,11 +67,24 @@ def _apply(rows: Sequence[Optional[int]], vec: int) -> int:
 class FiniteAModule:
     """Labelled basis in degree order with stored squaring rows.
 
-    elements gives (label, degree) pairs with globally unique labels;
-    sq_rule(k, label) yields the (label, degree) summands of the k-th
-    operation: sq[k][i] is its row on label i for k <= k_store, None
-    beyond deg_max (such drops count in self.skipped).  The optional
-    product maps two labels to the labels of their product.
+    elements gives (label, degree) pairs with globally unique labels.
+    sq_rule(label) yields the (k, target) summands of every nonzero
+    Sq^k label with k >= 1; a target listed twice cancels.  sq[k][i] is
+    the row of Sq^k on label i for k <= k_store (pairs with a larger k
+    are ignored), and None when its degree lies beyond deg_max.  Such a
+    value is never looked up: each (k, label) that has one counts once
+    in self.skipped.  Inside the window every target must be a label of
+    the right degree.  The optional product maps two labels to the
+    labels of their product.
+
+    >>> def rule(label):  # Sq^k x^j = binom(j, k) x^(j + k), and x^8 = 0
+    ...     j = int(label[1:])
+    ...     return [(k, f"x{j + k}") for k in range(1, 8 - j) if j & k == k]
+    >>> mod = FiniteAModule(5, [(f"x{j}", j) for j in range(6)], rule, k_store=4)
+    >>> mod.sq_label(1, "x3"), mod.sq_label(1, "x2"), mod.sq_label(2, "x4")
+    (frozenset({'x4'}), frozenset(), None)
+    >>> mod.skipped  # Sq^3 x^3 and Sq^1 x^5 are x^6, beyond the window
+    2
     """
 
     def __init__(
@@ -90,25 +106,34 @@ class FiniteAModule:
                 raise ValueError(f"{label!r} enumerated beyond the cutoff")
             degree[label] = d
         self.label = sorted(degree, key=degree.__getitem__)
-        self.deg = [degree[label] for label in self.label]
-        self.index = {label: i for i, label in enumerate(self.label)}
+        self.deg = deg = [degree[label] for label in self.label]
+        self.index = index = {label: i for i, label in enumerate(self.label)}
         self._products: dict[tuple[int, int], int] = {}
-        self.sq: list[list[Optional[int]]] = [[1 << i for i in range(len(self.label))]]
-        self.skipped = 0
+        size = len(deg)
+        # Labels are in degree order, so row k holds 0 up to the last label
+        # of degree deg_max - k and None after it.
+        self.sq: list[list[Optional[int]]] = [[1 << i for i in range(size)]]
         for k in range(1, k_store + 1):
-            rows: list[Optional[int]] = []
-            for label, d in zip(self.label, self.deg):
-                targets = []
-                for tgt, td in sq_rule(k, label):
-                    if td != d + k:
-                        raise ValueError(f"Sq^{k} {label} emitted degree {td}")
-                    targets.append(tgt)
+            inside = bisect_right(deg, deg_max - k)
+            self.sq.append([0] * inside + [None] * (size - inside))
+        sq = self.sq
+        dropped = set()
+        for i, (label, d) in enumerate(zip(self.label, deg)):
+            for k, target in sq_rule(label):
+                if k <= 0:
+                    raise ValueError(f"Sq^{k} {label}: operations start at k = 1")
+                if k > k_store:
+                    continue
                 if d + k > deg_max:
-                    self.skipped += bool(targets)
-                    rows.append(None)
-                else:
-                    rows.append(self._encode(targets, d + k, f"Sq^{k} {label}"))
-            self.sq.append(rows)
+                    dropped.add((k, i))
+                    continue
+                j = index.get(target)
+                if j is None or deg[j] != d + k:
+                    raise ValueError(
+                        f"Sq^{k} {label} hit {target!r}, not a label of degree {d + k}"
+                    )
+                sq[k][i] ^= 1 << j
+        self.skipped = len(dropped)
 
     def _encode(self, labels: Iterable[str], d: int, what: str) -> int:
         vec = 0

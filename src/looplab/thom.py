@@ -285,15 +285,16 @@ def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
             cap = n - 1 if family in ("a", "b") else n
         cells[_cell_label(family, level, j)] = (family, level, j, d, top, cap)
 
-    def rule(k: int, label: str):
-        family, level, j, d, top, cap = cells[label]
-        if k % r == 0:
-            i = k // r
-            if i + j <= cap and lucas(top, i):
-                return [(_cell_label(family, level, i + j), d + k)]
-        elif k == 1 and family == "d" and j == 0 and sp.odd_op:
-            return [(_cell_label("c", level - 1, n), d + 1)]
-        return []
+    def rule(label: str):
+        family, level, j, _, top, cap = cells[label]
+        out = [
+            (r * i, _cell_label(family, level, j + i))
+            for i in range(1, cap - j + 1)
+            if lucas(top, i)
+        ]
+        if family == "d" and j == 0 and sp.odd_op:
+            out.append((1, _cell_label("c", level - 1, n)))
+        return out
 
     elements = [(label, cell[3]) for label, cell in cells.items()]
     return FiniteAModule(deg_max, elements, rule, k_store)

@@ -2,7 +2,8 @@
 
 import argparse
 
-from looplab.algebra import Form, Mono
+from looplab import closedform, thom
+from looplab.algebra import Form, GradingSpec, Mono
 from looplab.thom import space
 
 
@@ -162,3 +163,99 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(compare)
 
     return parser
+
+
+# The per-(k, label) module construction that the per-label operation
+# rules replaced, kept as the reference they are checked against.  Each
+# builder returns the stored layout (label, deg, sq, skipped).
+def reference_rows(deg_max, elements, sq_rule, k_store):
+    """Stored rows from sq_rule(k, label), asked once for every pair.
+
+    The rule yields the (label, degree) summands of Sq^k label.
+    """
+    degree = {}
+    for label, d in elements:
+        if label in degree:
+            raise ValueError(f"duplicate label {label!r}")
+        if d > deg_max:
+            raise ValueError(f"{label!r} enumerated beyond the cutoff")
+        degree[label] = d
+    labels = sorted(degree, key=degree.__getitem__)
+    degs = [degree[label] for label in labels]
+    index = {label: i for i, label in enumerate(labels)}
+    sq = [[1 << i for i in range(len(labels))]]
+    skipped = 0
+    for k in range(1, k_store + 1):
+        rows = []
+        for label, d in zip(labels, degs):
+            targets = []
+            for tgt, td in sq_rule(k, label):
+                if td != d + k:
+                    raise ValueError(f"Sq^{k} {label} emitted degree {td}")
+                targets.append(tgt)
+            if d + k > deg_max:
+                skipped += bool(targets)
+                rows.append(None)
+                continue
+            vec = 0
+            for tgt in targets:
+                i = index.get(tgt)
+                if i is None or degs[i] != d + k:
+                    raise ValueError(f"Sq^{k} {label} hit {tgt!r}, not a label of degree {d + k}")
+                vec ^= 1 << i
+            rows.append(vec)
+        sq.append(rows)
+    return labels, degs, sq, skipped
+
+
+def reference_loop_rows(n, m, deg_max, k_store, sq_one=False):
+    """closedform.loop_module's rows, one rule call per (k, label)."""
+    spec = GradingSpec(n, m)
+    label, key_degree, square = (
+        (closedform.odd_label, closedform.odd_key_degree, closedform._odd_square)
+        if n % 2
+        else (closedform.even_label, closedform.even_key_degree, closedform._even_square)
+    )
+    elements = []
+    for q in range(deg_max // ((n + 1) * m - 2) + 1):
+        for key in closedform.level_keys(spec, q):
+            total = key_degree(spec, key) - q
+            if total <= deg_max:
+                elements.append((key, total))
+    key_of = {label(key): (key, total) for key, total in elements}
+
+    def rule(k, name):
+        if k % m and k > 1:
+            return []
+        key, total = key_of[name]
+        out = square(n, m, k, key, sq_one)
+        return [] if out is None else [(label(out), total + k)]
+
+    labelled = [(label(key), total) for key, total in elements]
+    return reference_rows(deg_max, labelled, rule, k_store)
+
+
+def reference_model_rows(sp, deg_max, k_store):
+    """thom.model_module_f2's rows, one rule call per (k, label)."""
+    n, r = sp.n, sp.r
+    cells = {}
+    for family, level, j, d in thom._wedge_cells(sp, deg_max):
+        if family == "x":
+            top, cap = j, n
+        else:
+            top = level * (n + 1) + j + (family == "b")
+            cap = n - 1 if family in ("a", "b") else n
+        cells[thom._cell_label(family, level, j)] = (family, level, j, d, top, cap)
+
+    def rule(k, label):
+        family, level, j, d, top, cap = cells[label]
+        if k % r == 0:
+            i = k // r
+            if i + j <= cap and closedform.lucas(top, i):
+                return [(thom._cell_label(family, level, i + j), d + k)]
+        elif k == 1 and family == "d" and j == 0 and sp.odd_op:
+            return [(thom._cell_label("c", level - 1, n), d + 1)]
+        return []
+
+    elements = [(label, cell[3]) for label, cell in cells.items()]
+    return reference_rows(deg_max, elements, rule, k_store)

@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from looplab import algebra, cli, closedform, ez, gf2, homology, rng, thom
+from looplab import algebra, cli, closedform, ez, gf2, homology, rng, steenrod, thom
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-@pytest.mark.parametrize("module", [algebra, closedform, ez, gf2, homology, rng, thom])
+@pytest.mark.parametrize("module", [algebra, closedform, ez, gf2, homology, rng, steenrod, thom])
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0

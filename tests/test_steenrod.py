@@ -14,17 +14,16 @@ from looplab.steenrod import (
     module_iso,
 )
 from looplab.thom import SPACES, loop_dictionary, model_module_f2
+from support import reference_loop_rows, reference_model_rows
 
 
 def truncated_polynomial(top: int, deg_max: int, k_store: int, stem: str = "x"):
     """Truncated polynomial algebra on a degree one class, full action."""
     elements = [(f"{stem}{j}", j) for j in range(min(top, deg_max + 1))]
 
-    def rule(k, label):
+    def rule(label):
         j = int(label[len(stem):])
-        if j + k < top and math.comb(j, k) % 2:
-            return [(f"{stem}{j + k}", j + k)]
-        return []
+        return [(k, f"{stem}{j + k}") for k in range(1, top - j) if math.comb(j, k) % 2]
 
     def product(la, lb):
         j = int(la[len(stem):]) + int(lb[len(stem):])
@@ -55,8 +54,8 @@ def test_skip_accounting_is_visible():
 
 
 def test_instability_negative_control():
-    def rule(k, label):
-        return [("y", 3)] if (k, label) == (2, "x") else []
+    def rule(label):
+        return [(2, "y")] if label == "x" else []
 
     mod = FiniteAModule(5, [("x", 1), ("y", 3)], rule, 6)
     report = check_instability(mod, 4)
@@ -65,7 +64,7 @@ def test_instability_negative_control():
 
 
 def test_instability_checks_the_top_square():
-    def rule(k, label):
+    def rule(label):
         return []
 
     def product(la, lb):
@@ -79,11 +78,11 @@ def test_instability_checks_the_top_square():
 
 def test_cartan_negative_control():
     # Sq^1 x^2 should vanish; making it x^3 breaks multiplicativity on (x, x).
-    def rule(k, label):
-        if k == 1 and label == "x1":
-            return [("x2", 2)]
-        if k == 1 and label == "x2":
-            return [("x3", 3)]
+    def rule(label):
+        if label == "x1":
+            return [(1, "x2")]
+        if label == "x2":
+            return [(1, "x3")]
         return []
 
     def product(la, lb):
@@ -96,7 +95,7 @@ def test_cartan_negative_control():
 
 
 def test_cartan_requires_a_product():
-    mod = FiniteAModule(3, [("x", 1)], lambda k, label: [], 4)
+    mod = FiniteAModule(3, [("x", 1)], lambda label: [], 4)
     with pytest.raises(ValueError):
         check_cartan(mod, 2)
 
@@ -104,11 +103,11 @@ def test_cartan_requires_a_product():
 def test_adem_negative_control():
     # A composite Sq^1 Sq^1 that fails to vanish, placed high enough that
     # the instability condition cannot be what catches it.
-    def rule(k, label):
-        if k == 1 and label == "u":
-            return [("v", 6)]
-        if k == 1 and label == "v":
-            return [("w", 7)]
+    def rule(label):
+        if label == "u":
+            return [(1, "v")]
+        if label == "v":
+            return [(1, "w")]
         return []
 
     mod = FiniteAModule(7, [("u", 5), ("v", 6), ("w", 7)], rule, 4)
@@ -136,7 +135,7 @@ def test_module_iso_accepts_a_relabelling():
 def test_module_iso_rejects_an_action_mismatch():
     a = truncated_polynomial(4, 3, 4)
     elements = [(f"y{j}", j) for j in range(4)]
-    b = FiniteAModule(3, elements, lambda k, label: [], 4)
+    b = FiniteAModule(3, elements, lambda label: [], 4)
     report = module_iso(a, b, {f"x{j}": f"y{j}" for j in range(4)}, 3)
     assert not report["pass"]
     assert any("commute" in f for f in report["failures"])
@@ -144,7 +143,7 @@ def test_module_iso_rejects_an_action_mismatch():
 
 def test_module_iso_rejects_a_degree_shift():
     a = truncated_polynomial(3, 2, 4)
-    b = FiniteAModule(2, [("y0", 0), ("y1", 2), ("y2", 1)], lambda k, l: [], 4)
+    b = FiniteAModule(2, [("y0", 0), ("y1", 2), ("y2", 1)], lambda l: [], 4)
     report = module_iso(a, b, {"x0": "y0", "x1": "y1", "x2": "y2"}, 2)
     assert not report["pass"]
 
@@ -170,9 +169,9 @@ def test_skipped_counts_the_nonzero_values_beyond_the_cutoff():
 
 
 def test_module_iso_follows_the_dictionary_across_positions():
-    def rule(k, label):
+    def rule(label):
         targets = {"p": "r", "q": "s", "P": "R", "Q": "S"}
-        return [(targets[label], 2)] if k == 1 and label in targets else []
+        return [(1, targets[label])] if label in targets else []
 
     a = FiniteAModule(2, [("p", 1), ("q", 1), ("r", 2), ("s", 2)], rule, 2)
     b = FiniteAModule(2, [("P", 1), ("Q", 1), ("R", 2), ("S", 2)], rule, 2)
@@ -189,13 +188,40 @@ def test_module_iso_follows_the_dictionary_across_positions():
 
 def test_constructor_validates_its_inputs():
     with pytest.raises(ValueError):
-        FiniteAModule(3, [("x", 1), ("x", 2)], lambda k, l: [], 2)
+        FiniteAModule(3, [("x", 1), ("x", 2)], lambda l: [], 2)
     with pytest.raises(ValueError):
-        FiniteAModule(3, [("x", 5)], lambda k, l: [], 2)
+        FiniteAModule(3, [("x", 5)], lambda l: [], 2)
     with pytest.raises(ValueError):
-        FiniteAModule(3, [("x", 1)], lambda k, l: [("ghost", 1 + k)], 2)
+        FiniteAModule(3, [("x", 1)], lambda l: [(1, "ghost")], 2)
     with pytest.raises(ValueError):
-        FiniteAModule(3, [("x", 1), ("y", 3)], lambda k, l: [("y", 99)], 2)
+        FiniteAModule(3, [("x", 1), ("y", 3)], lambda l: [(1, "y")], 2)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_operations_below_one_are_refused(k):
+    with pytest.raises(ValueError, match="start at k = 1"):
+        FiniteAModule(3, [("x", 1), ("y", 1)], lambda l: [(k, "y")], 2)
+
+
+def test_operations_above_the_store_are_ignored():
+    # Sq^3 x would be y, and "ghost" is no label at all; neither is read.
+    mod = FiniteAModule(4, [("x", 1), ("y", 4)], lambda l: [(3, "y"), (5, "ghost")], 2)
+    assert mod.sq[1:] == [[0, None], [0, None]]
+    assert mod.skipped == 0
+
+
+def test_an_unknown_value_beyond_the_window_is_counted_not_looked_up():
+    # Two summands of one Sq^k count once, as one value beyond the window.
+    rule = {"x": [(1, "x2"), (3, "ghost"), (3, "ghost2")], "x2": [(2, "ghost")]}
+    mod = FiniteAModule(3, [("x", 1), ("x2", 2)], rule.__getitem__, 4)
+    assert mod.skipped == 2
+    assert mod.sq_label(1, "x") == frozenset({"x2"})
+    assert mod.sq_label(3, "x") is None and mod.sq_label(2, "x2") is None
+
+
+def test_a_target_of_the_wrong_degree_inside_the_window_is_refused():
+    with pytest.raises(ValueError, match=r"Sq\^1 x hit 'z', not a label of degree 2"):
+        FiniteAModule(4, [("x", 1), ("y", 2), ("z", 3)], lambda l: [(1, "z")] if l == "x" else [], 2)
 
 
 def test_sq_label_contract():
@@ -215,7 +241,7 @@ def test_product_to_an_unknown_label_is_rejected():
     def ghost(la, lb):
         return ["ghost"]
 
-    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda k, l: [], 4, product=ghost)
+    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda l: [], 4, product=ghost)
     with pytest.raises(ValueError):
         check_cartan(mod, 2)
     with pytest.raises(ValueError):
@@ -226,7 +252,7 @@ def test_product_of_the_wrong_degree_is_rejected():
     def product(la, lb):
         return ["y"]
 
-    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda k, l: [], 4, product=product)
+    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda l: [], 4, product=product)
     with pytest.raises(ValueError):
         check_cartan(mod, 2)
 
@@ -237,6 +263,29 @@ def test_products_beyond_the_cutoff_are_dropped():
     for report in (check_instability(mod, 4), check_cartan(mod, 4)):
         assert report["pass"], report
         assert report["skipped"] > 0
+
+
+def test_modules_equal_the_per_pair_reference_on_the_full_grid():
+    # Both builders against the construction that asked the rule once per
+    # (k, label), with the odd switch as shipped and flipped.
+    skipped = 0
+    for deg_max, k_store in ((320, 128), (120, 40), (30, 4)):
+        for name in sorted(SPACES):
+            sp = SPACES[name]
+            for odd_op in (sp.odd_op, not sp.odd_op):
+                built = (
+                    loop_module(sp.n, sp.r, deg_max, k_store, sq_one=odd_op),
+                    model_module_f2(sp._replace(odd_op=odd_op), deg_max, k_store),
+                )
+                want = (
+                    reference_loop_rows(sp.n, sp.r, deg_max, k_store, sq_one=odd_op),
+                    reference_model_rows(sp._replace(odd_op=odd_op), deg_max, k_store),
+                )
+                for module, rows in zip(built, want):
+                    got = (module.label, module.deg, module.sq, module.skipped)
+                    assert got == rows, (name, deg_max, k_store, odd_op)
+                    skipped += module.skipped
+    assert skipped > 0
 
 
 # Reference checkers: the label-set implementation that the bit-vector
@@ -398,13 +447,12 @@ def rebuilt(module, flip=None, drop=None):
     flip = (k, label, target) toggles target in Sq^k label; drop = (la, lb)
     makes that ordered product zero.
     """
-    degree = dict(module.labels())
-
-    def rule(k, label):
-        value = set(module.sq_label(k, label) or ())
-        if flip is not None and (k, label) == flip[:2]:
-            value ^= {flip[2]}
-        return [(t, degree[label] + k) for t in value]
+    def rule(label):
+        for k in range(1, module.k_store + 1):
+            value = set(module.sq_label(k, label) or ())
+            if flip is not None and (k, label) == flip[:2]:
+                value ^= {flip[2]}
+            yield from ((k, t) for t in value)
 
     def product(la, lb):
         return [] if (la, lb) == drop else module.product(la, lb)

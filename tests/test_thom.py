@@ -6,6 +6,7 @@ import pytest
 
 from looplab.algebra import GradingSpec
 from looplab.closedform import loop_module, lucas
+from looplab.gf2 import rank
 from looplab.homology import homology_dim
 from looplab.steenrod import check_adem, check_instability, module_iso
 from looplab.thom import (
@@ -258,3 +259,38 @@ def test_chain_homology_meets_the_stable_splitting_in_total_degree():
             assert chain == loop.get(d, 0) == model.get(d, 0) == uct, (sp.name, d)
             checked += 1
     assert checked == 829
+
+
+def _bockstein_rows(sp, deg_max):
+    """Per degree d <= deg_max: the Z/2 summand counts of H_d(-; Z) in
+    both integral tables, then the rank of Sq^1 out of degree d in both
+    operation modules."""
+    loop = loop_module(sp.n, sp.r, deg_max + 1, 1, sq_one=sp.odd_op)
+    model = model_module_f2(sp, deg_max + 1, 1)
+    tables = (reference_loop_homology(sp, deg_max), model_homology_z(sp, deg_max))
+    rows = []
+    for d in range(deg_max + 1):
+        # 2-adic valuation exactly 1: Z/4, Z/8, ... carry higher Bocksteins.
+        want = [sum(order % 4 == 2 for order in t.get(d, (0, ()))[1]) for t in tables]
+        got = [rank([v for v, e in zip(mod.sq[1], mod.deg) if e == d]) for mod in (loop, model)]
+        rows.append((d, *want, *got))
+    return rows
+
+
+def test_sq1_is_the_bockstein_of_the_integral_homology():
+    # Sq^1 is the mod 2 Bockstein, so its rank out of degree d counts the
+    # cyclic summands of H_d(-; Z) whose order is 2 times an odd number.
+    ranked = 0
+    for name in sorted(SPACES):
+        rows = _bockstein_rows(SPACES[name], 120)
+        assert [r for r in rows if len(set(r[1:])) > 1] == [], name
+        ranked += sum(r[1] for r in rows)
+    assert ranked > 0
+    # Negative control: the odd switch changes Sq^1 exactly where it acts.
+    broken = set()
+    for name in sorted(SPACES):
+        sp = SPACES[name]
+        rows = _bockstein_rows(sp._replace(odd_op=not sp.odd_op), 120)
+        if any(len(set(r[1:])) > 1 for r in rows):
+            broken.add(name)
+    assert broken == {"cp1", "cp3", "hp1", "hp3", "s2", "s3", "s4", "s5", "s6"}
