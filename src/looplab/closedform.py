@@ -167,40 +167,38 @@ def main1_dims(spec: GradingSpec, q: int, t: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The cohomology as a finite module over the squaring operations.  The
-# grading here is total degree, which is the internal degree of a class
-# minus its level.  Operation values follow one binomial rule per
-# family, plus a single odd operation on the divided power generators
-# whose on/off switch depends on the space and is passed in by the
-# caller.
+# The cohomology as a finite module over the squaring operations, graded
+# by total degree: the internal degree of a class minus its level.  The
+# operations on a key walk its power of x by one binomial rule per family;
+# the divided power generators carry one more odd operation, whose on/off
+# switch depends on the space and is passed in by the caller.
 
-def _odd_square(n: int, m: int, k: int, key: OddKey, sq_one: bool) -> Optional[OddKey]:
+def _odd_squares(n: int, m: int, key: OddKey, sq_one: bool) -> list:
+    """Nonzero (k, value) pairs on an odd key, walking x^a up to x^n.
+
+    >>> _odd_squares(1, 2, (0, 0, 1), True)  # Sq^1 g1 = x*dx
+    [(1, (1, 1, 0))]
+    """
     a, eps, q = key
-    if k % m == 0:
-        i = k // m
-        if a + i <= n and lucas(q * (n + 1) + a, i):
-            return (a + i, eps, q)
-    elif k == 1 and sq_one and q >= 1 and a == 0 and eps == 0:
-        return (n, 1, q - 1)
-    return None
+    out = [(1, (n, 1, q - 1))] if sq_one and q >= 1 and a == 0 and eps == 0 else []
+    top = q * (n + 1) + a
+    return out + [(m * i, (a + i, eps, q)) for i in range(1, n - a + 1) if lucas(top, i)]
 
 
-def _even_square(
-    n: int, m: int, k: int, key: EvenKey, sq_one: bool
-) -> Optional[EvenKey]:
-    if key == ("one",) or k % m:
-        return None
+def _even_squares(n: int, m: int, key: EvenKey, sq_one: bool) -> list:
+    """Nonzero (k, value) pairs on an even key, walking x^j up to x^(n-1).
+
+    >>> _even_squares(2, 2, ("b", 0, 0), False)  # Sq^2 b0 = x*b0
+    [(2, ('b', 1, 0))]
+    """
+    if key == ("one",):
+        return []
     kind, j, q = key
-    i = k // m
-    top = q * (n + 1) + j + (0 if kind == "a" else 1)
-    if j + i <= n - 1 and lucas(top, i):
-        return (kind, j + i, q)
-    return None
+    top = q * (n + 1) + j + (kind == "b")
+    return [(m * i, (kind, j + i, q)) for i in range(1, n - j) if lucas(top, i)]
 
 
-def loop_module(
-    n: int, m: int, deg_max: int, k_store: int, sq_one: bool = False
-) -> FiniteAModule:
+def loop_module(n: int, m: int, deg_max: int, k_store: int, *, sq_one: bool) -> FiniteAModule:
     """Finite window of the loop cohomology with its operations.
 
     The labels are the classes of level_keys at every level whose lowest
@@ -210,32 +208,24 @@ def loop_module(
     its value is a property of the underlying space, not of (n, m).
     """
     spec = GradingSpec(n, m)
-    label, key_degree, square, times = (
-        (odd_label, odd_key_degree, _odd_square, odd_product)
+    label, key_degree, squares, times = (
+        (odd_label, odd_key_degree, _odd_squares, odd_product)
         if n % 2
-        else (even_label, even_key_degree, _even_square, even_product)
+        else (even_label, even_key_degree, _even_squares, even_product)
     )
-    elements = []
+    key_of, labelled = {}, []
     for q in range(deg_max // ((n + 1) * m - 2) + 1):
         for key in level_keys(spec, q):
             total = key_degree(spec, key) - q
             if total <= deg_max:
-                elements.append((key, total))
-    key_of = {label(key): (key, total) for key, total in elements}
-
-    # Only Sq^1 and the multiples of m act.
-    acting = [k for k in range(1, k_store + 1) if k == 1 or k % m == 0]
+                key_of[label(key)] = key
+                labelled.append((label(key), total))
 
     def rule(name: str):
-        key = key_of[name][0]
-        for k in acting:
-            out = square(n, m, k, key, sq_one)
-            if out is not None:
-                yield k, label(out)
+        return [(k, label(out)) for k, out in squares(n, m, key_of[name], sq_one)]
 
     def product(la: str, lb: str):
-        out = times(n, key_of[la][0], key_of[lb][0])
+        out = times(n, key_of[la], key_of[lb])
         return [] if out is None else [label(out)]
 
-    labelled = [(label(key), total) for key, total in elements]
     return FiniteAModule(deg_max, labelled, rule, k_store, product=product)

@@ -57,8 +57,6 @@ __all__ = [
     "class_of",
     "koszul_dim",
     "check_pi0",
-    "homology_table",
-    "table_tsv",
 ]
 
 
@@ -394,20 +392,3 @@ def check_pi0(spec: GradingSpec, max_level: int, max_degree: int) -> list[str]:
                 bad.append(f"level {q} degree {t}: dim {dim}, expected {want}")
     return bad
 
-
-def homology_table(spec: GradingSpec, max_q: int, max_t: int):
-    """Rows (q, t, dim, representative strings) with dim > 0."""
-    rows = []
-    for q in range(max_q + 1):
-        for t in range(max_t + 1):
-            h = homology_at(spec, q, t)
-            if h.dim:
-                rows.append((q, t, h.dim, tuple(str(r) for r in h.reps)))
-    return rows
-
-
-def table_tsv(rows) -> str:
-    lines = ["q\tt\tdim\trepresentatives"]
-    for q, t, dim, reps in rows:
-        lines.append(f"{q}\t{t}\t{dim}\t{'; '.join(reps)}")
-    return "\n".join(lines) + "\n"

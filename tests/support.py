@@ -167,7 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The per-(k, label) module construction that the per-label operation
 # rules replaced, kept as the reference they are checked against.  Each
-# builder returns the stored layout (label, deg, sq, skipped).
+# builder returns the stored layout (label, deg, sq, skipped).  The loop
+# reference asks its own per-k rule, the one closedform's per-key walks
+# replaced, about every k up to k_store.
 def reference_rows(deg_max, elements, sq_rule, k_store):
     """Stored rows from sq_rule(k, label), asked once for every pair.
 
@@ -208,13 +210,37 @@ def reference_rows(deg_max, elements, sq_rule, k_store):
     return labels, degs, sq, skipped
 
 
-def reference_loop_rows(n, m, deg_max, k_store, sq_one=False):
+def _odd_square(n, m, k, key, sq_one):
+    """Sq^k of an odd key (a, eps, q), or None when it is zero."""
+    a, eps, q = key
+    if k % m == 0:
+        i = k // m
+        if a + i <= n and closedform.lucas(q * (n + 1) + a, i):
+            return (a + i, eps, q)
+    elif k == 1 and sq_one and q >= 1 and a == 0 and eps == 0:
+        return (n, 1, q - 1)
+    return None
+
+
+def _even_square(n, m, k, key, sq_one):
+    """Sq^k of an even key ("one",) or (kind, j, q), or None when it is zero."""
+    if key == ("one",) or k % m:
+        return None
+    kind, j, q = key
+    i = k // m
+    top = q * (n + 1) + j + (0 if kind == "a" else 1)
+    if j + i <= n - 1 and closedform.lucas(top, i):
+        return (kind, j + i, q)
+    return None
+
+
+def reference_loop_rows(n, m, deg_max, k_store, sq_one):
     """closedform.loop_module's rows, one rule call per (k, label)."""
     spec = GradingSpec(n, m)
     label, key_degree, square = (
-        (closedform.odd_label, closedform.odd_key_degree, closedform._odd_square)
+        (closedform.odd_label, closedform.odd_key_degree, _odd_square)
         if n % 2
-        else (closedform.even_label, closedform.even_key_degree, closedform._even_square)
+        else (closedform.even_label, closedform.even_key_degree, _even_square)
     )
     elements = []
     for q in range(deg_max // ((n + 1) * m - 2) + 1):
@@ -225,8 +251,6 @@ def reference_loop_rows(n, m, deg_max, k_store, sq_one=False):
     key_of = {label(key): (key, total) for key, total in elements}
 
     def rule(k, name):
-        if k % m and k > 1:
-            return []
         key, total = key_of[name]
         out = square(n, m, k, key, sq_one)
         return [] if out is None else [(label(out), total + k)]

@@ -167,7 +167,7 @@ def test_loop_module_operation_values():
     silent = loop_module(3, 2, 30, 8, sq_one=False)
     assert silent.sq_label(1, "g1") == frozenset()
     # Even truncation: the two families carry shifted binomial rules.
-    mod = loop_module(2, 2, 30, 8)
+    mod = loop_module(2, 2, 30, 8, sq_one=False)
     assert mod.sq_label(2, "b0") == frozenset({"x*b0"})
     assert mod.sq_label(2, "a0") == frozenset()
     assert mod.sq_label(2, "a1") == frozenset({"x*a1"})

@@ -30,8 +30,6 @@ from looplab.homology import (
     koszul_dim,
     normalized_basis,
     normalized_rows,
-    table_tsv,
-    homology_table,
 )
 from looplab.simplicial import (
     alpha,
@@ -142,16 +140,6 @@ def test_bigraded_slices_refine_the_degree_slice():
 @pytest.mark.parametrize("spec", [GradingSpec(1, 2), GradingSpec(2, 2), GradingSpec(2, 3)])
 def test_connectivity_of_the_polynomial_part(spec):
     assert check_pi0(spec, max_level=3, max_degree=3 * (spec.n + 1) * spec.m) == []
-
-
-def test_table_rendering():
-    spec = GradingSpec(1, 2)
-    rows = homology_table(spec, 1, 4)
-    text = table_tsv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "q\tt\tdim\trepresentatives"
-    assert lines[1].split("\t") == ["0", "0", "1", "1"]
-    assert any(line.split("\t")[:3] == ["1", "3", "1"] for line in lines)
 
 
 def _slice_basis(spec, q, t, wp=None, poly_only=False):

@@ -288,6 +288,22 @@ def test_modules_equal_the_per_pair_reference_on_the_full_grid():
     assert skipped > 0
 
 
+def test_loop_modules_equal_the_per_pair_reference_off_the_shipped_list():
+    # Every (n, m) with n <= 5 and m <= 5, so n = 5 and odd m with n >= 2,
+    # which no shipped space reaches, are covered with both odd switches.
+    nonzero = 0
+    for n in range(1, 6):
+        for m in range(2, 6):
+            for sq_one in (False, True):
+                for deg_max, k_store in ((120, 24), (30, 4)):
+                    module = loop_module(n, m, deg_max, k_store, sq_one=sq_one)
+                    got = (module.label, module.deg, module.sq, module.skipped)
+                    want = reference_loop_rows(n, m, deg_max, k_store, sq_one)
+                    assert got == want, (n, m, sq_one, deg_max, k_store)
+                    nonzero += sum(bool(v) for row in module.sq[1:] for v in row)
+    assert nonzero > 0
+
+
 # Reference checkers: the label-set implementation that the bit-vector
 # checkers replaced.  They read a module only through labels(), sq_label
 # and its product rule, so they share no arithmetic with the checkers.
