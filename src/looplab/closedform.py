@@ -206,6 +206,10 @@ def loop_module(n: int, m: int, deg_max: int, k_store: int, *, sq_one: bool) -> 
     switches the one odd-degree operation on the divided power
     generators; it only applies when the truncation exponent is odd and
     its value is a property of the underlying space, not of (n, m).
+    A label's products are proposed only with the window keys at levels
+    q2 that share no binary digit with its own level q1, since
+    binom(q1 + q2, q1) is odd exactly then, and only up to the degree
+    the window leaves.
     """
     spec = GradingSpec(n, m)
     label, key_degree, squares, times = (
@@ -213,19 +217,29 @@ def loop_module(n: int, m: int, deg_max: int, k_store: int, *, sq_one: bool) -> 
         if n % 2
         else (even_label, even_key_degree, _even_squares, even_product)
     )
-    key_of, labelled = {}, []
-    for q in range(deg_max // ((n + 1) * m - 2) + 1):
-        for key in level_keys(spec, q):
-            total = key_degree(spec, key) - q
-            if total <= deg_max:
-                key_of[label(key)] = key
-                labelled.append((label(key), total))
+    step = (n + 1) * m - 2
+    # Per level, its window keys (key, label, total degree) in degree order.
+    levels = []
+    for q in range(deg_max // step + 1):
+        keys = [(key, label(key), key_degree(spec, key) - q) for key in level_keys(spec, q)]
+        levels.append([entry for entry in keys if entry[2] <= deg_max])
+    key_of = {name: (key, q, total) for q, keys in enumerate(levels) for key, name, total in keys}
+    name_of = {key: name for name, (key, _, _) in key_of.items()}
 
     def rule(name: str):
-        return [(k, label(out)) for k, out in squares(n, m, key_of[name], sq_one)]
+        return [(k, label(out)) for k, out in squares(n, m, key_of[name][0], sq_one)]
 
-    def product(la: str, lb: str):
-        out = times(n, key_of[la], key_of[lb])
-        return [] if out is None else [label(out)]
+    def product(name: str):
+        key, q1, d = key_of[name]
+        for q2 in range((deg_max - d) // step + 1):
+            if q1 & q2:
+                continue
+            for other, partner, e in levels[q2]:
+                if d + e > deg_max:
+                    break
+                out = times(n, key, other)
+                if out is not None:
+                    yield partner, name_of[out]
 
+    labelled = [(name, total) for name, (_, _, total) in key_of.items()]
     return FiniteAModule(deg_max, labelled, rule, k_store, product=product)

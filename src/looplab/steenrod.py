@@ -5,25 +5,29 @@ value is a Python int used as a bit vector over that index, so the
 checkers only XOR rows.  A module asks its rule once per label for the
 nonzero operations on it, however many operations it stores.  A value
 beyond the cutoff is not stored; the drop is counted, and every checker
-reports how many instances it skipped for that reason.  The checkers
-know nothing about where a module came from, which lets one of them
-compare two modules built from entirely different descriptions.  The
-Cartan check runs over unordered pairs of labels, so it assumes a
-commutative product.
+reports how many instances it skipped for that reason.  A product is
+asked of its rule the same way, once per label for every nonzero
+product with a partner, and kept as that label's row {partner: value}.
+The checkers know nothing about where a module came from, which lets
+one of them compare two modules built from entirely different
+descriptions.  The Cartan check runs over unordered pairs of labels, so
+it assumes a commutative product.
 
 The two composite checkers compare whole values at once.  Every label
 has one degree and Sq^k raises it by k, so the terms of one identity at
 different k never share a label: the Cartan check compares each pair's
 total squares in one int and reads the failing k off the degrees of the
-differing labels.  The Adem check builds each composite Sq^c Sq^j once
-per call as a sparse {label: value} dict, because many pairs share the
-same rewrite terms.
+differing labels.  It only forms the pairs with a nonzero side, from
+the product rows, and counts the rest, which compare 0 with 0.  The
+Adem check builds each composite Sq^c Sq^j once per call as a sparse
+{label: value} dict, because many pairs share the same rewrite terms.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -36,7 +40,8 @@ __all__ = [
 
 # label -> the (k, target label) summands of its nonzero Sq^k, k >= 1
 SqRule = Callable[[str], Iterable[tuple[int, str]]]
-ProductRule = Callable[[str, str], Iterable[str]]
+# label -> the (partner, target label) summands of its nonzero products label * partner
+ProductRule = Callable[[str], Iterable[tuple[str, str]]]
 
 
 def _binom_odd(top: int, bottom: int) -> bool:
@@ -74,17 +79,24 @@ class FiniteAModule:
     are ignored), and None when its degree lies beyond deg_max.  Such a
     value is never looked up: each (k, label) that has one counts once
     in self.skipped.  Inside the window every target must be a label of
-    the right degree.  The optional product maps two labels to the
-    labels of their product.
+    the right degree.  The optional product(label) yields the
+    (partner, target) summands of every nonzero label * partner; the
+    partner must be a label, a summand listed twice cancels, and a
+    product beyond deg_max is dropped, uncounted.
 
     >>> def rule(label):  # Sq^k x^j = binom(j, k) x^(j + k), and x^8 = 0
     ...     j = int(label[1:])
     ...     return [(k, f"x{j + k}") for k in range(1, 8 - j) if j & k == k]
-    >>> mod = FiniteAModule(5, [(f"x{j}", j) for j in range(6)], rule, k_store=4)
+    >>> def product(label):  # x^j x^i = x^(j + i)
+    ...     j = int(label[1:])
+    ...     return [(f"x{i}", f"x{j + i}") for i in range(8 - j)]
+    >>> mod = FiniteAModule(5, [(f"x{j}", j) for j in range(6)], rule, 4, product)
     >>> mod.sq_label(1, "x3"), mod.sq_label(1, "x2"), mod.sq_label(2, "x4")
     (frozenset({'x4'}), frozenset(), None)
     >>> mod.skipped  # Sq^3 x^3 and Sq^1 x^5 are x^6, beyond the window
     2
+    >>> sorted(mod.products_of(2)) == [0, 1, 2, 3] and mod.mul(2, 3) == 1 << 5
+    True
     """
 
     def __init__(
@@ -108,8 +120,8 @@ class FiniteAModule:
         self.label = sorted(degree, key=degree.__getitem__)
         self.deg = deg = [degree[label] for label in self.label]
         self.index = index = {label: i for i, label in enumerate(self.label)}
-        self._products: dict[tuple[int, int], int] = {}
         size = len(deg)
+        self._products: list[Optional[dict[int, int]]] = [None] * size
         # Labels are in degree order, so row k holds 0 up to the last label
         # of degree deg_max - k and None after it.
         self.sq: list[list[Optional[int]]] = [[1 << i for i in range(size)]]
@@ -135,25 +147,32 @@ class FiniteAModule:
                 sq[k][i] ^= 1 << j
         self.skipped = len(dropped)
 
-    def _encode(self, labels: Iterable[str], d: int, what: str) -> int:
-        vec = 0
-        for label in labels:
-            i = self.index.get(label)
-            if i is None or self.deg[i] != d:
-                raise ValueError(f"{what} hit {label!r}, not a label of degree {d}")
-            vec ^= 1 << i
-        return vec
-
-    def mul(self, i: int, j: int) -> int:
-        """Row of label i times label j, from the rule on first use; 0 beyond deg_max."""
-        row = self._products.get((i, j))
+    def products_of(self, i: int) -> dict[int, int]:
+        """Nonzero rows {j: label i times label j} inside the window, from the rule on first use."""
+        row = self._products[i]
         if row is None:
             if self.product is None:
                 raise ValueError("module has no product")
-            d, la, lb = self.deg[i] + self.deg[j], self.label[i], self.label[j]
-            row = self._encode(self.product(la, lb), d, f"{la}*{lb}") if d <= self.deg_max else 0
-            self._products[(i, j)] = row
+            label, index, deg = self.label[i], self.index, self.deg
+            room = self.deg_max - deg[i]
+            row = {}
+            for partner, target in self.product(label):
+                j = index.get(partner)
+                if j is None:
+                    raise ValueError(f"{label}*{partner}: {partner!r} is not a label")
+                if deg[j] > room:
+                    continue
+                d = deg[i] + deg[j]
+                t = index.get(target)
+                if t is None or deg[t] != d:
+                    raise ValueError(f"{label}*{partner} hit {target!r}, not a label of degree {d}")
+                row[j] = row.get(j, 0) ^ (1 << t)
+            row = self._products[i] = {j: value for j, value in row.items() if value}
         return row
+
+    def mul(self, i: int, j: int) -> int:
+        """Row of label i times label j; 0 beyond deg_max."""
+        return self.products_of(i).get(j, 0)
 
     def labels(self) -> list[tuple[str, int]]:
         return list(zip(self.label, self.deg))
@@ -182,11 +201,17 @@ def _report(name: str, checked: int, skipped: int, failures: list[str]) -> dict:
     }
 
 
+def _refuse_vacuous(k_max: int) -> None:
+    if k_max < 1:
+        raise ValueError(f"operations start at Sq^1, so k_max = {k_max} checks nothing")
+
+
 def check_instability(module: FiniteAModule, k_max: int) -> dict:
     """Operations above the degree vanish; the top one squares.
 
     The squaring half only runs when the module carries a product.
     """
+    _refuse_vacuous(k_max)
     if k_max > module.k_store:
         raise ValueError(f"operations were only stored up to {module.k_store}")
     checked = skipped = 0
@@ -213,49 +238,60 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
     A pair is checked for k up to top = min(k_max, deg_max - deg a - deg b).
     Each label's total square T(x) = Sq^0 x + ... + Sq^k_max x is formed
     once, and each pair makes one comparison: T applied to ab against
-    the sum of the products pq over p in T(a), q in T(b) with
-    deg p + deg q <= deg a + deg b + top, both masked to labels of that
-    degree or less.  Every label has one degree, and Sq^k(ab) and all
-    (Sq^i a)(Sq^j b) with i + j = k lie in degree deg a + deg b + k, so
-    the two sides agree exactly when every k <= top does; the degrees of
-    the differing labels name the failing k.
+    the sum of the products pq over p in T(a), q in T(b), both masked to
+    labels of degree deg a + deg b + top or less.  Every label has one
+    degree, and Sq^k(ab) and all (Sq^i a)(Sq^j b) with i + j = k lie in
+    degree deg a + deg b + k, so the two sides agree exactly when every
+    k <= top does; the degrees of the differing labels name the failing k.
+
+    The sides are built one a at a time and only where they can be
+    nonzero: the left at the partners b of a's product row, the right by
+    walking the product row of each p in T(a) and crediting pq to every
+    b whose total square holds q.  Every other pair compares 0 with 0,
+    so it is counted, from the degrees alone, and not formed.
     """
     if module.product is None:
         raise ValueError("the multiplicativity check needs a product")
+    _refuse_vacuous(k_max)
     if k_max > module.k_store:
         raise ValueError(f"operations were only stored up to {module.k_store}")
-    deg, sq, mul, name = module.deg, module.sq, module.mul, module.label
-    total = [0] * len(deg)
-    for x in range(len(deg)):
+    deg, sq, products_of, name = module.deg, module.sq, module.products_of, module.label
+    size, deg_max = len(deg), module.deg_max
+    total = [0] * size
+    for x in range(size):
         for i in range(k_max + 1):
             total[x] ^= sq[i][x] or 0
-    # Per label, the bits of its total square with their degrees, lowest first.
-    parts = [[(p, deg[p]) for p in _bits(row)] for row in total]
-    checked = skipped = 0
+    # holders[q]: the labels whose total square holds q, in label order.
+    holders: list[list[int]] = [[] for _ in range(size)]
+    for b, row in enumerate(total):
+        for q in _bits(row):
+            holders[q].append(b)
+    below = [0, *accumulate(deg)]  # below[i] = deg[0] + ... + deg[i - 1]
+    checked = 0
     failures = []
     for a, da in enumerate(deg):
-        for b in range(a, len(deg)):
+        # Pairs (a, b) with b < end have top >= 1; those with b < full have top = k_max.
+        room = deg_max - da
+        end = bisect_left(deg, room)
+        if end <= a:
+            break  # degrees only grow, so every later a has nothing to check either
+        full = max(a, min(end, bisect_right(deg, room - k_max)))
+        checked += k_max * (full - a) + room * (end - full) - (below[end] - below[full])
+        lhs = {b: _apply(total, ab) for b, ab in products_of(a).items() if a <= b < end}
+        rhs: dict[int, int] = {}
+        for p in _bits(total[a]):
+            for q, pq in products_of(p).items():
+                for b in holders[q]:
+                    if a <= b < end:
+                        rhs[b] = rhs.get(b, 0) ^ pq
+        for b in sorted(lhs.keys() | rhs.keys()):
             base = da + deg[b]
-            top = min(k_max, module.deg_max - base)
-            if top <= 0:
-                # Degrees only grow along b, so the rest fall off as well.
-                skipped += k_max * (len(deg) - b)
-                break
-            checked += top
-            skipped += k_max - top
-            limit = base + top
-            rhs = 0
-            for q, dq in parts[b]:
-                if dq + da > limit:
-                    break
-                for p, dp in parts[a]:
-                    if dp + dq > limit:
-                        break
-                    rhs ^= mul(p, q)
-            diff = (_apply(total, mul(a, b)) ^ rhs) & ((1 << bisect_right(deg, limit)) - 1)
+            limit = base + min(k_max, deg_max - base)
+            diff = (lhs.get(b, 0) ^ rhs.get(b, 0)) & ((1 << bisect_right(deg, limit)) - 1)
             if diff:
                 for k in sorted({deg[y] - base for y in _bits(diff)}):
                     failures.append(f"Sq^{k} of {name[a]}*{name[b]} breaks multiplicativity")
+    skipped = k_max * size * (size + 1) // 2 - checked
     return _report("cartan", checked, skipped, failures)
 
 
@@ -269,6 +305,7 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
     built once per call; each pair compares the composite Sq^a Sq^b with
     the XOR merge of its rewrite terms, zero values dropped.
     """
+    _refuse_vacuous(k_max)
     if 2 * k_max > module.k_store:
         raise ValueError("composites need operations stored up to twice the bound")
     deg, sq = module.deg, module.sq
@@ -329,6 +366,7 @@ def module_iso(
     second exactly once each; the operation squares are then compared
     through it, counting windows that fall off either cutoff.
     """
+    _refuse_vacuous(k_max)
     checked = skipped = 0
     failures = []
     a_labels, b_labels = set(mod_a.index), set(mod_b.index)

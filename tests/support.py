@@ -234,20 +234,25 @@ def _even_square(n, m, k, key, sq_one):
     return None
 
 
-def reference_loop_rows(n, m, deg_max, k_store, sq_one):
-    """closedform.loop_module's rows, one rule call per (k, label)."""
+def _loop_window(n, m, deg_max):
+    """The (key, total degree) pairs of closedform.loop_module's labels."""
     spec = GradingSpec(n, m)
-    label, key_degree, square = (
-        (closedform.odd_label, closedform.odd_key_degree, _odd_square)
-        if n % 2
-        else (closedform.even_label, closedform.even_key_degree, _even_square)
-    )
+    key_degree = closedform.odd_key_degree if n % 2 else closedform.even_key_degree
     elements = []
     for q in range(deg_max // ((n + 1) * m - 2) + 1):
         for key in closedform.level_keys(spec, q):
             total = key_degree(spec, key) - q
             if total <= deg_max:
                 elements.append((key, total))
+    return elements
+
+
+def reference_loop_rows(n, m, deg_max, k_store, sq_one):
+    """closedform.loop_module's rows, one rule call per (k, label)."""
+    label, square = (
+        (closedform.odd_label, _odd_square) if n % 2 else (closedform.even_label, _even_square)
+    )
+    elements = _loop_window(n, m, deg_max)
     key_of = {label(key): (key, total) for key, total in elements}
 
     def rule(k, name):
@@ -257,6 +262,39 @@ def reference_loop_rows(n, m, deg_max, k_store, sq_one):
 
     labelled = [(label(key), total) for key, total in elements]
     return reference_rows(deg_max, labelled, rule, k_store)
+
+
+# The per-pair product that closedform.loop_module's per-label walk
+# replaced, and the per-pair encoding FiniteAModule.mul had, kept as the
+# reference the product rows are checked against.
+def reference_loop_product(n, m, deg_max):
+    """closedform.loop_module's product as a rule (la, lb) -> labels of la * lb."""
+    label, times = (
+        (closedform.odd_label, closedform.odd_product)
+        if n % 2
+        else (closedform.even_label, closedform.even_product)
+    )
+    key_of = {label(key): key for key, _ in _loop_window(n, m, deg_max)}
+
+    def product(la, lb):
+        out = times(n, key_of[la], key_of[lb])
+        return [] if out is None else [label(out)]
+
+    return product
+
+
+def reference_mul(module, product, i, j):
+    """Row of label i times label j from product(la, lb); 0 beyond deg_max."""
+    d = module.deg[i] + module.deg[j]
+    if d > module.deg_max:
+        return 0
+    la, lb, vec = module.label[i], module.label[j], 0
+    for out in product(la, lb):
+        t = module.index.get(out)
+        if t is None or module.deg[t] != d:
+            raise ValueError(f"{la}*{lb} hit {out!r}, not a label of degree {d}")
+        vec ^= 1 << t
+    return vec
 
 
 def reference_model_rows(sp, deg_max, k_store):

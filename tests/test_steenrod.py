@@ -1,6 +1,7 @@
 """Generic operation-module machinery, exercised on known small modules."""
 
 import math
+import random
 import time
 
 import pytest
@@ -14,20 +15,26 @@ from looplab.steenrod import (
     module_iso,
 )
 from looplab.thom import SPACES, loop_dictionary, model_module_f2
-from support import reference_loop_rows, reference_model_rows
+from support import (
+    reference_loop_product,
+    reference_loop_rows,
+    reference_model_rows,
+    reference_mul,
+)
 
 
 def truncated_polynomial(top: int, deg_max: int, k_store: int, stem: str = "x"):
     """Truncated polynomial algebra on a degree one class, full action."""
-    elements = [(f"{stem}{j}", j) for j in range(min(top, deg_max + 1))]
+    size = min(top, deg_max + 1)
+    elements = [(f"{stem}{j}", j) for j in range(size)]
 
     def rule(label):
         j = int(label[len(stem):])
         return [(k, f"{stem}{j + k}") for k in range(1, top - j) if math.comb(j, k) % 2]
 
-    def product(la, lb):
-        j = int(la[len(stem):]) + int(lb[len(stem):])
-        return [f"{stem}{j}"] if j < top else []
+    def product(label):
+        j = int(label[len(stem):])
+        return [(f"{stem}{i}", f"{stem}{j + i}") for i in range(min(size, top - j))]
 
     return FiniteAModule(deg_max, elements, rule, k_store, product=product)
 
@@ -67,8 +74,8 @@ def test_instability_checks_the_top_square():
     def rule(label):
         return []
 
-    def product(la, lb):
-        return ["z2"] if (la, lb) == ("z1", "z1") else []
+    def product(label):
+        return [("z1", "z2")] if label == "z1" else []
 
     mod = FiniteAModule(4, [("z1", 1), ("z2", 2)], rule, 4, product=product)
     report = check_instability(mod, 4)
@@ -85,9 +92,9 @@ def test_cartan_negative_control():
             return [(1, "x3")]
         return []
 
-    def product(la, lb):
-        j = int(la[1]) + int(lb[1])
-        return [f"x{j}"] if j < 4 else []
+    def product(label):
+        j = int(label[1])
+        return [(f"x{i}", f"x{j + i}") for i in range(4 - j)]
 
     mod = FiniteAModule(3, [(f"x{j}", j) for j in range(4)], rule, 4, product=product)
     report = check_cartan(mod, 2)
@@ -237,9 +244,21 @@ def test_sq_label_contract():
         check_instability(mod, 5)
 
 
+@pytest.mark.parametrize("k_max", [0, -2])
+def test_checkers_refuse_a_bound_below_one(k_max):
+    # A bound below Sq^1 checks nothing; it must not read as a pass.
+    loop = loop_module(2, 2, 30, 8, sq_one=False)
+    for checker in (check_instability, check_cartan, check_adem):
+        with pytest.raises(ValueError, match="checks nothing"):
+            checker(loop, k_max)
+    model = model_module_f2(SPACES["cp2"], 30, 8)
+    with pytest.raises(ValueError, match="checks nothing"):
+        module_iso(model, loop, loop_dictionary(SPACES["cp2"], 30), k_max)
+
+
 def test_product_to_an_unknown_label_is_rejected():
-    def ghost(la, lb):
-        return ["ghost"]
+    def ghost(label):
+        return [("x", "ghost"), ("y", "ghost")]
 
     mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda l: [], 4, product=ghost)
     with pytest.raises(ValueError):
@@ -249,12 +268,41 @@ def test_product_to_an_unknown_label_is_rejected():
 
 
 def test_product_of_the_wrong_degree_is_rejected():
-    def product(la, lb):
-        return ["y"]
+    def product(label):
+        return [("x", "y"), ("y", "y")]
 
     mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda l: [], 4, product=product)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"x\*y hit 'y', not a label of degree 3"):
         check_cartan(mod, 2)
+
+
+def test_product_with_an_unknown_partner_is_rejected():
+    def product(label):
+        return [("ghost", "y")] if label == "x" else []
+
+    mod = FiniteAModule(4, [("x", 1), ("y", 2)], lambda l: [], 4, product=product)
+    with pytest.raises(ValueError, match="'ghost' is not a label"):
+        mod.mul(0, 0)
+    with pytest.raises(ValueError, match="'ghost' is not a label"):
+        check_cartan(mod, 2)
+
+
+def test_a_product_summand_listed_twice_cancels():
+    # x * x lists y twice and z once; x * y lists w twice, so it is zero.
+    summands = {"x": [("x", "y"), ("x", "z"), ("x", "y"), ("y", "w"), ("y", "w")]}
+    elements = [("x", 1), ("y", 2), ("z", 2), ("w", 3)]
+    mod = FiniteAModule(4, elements, lambda l: [], 4, product=lambda l: summands.get(l, []))
+    x, y, z = (mod.index[label] for label in "xyz")
+    assert mod.products_of(x) == {x: 1 << z}
+    assert mod.mul(x, y) == 0
+
+
+def test_a_product_beyond_the_window_is_dropped_unread():
+    # y * y lies in degree 6; its target is never looked up.
+    mod = FiniteAModule(3, [("x", 1), ("y", 3)], lambda l: [], 2,
+                        product=lambda l: [("y", "ghost")] if l == "y" else [])
+    assert mod.products_of(1) == {} and mod.mul(1, 1) == 0
+    assert check_cartan(mod, 2)["pass"]
 
 
 def test_products_beyond_the_cutoff_are_dropped():
@@ -304,16 +352,50 @@ def test_loop_modules_equal_the_per_pair_reference_off_the_shipped_list():
     assert nonzero > 0
 
 
+def test_loop_products_equal_the_per_pair_reference_on_every_ordered_pair():
+    # The per-label walk over Lucas-compatible levels against the per-pair
+    # rule it replaced: all 13 spaces with both odd switches at degree 120
+    # and 30, and every (n, m) with n <= 5 and m <= 5 at degree 120.
+    cases = [
+        (sp.n, sp.r, deg_max, odd_op)
+        for deg_max in (120, 30)
+        for sp in SPACES.values()
+        for odd_op in (sp.odd_op, not sp.odd_op)
+    ]
+    cases += [(n, m, 120, False) for n in range(1, 6) for m in range(2, 6)]
+    nonzero = 0
+    for n, m, deg_max, sq_one in cases:
+        module = loop_module(n, m, deg_max, 4, sq_one=sq_one)
+        product = reference_loop_product(n, m, deg_max)
+        size = len(module.label)
+        for i in range(size):
+            got = [module.mul(i, j) for j in range(size)]
+            assert got == [reference_mul(module, product, i, j) for j in range(size)], (
+                n, m, deg_max, module.label[i])
+            nonzero += sum(map(bool, got))
+    assert nonzero > 0
+
+
 # Reference checkers: the label-set implementation that the bit-vector
 # checkers replaced.  They read a module only through labels(), sq_label
 # and its product rule, so they share no arithmetic with the checkers.
 
 
-def ref_product_set(module, a, b):
+def ref_summands(module):
+    """The product rule's summands as {label: {partner: [targets]}}."""
+    table = {}
+    for label, _ in module.labels():
+        row = table[label] = {}
+        for partner, out in module.product(label):
+            row.setdefault(partner, []).append(out)
+    return table
+
+
+def ref_product_set(summands, a, b):
     acc = set()
     for la in a:
         for lb in b:
-            for out in module.product(la, lb):
+            for out in summands[la].get(lb, ()):
                 acc ^= {out}
     return frozenset(acc)
 
@@ -339,6 +421,7 @@ def ref_report(name, checked, skipped, failures):
 
 
 def ref_instability(module, k_max):
+    summands = ref_summands(module) if module.product is not None else None
     checked = skipped = 0
     failures = []
     for label, d in module.labels():
@@ -356,18 +439,19 @@ def ref_instability(module, k_max):
                 skipped += 1
             else:
                 checked += 1
-                if value != ref_product_set(module, [label], [label]):
+                if value != ref_product_set(summands, [label], [label]):
                     failures.append(f"Sq^{d} {label} is not the square")
     return ref_report("instability", checked, skipped, failures)
 
 
 def ref_cartan(module, k_max):
+    summands = ref_summands(module)
     labels = module.labels()
     checked = skipped = 0
     failures = []
     for ia, (la, da) in enumerate(labels):
         for lb, db in labels[ia:]:
-            ab = ref_product_set(module, [la], [lb])
+            ab = ref_product_set(summands, [la], [lb])
             for k in range(1, k_max + 1):
                 if da + db + k > module.deg_max:
                     skipped += 1
@@ -378,7 +462,7 @@ def ref_cartan(module, k_max):
                 for i in range(k + 1):
                     left = module.sq_label(i, la)
                     right = module.sq_label(k - i, lb)
-                    rhs ^= ref_product_set(module, left, right)
+                    rhs ^= ref_product_set(summands, left, right)
                 if lhs != frozenset(rhs):
                     failures.append(f"Sq^{k} of {la}*{lb} breaks multiplicativity")
     return ref_report("cartan", checked, skipped, failures)
@@ -470,8 +554,8 @@ def rebuilt(module, flip=None, drop=None):
                 value ^= {flip[2]}
             yield from ((k, t) for t in value)
 
-    def product(la, lb):
-        return [] if (la, lb) == drop else module.product(la, lb)
+    def product(label):
+        return [(p, t) for p, t in module.product(label) if (label, p) != drop]
 
     return FiniteAModule(module.deg_max, module.labels(), rule, module.k_store, product=product)
 
@@ -480,7 +564,7 @@ def test_checkers_equal_the_reference_on_broken_modules():
     sp = SPACES["cp2"]
     loop = loop_module(sp.n, sp.r, 30, 8, sq_one=sp.odd_op)
     assert loop.sq_label(2, "1") == frozenset()
-    assert list(loop.product("1", "b0")) == ["b0"]
+    assert [t for p, t in loop.product("1") if p == "b0"] == ["b0"]
     broken = [
         (rebuilt(loop, flip=(2, "1", "b0")), (ref_instability, ref_cartan, ref_adem)),
         (rebuilt(loop, drop=("1", "b0")), (ref_cartan,)),
@@ -505,6 +589,49 @@ def test_cartan_break_fails_at_every_k_of_one_pair():
     assert report == ref_cartan(module, 8)
     pair = [f for f in report["failures"] if " of x3*x4 " in f]
     assert pair == [f"Sq^{k} of x3*x4 breaks multiplicativity" for k in range(1, 8)]
+
+
+def test_cartan_catches_a_dropped_product_in_the_other_order():
+    # Only x4 * x3 goes; the checked pair (x3, x4) still multiplies as x3 * x4,
+    # but the right side of (x2, x3) and (x3, x3) takes Sq^2 x2 = Sq^1 x3 = x4
+    # times x3, so those pairs fail.
+    module = rebuilt(truncated_polynomial(16, 14, 8), drop=("x4", "x3"))
+    assert module.mul(module.index["x4"], module.index["x3"]) == 0
+    assert module.mul(module.index["x3"], module.index["x4"]) == 1 << module.index["x7"]
+    report = check_cartan(module, 8)
+    assert report == ref_cartan(module, 8)
+    pairs = {f.split(" of ")[1].split(" breaks")[0] for f in report["failures"]}
+    assert pairs == {"x2*x3", "x3*x3"}
+
+
+def test_checkers_equal_the_reference_on_seeded_broken_modules():
+    # Each loop module gets one random square flipped (to a label of the
+    # right degree) and one random nonzero ordered product dropped.
+    rng = random.Random(19)
+    failing = 0
+    for deg_max, k_max in ((30, 4), (40, 8), (60, 12)):
+        for name in sorted(SPACES):
+            sp = SPACES[name]
+            loop = loop_module(sp.n, sp.r, deg_max, k_max, sq_one=sp.odd_op)
+            labels = loop.labels()
+            flips = [
+                (k, label, target)
+                for k in range(1, k_max + 1)
+                for label, d in labels
+                for target, e in labels
+                if e == d + k
+            ]
+            drops = [
+                (loop.label[i], loop.label[j])
+                for i in range(len(labels))
+                for j in loop.products_of(i)
+            ]
+            module = rebuilt(loop, flip=rng.choice(flips), drop=rng.choice(drops))
+            for fast, slow in ((check_instability, ref_instability), (check_cartan, ref_cartan)):
+                report = fast(module, k_max)
+                assert report == slow(module, k_max), (name, deg_max, report["check"])
+                failing += not report["pass"]
+    assert failing >= 40
 
 
 def test_adem_break_in_a_shared_composite_fails_every_pair_using_it():
@@ -549,4 +676,27 @@ def test_loop_module_axioms_hold_at_degree_160_and_sq_32():
         ):
             assert report["pass"], (name, report["check"], report["failures"][:3])
             assert report["checked"] > 0, (name, report["check"])
+    assert time.perf_counter() - started < 60
+
+
+def test_loop_modules_pass_cartan_at_degree_640_and_sq_64():
+    started = time.perf_counter()
+    for name in sorted(SPACES):
+        sp = SPACES[name]
+        report = check_cartan(loop_module(sp.n, sp.r, 640, 64, sq_one=sp.odd_op), 64)
+        assert report["pass"], (name, report["failures"][:3])
+        assert report["checked"] > 0, name
+    # On cp4, b0 * b77 = x*b77 in degree 620, and 5 * 77 + 2 = 0b110000011
+    # makes Sq^2 and Sq^4 of it nonzero; dropping that product breaks the
+    # pair at those k and no other.
+    sp = SPACES["cp4"]
+    loop = loop_module(sp.n, sp.r, 640, 64, sq_one=sp.odd_op)
+    product = loop.index["x*b77"]
+    assert loop.mul(loop.index["b0"], loop.index["b77"]) == 1 << product
+    top = min(64, 640 - loop.deg[product])
+    allowed = [k for k in range(1, top + 1) if loop.sq[k][product]]
+    assert allowed == [2, 4]
+    report = check_cartan(rebuilt(loop, drop=("b0", "b77")), 64)
+    pair = [f for f in report["failures"] if " of b0*b77 " in f]
+    assert pair == [f"Sq^{k} of b0*b77 breaks multiplicativity" for k in allowed]
     assert time.perf_counter() - started < 60
