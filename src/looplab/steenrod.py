@@ -249,6 +249,9 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
     walking the product row of each p in T(a) and crediting pq to every
     b whose total square holds q.  Every other pair compares 0 with 0,
     so it is counted, from the degrees alone, and not formed.
+
+    A failure line quotes both labels, so it names one pair even when
+    the labels themselves hold "*".
     """
     if module.product is None:
         raise ValueError("the multiplicativity check needs a product")
@@ -290,7 +293,7 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
             diff = (lhs.get(b, 0) ^ rhs.get(b, 0)) & ((1 << bisect_right(deg, limit)) - 1)
             if diff:
                 for k in sorted({deg[y] - base for y in _bits(diff)}):
-                    failures.append(f"Sq^{k} of {name[a]}*{name[b]} breaks multiplicativity")
+                    failures.append(f"Sq^{k} of {name[a]!r}*{name[b]!r} breaks multiplicativity")
     skipped = k_max * size * (size + 1) // 2 - checked
     return _report("cartan", checked, skipped, failures)
 

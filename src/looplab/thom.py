@@ -14,15 +14,17 @@ the cofiber of a map that multiplies the top cell by the Euler
 characteristic chi, and its integral homology is exact for every chi:
 the cokernel Z/chi, which is Z when chi = 0, plus the kernel, which is
 a free class one degree up exactly when chi = 0 (the odd spheres).
-The wedge therefore reads only n, r and chi; the family matters only to
-the reference tables, which are the independent route.
+Mod 2 the piece has cells c^0..c^n and d^0..d^n, less the pair c^n,
+d^0 that the map joins when chi is odd.  The wedge therefore reads only
+n, r and chi; the family matters only to the reference tables, which
+are the independent route.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .closedform import even_label, lucas, odd_label
+from .closedform import key_label, lucas
 from .steenrod import FiniteAModule
 
 __all__ = [
@@ -229,19 +231,25 @@ def model_homology_z(sp: Space, deg_max: int) -> GradedAb:
 
 
 def _cofiber_cells(sp: Space, q: int) -> list[tuple[str, int, int, int]]:
-    """(family, level, j, degree) of each mod 2 cell of the level q piece."""
+    """(family, level, j, degree) of each mod 2 cell of the level q piece.
+
+    One rule in (n, chi): the piece has cells c^0..c^n at level q and
+    d^0..d^n one level up, and its attaching map of degree chi joins c^n
+    to d^0, so mod 2 that pair survives only when chi is even.
+    """
     n, r = sp.n, sp.r
     shift = (n + 1) * r - 2
-    cells = []
-    if n % 2:
-        for j in range(n + 1):
-            cells.append(("c", q, j, q * shift + r - 1 + r * j))
-            cells.append(("d", q + 1, j, (q + 1) * shift + r * j))
-    else:
-        for j in range(n):
-            cells.append(("a", q, j, q * shift + r - 1 + r * j))
-            cells.append(("b", q + 1, j, (q + 1) * shift + r + r * j))
+    cells = [("c", q, j, q * shift + r - 1 + r * j) for j in _powers(sp, "c")]
+    cells += [("d", q + 1, j, (q + 1) * shift + r * j) for j in _powers(sp, "d")]
     return cells
+
+
+def _powers(sp: Space, family: str) -> range:
+    """The powers j of one family's cells x^j per piece (see _cofiber_cells)."""
+    odd = sp.chi % 2
+    if family == "c":
+        return range(sp.n + 1 - odd)
+    return range(odd if family == "d" else 0, sp.n + 1)
 
 
 def _cell_label(family: str, level: int, j: int) -> str:
@@ -270,26 +278,24 @@ def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
     """The assembled wedge as a finite operation module over mod 2.
 
     Cells from the space itself plus every cofiber piece that reaches
-    the window; operations act within each piece by one binomial rule
-    per family, plus the single odd operation on the bottom cell of
-    each second-family piece when the space switches it on.
+    the window.  Operations act within each piece by one binomial rule:
+    Sq^(r i) carries the cell x^j at level q to x^(j+i) when
+    binom(q (n + 1) + j, i) is odd and that cell survives mod 2, and the
+    space's own powers x^j follow the same rule at level zero.  When the
+    space switches it on, the single odd operation carries each d^0 to
+    c^n one level down; both survive only for even chi.
     """
     n, r = sp.n, sp.r
-    # label -> (family, level, j, degree, binomial top, largest j of the family)
-    cells = {}
-    for family, level, j, d in _wedge_cells(sp, deg_max):
-        if family == "x":
-            top, cap = j, n
-        else:
-            top = level * (n + 1) + j + (family == "b")
-            cap = n - 1 if family in ("a", "b") else n
-        cells[_cell_label(family, level, j)] = (family, level, j, d, top, cap)
+    # label -> (family, level, j, degree)
+    cells = {_cell_label(*cell[:3]): cell for cell in _wedge_cells(sp, deg_max)}
+    stop = {family: _powers(sp, family).stop for family in "xcd"}
 
     def rule(label: str):
-        family, level, j, _, top, cap = cells[label]
+        family, level, j, _ = cells[label]
+        top = level * (n + 1) + j
         out = [
             (r * i, _cell_label(family, level, j + i))
-            for i in range(1, cap - j + 1)
+            for i in range(1, stop[family] - j)
             if lucas(top, i)
         ]
         if family == "d" and j == 0 and sp.odd_op:
@@ -303,27 +309,14 @@ def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
 def loop_dictionary(sp: Space, deg_max: int) -> dict[str, str]:
     """Label matching between the wedge cells and the loop classes.
 
-    Covers exactly the wedge labels inside the window: the space's own
-    powers land on the level zero classes, each first-family cell on
-    an exterior class, each second-family cell on the polynomial class
-    one level up.
+    Covers exactly the wedge labels inside the window: the cell x^j of
+    family c at level q lands on the class x^j dx g_q, and every other
+    cell, the space's own powers at level zero among them, on x^j g_q.
     """
-    n = sp.n
-    out = {}
-    for family, level, j, _ in _wedge_cells(sp, deg_max):
-        label = _cell_label(family, level, j)
-        if family == "x":
-            if j == 0:
-                out[label] = "1"
-            else:
-                out[label] = odd_label((j, 0, 0)) if n % 2 else even_label(("b", j - 1, 0))
-        elif family == "c":
-            out[label] = odd_label((j, 1, level))
-        elif family == "d":
-            out[label] = odd_label((j, 0, level))
-        else:
-            out[label] = even_label((family, j, level))
-    return out
+    return {
+        _cell_label(family, level, j): key_label((j, int(family == "c"), level))
+        for family, level, j, _ in _wedge_cells(sp, deg_max)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,50 @@ def reference_rows(deg_max, elements, sq_rule, k_store):
     return labels, degs, sq, skipped
 
 
+# The two-family label ring for even truncation that the one key family
+# replaced, kept as the reference it is checked against.  ("one",) is the
+# unit and (kind, j, q) with kind "a" or "b" stands for x^j times the
+# level q exterior or polynomial class.  even_key translates an old key
+# into the key (a, eps, q) it became; a reference label is the label of
+# that key.
+def even_key(old):
+    if old == ("one",):
+        return (0, 0, 0)
+    kind, j, q = old
+    return (j, 1, q) if kind == "a" else (j + 1, 0, q)
+
+
+def even_level_keys(spec, q):
+    keys = [("one",)] if q == 0 else []
+    keys += [(kind, j, q) for j in range(spec.n) for kind in ("a", "b")]
+    keys.sort(key=lambda k: even_key_degree(spec, k))
+    return keys
+
+
+def even_key_degree(spec, key):
+    if key == ("one",):
+        return 0
+    kind, j, q = key
+    base = spec.m - 1 if kind == "a" else spec.m
+    return spec.m * j + base + q * ((spec.n + 1) * spec.m - 1)
+
+
+def even_product(n, u, v):
+    if u == ("one",):
+        return v
+    if v == ("one",):
+        return u
+    (k1, j1, q1), (k2, j2, q2) = u, v
+    if k1 == "a" and k2 == "a":
+        return None
+    if not closedform.lucas(q1 + q2, q1):
+        return None
+    j = j1 + j2 + 1
+    if j > n - 1:
+        return None
+    return ("b" if k1 == k2 else "a", j, q1 + q2)
+
+
 def _odd_square(n, m, k, key, sq_one):
     """Sq^k of an odd key (a, eps, q), or None when it is zero."""
     a, eps, q = key
@@ -235,23 +279,36 @@ def _even_square(n, m, k, key, sq_one):
 
 
 def _loop_window(n, m, deg_max):
-    """The (key, total degree) pairs of closedform.loop_module's labels."""
+    """The (key, total degree) pairs of closedform.loop_module's labels.
+
+    For even n the keys are those of the two-family reference.
+    """
     spec = GradingSpec(n, m)
-    key_degree = closedform.odd_key_degree if n % 2 else closedform.even_key_degree
+    keys, degree = (
+        (closedform.level_keys, closedform.key_degree)
+        if n % 2
+        else (even_level_keys, even_key_degree)
+    )
     elements = []
     for q in range(deg_max // ((n + 1) * m - 2) + 1):
-        for key in closedform.level_keys(spec, q):
-            total = key_degree(spec, key) - q
+        for key in keys(spec, q):
+            total = degree(spec, key) - q
             if total <= deg_max:
                 elements.append((key, total))
     return elements
 
 
+def _reference_label(n):
+    """Label of a reference key, named as closedform names the key it became."""
+    if n % 2:
+        return closedform.key_label
+    return lambda key: closedform.key_label(even_key(key))
+
+
 def reference_loop_rows(n, m, deg_max, k_store, sq_one):
     """closedform.loop_module's rows, one rule call per (k, label)."""
-    label, square = (
-        (closedform.odd_label, _odd_square) if n % 2 else (closedform.even_label, _even_square)
-    )
+    label = _reference_label(n)
+    square = _odd_square if n % 2 else _even_square
     elements = _loop_window(n, m, deg_max)
     key_of = {label(key): (key, total) for key, total in elements}
 
@@ -269,11 +326,8 @@ def reference_loop_rows(n, m, deg_max, k_store, sq_one):
 # reference the product rows are checked against.
 def reference_loop_product(n, m, deg_max):
     """closedform.loop_module's product as a rule (la, lb) -> labels of la * lb."""
-    label, times = (
-        (closedform.odd_label, closedform.odd_product)
-        if n % 2
-        else (closedform.even_label, closedform.even_product)
-    )
+    label = _reference_label(n)
+    times = closedform.key_product if n % 2 else even_product
     key_of = {label(key): key for key, _ in _loop_window(n, m, deg_max)}
 
     def product(la, lb):
@@ -297,24 +351,55 @@ def reference_mul(module, product, i, j):
     return vec
 
 
+# The wedge cells that the pair rule replaced: for odd n the c and d
+# families; for even n the a family a^0..a^(n-1) at level q and the b
+# family b^0..b^(n-1) one level up, in the degrees of c^0..c^(n-1) and
+# d^1..d^n.  A reference cell is named as the c or d cell it became.
+def _reference_cells(sp, deg_max):
+    """(family, level, j, degree) of every wedge cell inside the window."""
+    n, r = sp.n, sp.r
+    shift = (n + 1) * r - 2
+    cells = [("x", 0, j, j * r) for j in range(n + 1)]
+    q = 0
+    while q * shift + r - 1 <= deg_max:
+        if n % 2:
+            for j in range(n + 1):
+                cells.append(("c", q, j, q * shift + r - 1 + r * j))
+                cells.append(("d", q + 1, j, (q + 1) * shift + r * j))
+        else:
+            for j in range(n):
+                cells.append(("a", q, j, q * shift + r - 1 + r * j))
+                cells.append(("b", q + 1, j, (q + 1) * shift + r + r * j))
+        q += 1
+    return [cell for cell in cells if cell[3] <= deg_max]
+
+
+def _reference_cell_label(family, level, j):
+    if family == "a":
+        return thom._cell_label("c", level, j)
+    if family == "b":
+        return thom._cell_label("d", level, j + 1)
+    return thom._cell_label(family, level, j)
+
+
 def reference_model_rows(sp, deg_max, k_store):
     """thom.model_module_f2's rows, one rule call per (k, label)."""
     n, r = sp.n, sp.r
     cells = {}
-    for family, level, j, d in thom._wedge_cells(sp, deg_max):
+    for family, level, j, d in _reference_cells(sp, deg_max):
         if family == "x":
             top, cap = j, n
         else:
             top = level * (n + 1) + j + (family == "b")
             cap = n - 1 if family in ("a", "b") else n
-        cells[thom._cell_label(family, level, j)] = (family, level, j, d, top, cap)
+        cells[_reference_cell_label(family, level, j)] = (family, level, j, d, top, cap)
 
     def rule(k, label):
         family, level, j, d, top, cap = cells[label]
         if k % r == 0:
             i = k // r
             if i + j <= cap and closedform.lucas(top, i):
-                return [(thom._cell_label(family, level, i + j), d + k)]
+                return [(_reference_cell_label(family, level, i + j), d + k)]
         elif k == 1 and family == "d" and j == 0 and sp.odd_op:
             return [(thom._cell_label("c", level - 1, n), d + 1)]
         return []

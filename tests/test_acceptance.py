@@ -12,13 +12,11 @@ from looplab.algebra import GradingSpec, gen_y, internal_degree
 from looplab.closedform import (
     chain_rep,
     diagonal_coefficient,
-    even_key_degree,
-    even_product,
+    key_degree,
+    key_product,
     level_keys,
     loop_module,
     main1_dims,
-    odd_key_degree,
-    odd_product,
 )
 from looplab.ez import delta_top, run_trials, shuffle_product
 from looplab.homology import (
@@ -135,12 +133,12 @@ def test_criterion_04_products_and_the_top_diagonal_classify_correctly():
     for q in range(1, 4097):
         power_of_two = q & (q - 1) == 0
         assert diagonal_coefficient(q) == (1 if power_of_two else 0), q
-    _classify_products(ODD, odd_product, odd_key_degree, 4)
-    _classify_products(EVEN, even_product, even_key_degree, 4)
+    _classify_products(ODD, key_product, key_degree, 4)
+    _classify_products(EVEN, key_product, key_degree, 4)
     got = class_of(ODD, delta_top(ODD, omega(2)))
     assert got == class_of(ODD, chain_rep(ODD, (0, 0, 4)))
     got = class_of(EVEN, delta_top(EVEN, beta(2)))
-    assert got == class_of(EVEN, chain_rep(EVEN, ("b", 1, 4)))
+    assert got == class_of(EVEN, chain_rep(EVEN, (2, 0, 4)))
     assert is_boundary(EVEN, delta_top(EVEN, alpha(2)))
 
 

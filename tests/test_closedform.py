@@ -6,17 +6,14 @@ from looplab.algebra import GradingSpec, internal_degree
 from looplab.closedform import (
     chain_rep,
     diagonal_coefficient,
-    even_key_degree,
-    even_label,
-    even_product,
+    key_degree,
+    key_label,
+    key_product,
     level_keys,
     loop_module,
     lucas,
     main1_dims,
     main1_level_dim,
-    odd_key_degree,
-    odd_label,
-    odd_product,
 )
 from looplab.ez import delta_top, shuffle_product
 from looplab.homology import (
@@ -60,74 +57,88 @@ def test_level_dimension_totals():
         for q in range(4):
             keys = level_keys(spec, q)
             assert len(keys) == main1_level_dim(spec, q)
-            degree = odd_key_degree if spec.n % 2 else even_key_degree
             total = sum(
                 main1_dims(spec, q, t)
-                for t in range(max(degree(spec, k) for k in keys) + 1)
+                for t in range(max(key_degree(spec, k) for k in keys) + 1)
             )
             assert total == main1_level_dim(spec, q)
 
 
+def test_even_truncation_drops_the_pair_the_relation_joins():
+    # (n + 1) x^n dx is nonzero mod 2 exactly for even n, and it carries
+    # g_(q+1) onto x^n dx g_q: both drop out, and no other key does.  The
+    # keys left come in strictly increasing degree.
+    for n in range(1, 9):
+        for m in (2, 3, 4):
+            spec = GradingSpec(n, m)
+            for q in range(6):
+                below, above = set(level_keys(spec, q)), set(level_keys(spec, q + 1))
+                assert ((n, 1, q) in below) == ((0, 0, q + 1) in above) == (n % 2 == 1)
+                full = {(a, eps, q) for a in range(n + 1) for eps in (0, 1)}
+                dropped = {(n, 1, q), (0, 0, q)} - {(0, 0, 0)} if n % 2 == 0 else set()
+                assert below == full - dropped, (n, m, q)
+                degrees = [key_degree(spec, key) for key in level_keys(spec, q)]
+                assert degrees == sorted(set(degrees)), (n, m, q)
+
+
 def test_labels_render_cleanly():
-    assert odd_label((0, 0, 0)) == "1"
-    assert odd_label((2, 1, 3)) == "x^2*dx*g3"
-    assert odd_label((1, 0, 0)) == "x"
-    assert even_label(("one",)) == "1"
-    assert even_label(("a", 0, 2)) == "a2"
-    assert even_label(("b", 3, 1)) == "x^3*b1"
+    assert key_label((0, 0, 0)) == "1"
+    assert key_label((2, 1, 3)) == "x^2*dx*g3"
+    assert key_label((1, 0, 0)) == "x"
+    assert key_label((0, 1, 2)) == "dx*g2"
+    assert key_label((4, 0, 1)) == "x^4*g1"
 
 
 def test_chain_reps_are_normalized_cycles_of_the_right_degree():
     for spec in (ODD, EVEN, GradingSpec(3, 2), GradingSpec(2, 4)):
-        degree = odd_key_degree if spec.n % 2 else even_key_degree
         for q in range(3):
             for key in level_keys(spec, q):
                 rep = chain_rep(spec, key)
-                assert internal_degree(spec, rep) == degree(spec, key)
+                assert internal_degree(spec, rep) == key_degree(spec, key)
                 assert is_normalized(spec.n, rep)
                 assert is_cycle(spec, rep)
                 assert not is_boundary(spec, rep)
 
 
-def _check_product(spec, keys, product, degree):
+def _check_product(spec, keys):
     for u in keys:
         for v in keys:
             w = shuffle_product(chain_rep(spec, u), chain_rep(spec, v))
-            expected = product(spec.n, u, v)
+            expected = key_product(spec.n, u, v)
             if expected is None:
                 assert is_boundary(spec, w), (u, v)
             else:
-                assert internal_degree(spec, w) == degree(spec, expected)
+                assert internal_degree(spec, w) == key_degree(spec, expected)
                 assert class_of(spec, w) == class_of(spec, chain_rep(spec, expected)), (u, v)
 
 
 def test_odd_products_through_homology():
     keys = [k for q in range(3) for k in level_keys(ODD, q)]
-    _check_product(ODD, keys, odd_product, odd_key_degree)
+    _check_product(ODD, keys)
 
 
 def test_even_products_through_homology():
     keys = [k for q in range(3) for k in level_keys(EVEN, q)]
-    _check_product(EVEN, keys, even_product, even_key_degree)
+    _check_product(EVEN, keys)
 
 
 def test_even_products_are_consistent_at_level_zero():
-    # The level zero classes are x^{j+1} and x^j dx in disguise; their
-    # products must agree with plain truncated multiplication.
+    # The level zero classes are x^{j+1} and x^j dx; their products must
+    # agree with plain truncated multiplication, less x^n dx.
     n = EVEN.n
     for j1 in range(n):
         for j2 in range(n):
-            out = even_product(n, ("b", j1, 0), ("b", j2, 0))
+            out = key_product(n, (j1 + 1, 0, 0), (j2 + 1, 0, 0))
             if j1 + j2 + 2 <= n:
-                assert out == ("b", j1 + j2 + 1, 0)
+                assert out == (j1 + j2 + 2, 0, 0)
             else:
                 assert out is None
-            out = even_product(n, ("a", j1, 0), ("b", j2, 0))
+            out = key_product(n, (j1, 1, 0), (j2 + 1, 0, 0))
             if j1 + j2 + 1 <= n - 1:
-                assert out == ("a", j1 + j2 + 1, 0)
+                assert out == (j1 + j2 + 1, 1, 0)
             else:
                 assert out is None
-    assert even_product(n, ("one",), ("a", 1, 2)) == ("a", 1, 2)
+    assert key_product(n, (0, 0, 0), (1, 1, 2)) == (1, 1, 2)
 
 
 def test_top_diagonal_matches_the_coefficient():
@@ -138,7 +149,7 @@ def test_top_diagonal_matches_the_coefficient():
     assert got == want
     assert is_boundary(ODD, delta_top(ODD, omega(3)))
     got = class_of(EVEN, delta_top(EVEN, beta(2)))
-    want = class_of(EVEN, chain_rep(EVEN, ("b", 1, 4)))
+    want = class_of(EVEN, chain_rep(EVEN, (2, 0, 4)))
     assert got == want
     assert is_boundary(EVEN, delta_top(EVEN, alpha(2)))
 
@@ -146,7 +157,6 @@ def test_top_diagonal_matches_the_coefficient():
 def test_loop_module_dimensions_recount_the_levels():
     for spec, sq_one in ((ODD, True), (EVEN, False), (GradingSpec(3, 2), False)):
         module = loop_module(spec.n, spec.m, 24, 8, sq_one=sq_one)
-        degree = odd_key_degree if spec.n % 2 else even_key_degree
         for total in range(25):
             by_levels = 0
             q = 0
@@ -166,12 +176,12 @@ def test_loop_module_operation_values():
     assert mod.sq_label(2, "x*g1") == frozenset({"x^2*g1"})
     silent = loop_module(3, 2, 30, 8, sq_one=False)
     assert silent.sq_label(1, "g1") == frozenset()
-    # Even truncation: the two families carry shifted binomial rules.
+    # Even truncation: the same binomial rule, less the value x^n dx.
     mod = loop_module(2, 2, 30, 8, sq_one=False)
-    assert mod.sq_label(2, "b0") == frozenset({"x*b0"})
-    assert mod.sq_label(2, "a0") == frozenset()
-    assert mod.sq_label(2, "a1") == frozenset({"x*a1"})
-    assert mod.sq_label(2, "x*b1") == frozenset()
+    assert mod.sq_label(2, "x") == frozenset({"x^2"})
+    assert mod.sq_label(2, "dx") == frozenset()
+    assert mod.sq_label(2, "dx*g1") == frozenset({"x*dx*g1"})
+    assert mod.sq_label(2, "x^2*g1") == frozenset()
 
 
 def test_loop_modules_pass_the_operation_checks():

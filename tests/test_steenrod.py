@@ -464,7 +464,7 @@ def ref_cartan(module, k_max):
                     right = module.sq_label(k - i, lb)
                     rhs ^= ref_product_set(summands, left, right)
                 if lhs != frozenset(rhs):
-                    failures.append(f"Sq^{k} of {la}*{lb} breaks multiplicativity")
+                    failures.append(f"Sq^{k} of {la!r}*{lb!r} breaks multiplicativity")
     return ref_report("cartan", checked, skipped, failures)
 
 
@@ -564,10 +564,10 @@ def test_checkers_equal_the_reference_on_broken_modules():
     sp = SPACES["cp2"]
     loop = loop_module(sp.n, sp.r, 30, 8, sq_one=sp.odd_op)
     assert loop.sq_label(2, "1") == frozenset()
-    assert [t for p, t in loop.product("1") if p == "b0"] == ["b0"]
+    assert [t for p, t in loop.product("1") if p == "x"] == ["x"]
     broken = [
-        (rebuilt(loop, flip=(2, "1", "b0")), (ref_instability, ref_cartan, ref_adem)),
-        (rebuilt(loop, drop=("1", "b0")), (ref_cartan,)),
+        (rebuilt(loop, flip=(2, "1", "x")), (ref_instability, ref_cartan, ref_adem)),
+        (rebuilt(loop, drop=("1", "x")), (ref_cartan,)),
     ]
     for module, must_fail in broken:
         for fast, slow in (
@@ -587,8 +587,8 @@ def test_cartan_break_fails_at_every_k_of_one_pair():
     module = rebuilt(truncated_polynomial(16, 14, 8), drop=("x3", "x4"))
     report = check_cartan(module, 8)
     assert report == ref_cartan(module, 8)
-    pair = [f for f in report["failures"] if " of x3*x4 " in f]
-    assert pair == [f"Sq^{k} of x3*x4 breaks multiplicativity" for k in range(1, 8)]
+    pair = [f for f in report["failures"] if " of 'x3'*'x4' " in f]
+    assert pair == [f"Sq^{k} of 'x3'*'x4' breaks multiplicativity" for k in range(1, 8)]
 
 
 def test_cartan_catches_a_dropped_product_in_the_other_order():
@@ -601,7 +601,30 @@ def test_cartan_catches_a_dropped_product_in_the_other_order():
     report = check_cartan(module, 8)
     assert report == ref_cartan(module, 8)
     pairs = {f.split(" of ")[1].split(" breaks")[0] for f in report["failures"]}
-    assert pairs == {"x2*x3", "x3*x3"}
+    assert pairs == {"'x2'*'x3'", "'x3'*'x3'"}
+
+
+def _cartan_line(la, lb):
+    """check_cartan's one failure line on a module where only la * lb breaks.
+
+    la * lb = t but Sq^1 la = Sq^1 lb = 0, while Sq^1 t = u.
+    """
+    labels = [(la, 1)] + ([(lb, 1)] if lb != la else []) + [("t", 2), ("u", 3)]
+    module = FiniteAModule(
+        3, labels, lambda l: [(1, "u")] if l == "t" else [], 1,
+        product=lambda l: [(lb, "t")] if l == la else [],
+    )
+    [line] = check_cartan(module, 1)["failures"]
+    return line
+
+
+def test_cartan_failure_lines_name_each_pair_once():
+    # Odd labels and even labels both hold "*": unquoted, (x, dx*g2) and
+    # (x*dx, g2) on (1, 2) would both print "of x*dx*g2".
+    for n, m, sq_one in ((1, 2, True), (3, 2, True), (2, 2, False)):
+        labels = [label for label, _ in loop_module(n, m, 30, 4, sq_one=sq_one).labels()]
+        lines = {_cartan_line(la, lb) for i, la in enumerate(labels) for lb in labels[i:]}
+        assert len(lines) == len(labels) * (len(labels) + 1) // 2, (n, m)
 
 
 def test_checkers_equal_the_reference_on_seeded_broken_modules():
@@ -686,17 +709,17 @@ def test_loop_modules_pass_cartan_at_degree_640_and_sq_64():
         report = check_cartan(loop_module(sp.n, sp.r, 640, 64, sq_one=sp.odd_op), 64)
         assert report["pass"], (name, report["failures"][:3])
         assert report["checked"] > 0, name
-    # On cp4, b0 * b77 = x*b77 in degree 620, and 5 * 77 + 2 = 0b110000011
+    # On cp4, x times x*g77 is x^2*g77 in degree 620, and 5 * 77 + 2 = 0b110000011
     # makes Sq^2 and Sq^4 of it nonzero; dropping that product breaks the
     # pair at those k and no other.
     sp = SPACES["cp4"]
     loop = loop_module(sp.n, sp.r, 640, 64, sq_one=sp.odd_op)
-    product = loop.index["x*b77"]
-    assert loop.mul(loop.index["b0"], loop.index["b77"]) == 1 << product
+    product = loop.index["x^2*g77"]
+    assert loop.mul(loop.index["x"], loop.index["x*g77"]) == 1 << product
     top = min(64, 640 - loop.deg[product])
     allowed = [k for k in range(1, top + 1) if loop.sq[k][product]]
     assert allowed == [2, 4]
-    report = check_cartan(rebuilt(loop, drop=("b0", "b77")), 64)
-    pair = [f for f in report["failures"] if " of b0*b77 " in f]
-    assert pair == [f"Sq^{k} of b0*b77 breaks multiplicativity" for k in allowed]
+    report = check_cartan(rebuilt(loop, drop=("x", "x*g77")), 64)
+    pair = [f for f in report["failures"] if " of 'x'*'x*g77' " in f]
+    assert pair == [f"Sq^{k} of 'x'*'x*g77' breaks multiplicativity" for k in allowed]
     assert time.perf_counter() - started < 60

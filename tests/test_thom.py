@@ -109,12 +109,25 @@ def test_odd_switch_agrees_with_the_euler_characteristic():
         assert sp.odd_op == sp.odd_op_from_euler, sp.name
 
 
+def test_odd_chi_cancels_the_pair_its_map_joins():
+    # The degree chi map of the level q piece joins c_q^n to d_(q+1)^0;
+    # mod 2 that pair survives exactly when chi is even, and every other
+    # cell of the piece always does.
+    for sp in SPACES.values():
+        labels = set(model_module_f2(sp, 200, 1).index)
+        for q in range(3):
+            cells = {f"{family}{q + (family == 'd')}^{j}" for family in "cd" for j in range(sp.n + 1)}
+            pair = {f"c{q}^{sp.n}", f"d{q + 1}^0"}
+            assert cells & labels == (cells if sp.chi % 2 == 0 else cells - pair), sp.name
+
+
 def test_bundle_classes_explain_the_operation_rule():
     # Each stored operation on a cofiber cell x^j u_level must be the
     # convolution of the base coefficient with the characteristic classes
-    # of the level's bundle; the Thom index of a b cell is one above j.
-    # Rows with i > n must be empty, as no cell x^(j+i) exists there.
-    cell = re.compile(r"([abcd])(\d+)\^(\d+)")
+    # of the level's bundle, at the Thom index j.  Rows with i > n must be
+    # empty, as no cell x^(j+i) exists there, and so must rows that would
+    # reach the cell c^n, which odd chi cancels against d^0.
+    cell = re.compile(r"([cd])(\d+)\^(\d+)")
     rows = hits = 0
     for sp in SPACES.values():
         mod = model_module_f2(sp, 120, 40)
@@ -123,14 +136,13 @@ def test_bundle_classes_explain_the_operation_rule():
             if match is None:
                 continue
             family, level, j = match[1], int(match[2]), int(match[3])
-            thom = j + (family == "b")
             sw = sw_classes(sp, level)
             i = 1
             while d + i * sp.r <= 120 and i * sp.r <= 40:
                 folded = 0
                 for s in range(i + 1):
                     if i - s <= sp.n:
-                        folded ^= lucas(thom, s) & sw[i - s]
+                        folded ^= lucas(j, s) & sw[i - s]
                 target = mod.index.get(f"{family}{level}^{j + i}")
                 want = 1 << target if folded and target is not None else 0
                 assert mod.sq[i * sp.r][mod.index[label]] == want, (sp.name, label, i)
