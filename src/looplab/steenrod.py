@@ -21,6 +21,11 @@ differing labels.  It only forms the pairs with a nonzero side, from
 the product rows, and counts the rest, which compare 0 with 0.  The
 Adem check builds each composite Sq^c Sq^j once per call as a sparse
 {label: value} dict, because many pairs share the same rewrite terms.
+
+Every checker walks only the live operations: the Sq^k with a nonzero
+row inside the window, read off the module's rows on each call.  An
+operation with no nonzero row counts as verified zero on every label,
+and its instances are counted from the degrees, not compared.
 """
 
 from __future__ import annotations
@@ -57,6 +62,11 @@ def _bits(vec: int) -> list[int]:
         out.append(low.bit_length() - 1)
         vec ^= low
     return out
+
+
+def _live(sq: Sequence[Sequence[Optional[int]]], top: int) -> list[int]:
+    """The k in 1..top whose row list holds a nonzero entry, ascending."""
+    return [k for k in range(1, top + 1) if any(sq[k])]
 
 
 def _apply(rows: Sequence[Optional[int]], vec: int) -> int:
@@ -210,24 +220,32 @@ def check_instability(module: FiniteAModule, k_max: int) -> dict:
     """Operations above the degree vanish; the top one squares.
 
     The squaring half only runs when the module carries a product.
+    Only the live Sq^k are compared with zero above the degree; a dead
+    one is zero on every label, and both counts come from the degrees.
     """
     _refuse_vacuous(k_max)
     if k_max > module.k_store:
         raise ValueError(f"operations were only stored up to {module.k_store}")
+    sq, deg_max = module.sq, module.deg_max
+    live = _live(sq, k_max)
     checked = skipped = 0
     failures = []
     for x, (label, d) in enumerate(module.labels()):
-        wants = [(k, 0, "is nonzero above the degree") for k in range(d + 1, k_max + 1)]
+        # Sq^k for d < k <= k_max is stored exactly when d + k <= deg_max.
+        inside = max(0, min(k_max, deg_max - d) - d)
+        checked += inside
+        skipped += max(0, k_max - d) - inside
+        for k in live:
+            if k > d and sq[k][x]:
+                failures.append(f"Sq^{k} {label} is nonzero above the degree")
         if module.product is not None and 1 <= d <= k_max:
-            wants.append((d, module.mul(x, x), "is not the square"))
-        for k, want, broken in wants:
-            value = module.sq[k][x]
+            value = sq[d][x]
             if value is None:
                 skipped += 1
             else:
                 checked += 1
-                if value != want:
-                    failures.append(f"Sq^{k} {label} {broken}")
+                if value != module.mul(x, x):
+                    failures.append(f"Sq^{d} {label} is not the square")
     return _report("instability", checked, skipped, failures)
 
 
@@ -250,6 +268,9 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
     b whose total square holds q.  Every other pair compares 0 with 0,
     so it is counted, from the degrees alone, and not formed.
 
+    Only the live rows enter the total squares: a dead Sq^k is zero on
+    every label, and its pairs are counted from the degrees like the rest.
+
     A failure line quotes both labels, so it names one pair even when
     the labels themselves hold "*".
     """
@@ -260,10 +281,11 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
         raise ValueError(f"operations were only stored up to {module.k_store}")
     deg, sq, products_of, name = module.deg, module.sq, module.products_of, module.label
     size, deg_max = len(deg), module.deg_max
-    total = [0] * size
-    for x in range(size):
-        for i in range(k_max + 1):
-            total[x] ^= sq[i][x] or 0
+    total = list(sq[0])
+    for k in _live(sq, k_max):
+        for x, row in enumerate(sq[k]):
+            if row:
+                total[x] ^= row
     # holders[q]: the labels whose total square holds q, in label order.
     holders: list[list[int]] = [[] for _ in range(size)]
     for b, row in enumerate(total):
@@ -306,50 +328,58 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
     Sq^c Sq^j is a dict {x: row} over the nonzero values on the labels
     with deg x <= deg_max - c - j, so it depends on (c, j) alone and is
     built once per call; each pair compares the composite Sq^a Sq^b with
-    the XOR merge of its rewrite terms, zero values dropped.
+    the XOR merge of its rewrite terms, zero values dropped.  Sq^c Sq^j is
+    zero unless c is live and j is 0 or live, so only those composites are
+    built, Sq^c Sq^0 straight from the rows of Sq^c; a pair's labels are
+    counted from the degrees whether or not any of its terms is live.
     """
     _refuse_vacuous(k_max)
     if 2 * k_max > module.k_store:
         raise ValueError("composites need operations stored up to twice the bound")
     deg, sq = module.deg, module.sq
-    # Per operation, its nonzero rows (x, row) in label order.
-    nonzero: dict[int, list[tuple[int, int]]] = {}
+    live = _live(sq, 2 * k_max)
+    is_live = set(live)
+    # Per live operation, its nonzero rows (x, row) in label order.
+    nonzero = {k: [(x, row) for x, row in enumerate(sq[k]) if row] for k in live}
     composites: dict[tuple[int, int], dict[int, int]] = {}
 
     def composite(c: int, j: int) -> dict[int, int]:
+        """Sq^c Sq^j for a live c and a j that is 0 or live."""
         out = composites.get((c, j))
         if out is None:
-            if j not in nonzero:
-                nonzero[j] = [(x, row) for x, row in enumerate(sq[j]) if row]
             inside = bisect_right(deg, module.deg_max - c - j)
-            out = {}
-            for x, row in nonzero[j]:
-                if x >= inside:
-                    break
-                if value := _apply(sq[c], row):
-                    out[x] = value
+            if j == 0:  # Sq^c Sq^0 is Sq^c, read straight off its nonzero rows
+                out = {x: row for x, row in nonzero[c] if x < inside}
+            else:
+                out = {}
+                for x, row in nonzero[j]:
+                    if x >= inside:
+                        break
+                    if value := _apply(sq[c], row):
+                        out[x] = value
             composites[(c, j)] = out
         return out
 
     checked = skipped = 0
     failures = []
     for a in range(1, k_max + 1):
-        for b in range(1, k_max + 1):
-            if a >= 2 * b:
-                continue
-            js = [j for j in range(a // 2 + 1) if _binom_odd(b - 1 - j, a - 2 * j)]
+        for b in range(a // 2 + 1, k_max + 1):
             # Labels are in degree order, so the checkable ones come first.
             inside = bisect_right(deg, module.deg_max - a - b)
             checked += inside
             skipped += len(deg) - inside
             rhs: dict[int, int] = {}
-            for j in js:
+            for j in (0, *live):
+                if j > a // 2:
+                    break
+                if a + b - j not in is_live or not _binom_odd(b - 1 - j, a - 2 * j):
+                    continue
                 for x, value in composite(a + b - j, j).items():
                     if value := rhs.get(x, 0) ^ value:
                         rhs[x] = value
                     else:
                         del rhs[x]
-            lhs = composite(a, b)
+            lhs = composite(a, b) if a in is_live and b in is_live else {}
             if lhs != rhs:
                 for x in sorted(lhs.keys() | rhs.keys()):
                     if lhs.get(x) != rhs.get(x):
@@ -367,7 +397,9 @@ def module_iso(
 
     The dictionary must cover the first module exactly and hit the
     second exactly once each; the operation squares are then compared
-    through it, counting windows that fall off either cutoff.
+    through it, counting windows that fall off either cutoff.  Only the
+    Sq^k live in either module are compared; one dead in both is zero on
+    both sides of every label, and its instances are counted from the degrees.
     """
     _refuse_vacuous(k_max)
     checked = skipped = 0
@@ -389,11 +421,14 @@ def module_iso(
     horizon = min(mod_a.deg_max, mod_b.deg_max)
     target = [mod_b.index[dictionary[label]] for label in mod_a.label]
     through = [1 << i for i in target]
+    live = sorted({*_live(mod_a.sq, k_max), *_live(mod_b.sq, k_max)})
     for x, (label, d) in enumerate(mod_a.labels()):
         top = max(0, min(k_max, horizon - d))
         checked += top
         skipped += k_max - top
-        for k in range(1, top + 1):
+        for k in live:
+            if k > top:
+                break
             if _apply(through, mod_a.sq[k][x]) != mod_b.sq[k][target[x]]:
                 failures.append(f"Sq^{k} does not commute with the dictionary on {label}")
     return _report("module_iso", checked, skipped, failures)

@@ -723,3 +723,79 @@ def test_loop_modules_pass_cartan_at_degree_640_and_sq_64():
     pair = [f for f in report["failures"] if " of 'x'*'x*g77' " in f]
     assert pair == [f"Sq^{k} of 'x'*'x*g77' breaks multiplicativity" for k in allowed]
     assert time.perf_counter() - started < 60
+
+
+def test_adem_fails_exactly_where_sq_m_decomposes():
+    # For n >= 2, x^2 != 0 forces Sq^m x = x^2.  When m is no power of two,
+    # Sq^m is a sum of composites Sq^a Sq^b with 0 < a, b < m, which vanish
+    # on x here, so the Adem check must fail; when m is a power of two,
+    # Sq^m is indecomposable and every primary check passes.
+    started = time.perf_counter()
+    for n in range(1, 7):
+        for m in range(2, 33):
+            for sq_one in (False, True):
+                module = loop_module(n, m, 6 * m * (n + 1), 4 * m, sq_one=sq_one)
+                adem = check_adem(module, 2 * m)
+                assert adem["pass"] == (n == 1 or m & (m - 1) == 0), (n, m, sq_one)
+                others = check_instability(module, 2 * m), check_cartan(module, 2 * m)
+                assert all(report["pass"] for report in others), (n, m, sq_one)
+                assert all(report["checked"] > 0 for report in (adem, *others)), (n, m, sq_one)
+    assert time.perf_counter() - started < 60
+
+
+def _inert(extra=()):
+    """Exterior algebra on y3 and y5, with no operation but the (k, label, target) in extra."""
+    products = {
+        "1": [("1", "1"), ("y3", "y3"), ("y5", "y5"), ("y8", "y8")],
+        "y3": [("1", "y3"), ("y5", "y8")],
+        "y5": [("1", "y5"), ("y3", "y8")],
+        "y8": [("1", "y8")],
+    }
+
+    def rule(label):
+        return [(k, target) for k, source, target in extra if source == label]
+
+    labels = [("1", 0), ("y3", 3), ("y5", 5), ("y8", 8)]
+    return FiniteAModule(10, labels, rule, 8, product=products.__getitem__)
+
+
+def test_checkers_equal_the_reference_when_every_operation_is_live_or_none_is():
+    # Sq^1..Sq^7 all act on x^0..x^15; on the exterior algebra none does.
+    full, inert = truncated_polynomial(16, 15, 12), _inert()
+    assert [k for k in range(1, 13) if any(full.sq[k])] == list(range(1, 8))
+    assert not any(any(inert.sq[k]) for k in range(1, 9))
+    for module, k_max in ((full, 6), (inert, 4)):
+        identity = {label: label for label, _ in module.labels()}
+        for fast, slow in (
+            (check_instability, ref_instability),
+            (check_cartan, ref_cartan),
+            (check_adem, ref_adem),
+        ):
+            report = fast(module, k_max)
+            assert report == slow(module, k_max), report["check"]
+            assert report["pass"] and report["checked"] > 0, report["check"]
+        report = module_iso(module, module, identity, k_max)
+        assert report == ref_module_iso(module, module, identity, k_max)
+        assert report["pass"] and report["checked"] > 0
+    # The bound itself is walked: a flipped Sq^6 x1 = x7 lies above the degree.
+    broken = rebuilt(full, flip=(6, "x1", "x7"))
+    report = check_instability(broken, 6)
+    assert report == ref_instability(broken, 6)
+    assert report["failures"] == ["Sq^6 x1 is nonzero above the degree"]
+    # With no operation live, the square is still compared: y3^2 = y6 != Sq^3 y3.
+    squares = FiniteAModule(
+        6, [("y3", 3), ("y6", 6)], lambda label: [], 4,
+        product=lambda label: [("y3", "y6")] if label == "y3" else [],
+    )
+    report = check_instability(squares, 4)
+    assert report == ref_instability(squares, 4)
+    assert report["failures"] == ["Sq^3 y3 is not the square"]
+
+
+def test_module_iso_sees_an_operation_live_on_one_side_only():
+    inert, acting = _inert(), _inert([(3, "y5", "y8")])
+    identity = {label: label for label, _ in inert.labels()}
+    for mod_a, mod_b in ((inert, acting), (acting, inert)):
+        report = module_iso(mod_a, mod_b, identity, 4)
+        assert report == ref_module_iso(mod_a, mod_b, identity, 4)
+        assert report["failures"] == ["Sq^3 does not commute with the dictionary on y5"]
