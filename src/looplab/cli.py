@@ -294,9 +294,8 @@ def _check_verdict(side: str, report: dict) -> dict:
 def _run_steenrod(args):
     sp = args.space
     params = {"space": sp.name, "maxDegree": args.max_degree, "maxSq": args.max_sq}
-    store = 2 * args.max_sq
-    loop = loop_module(sp.n, sp.r, args.max_degree, store, sq_one=sp.odd_op)
-    model = model_module_f2(sp, args.max_degree, store)
+    loop = loop_module(sp.n, sp.r, args.max_degree, sq_one=sp.odd_op)
+    model = model_module_f2(sp, args.max_degree)
     jobs = [
         ("loop", loop, check_instability),
         ("loop", loop, check_cartan),
@@ -370,8 +369,8 @@ def _run_compare(args):
         return params, verdicts, _counts(verdicts), abelian_tsv(model, args.max_degree)
 
     params["maxSq"] = args.max_sq
-    model = model_module_f2(sp, args.max_degree, args.max_sq)
-    loop = loop_module(sp.n, sp.r, args.max_degree, args.max_sq, sq_one=sp.odd_op)
+    model = model_module_f2(sp, args.max_degree)
+    loop = loop_module(sp.n, sp.r, args.max_degree, sq_one=sp.odd_op)
     model_dims, loop_dims = model.dims(), loop.dims()
 
     def per_degree(deg):

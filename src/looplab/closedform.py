@@ -156,7 +156,7 @@ def _squares(n: int, m: int, key: Key, sq_one: bool) -> list:
     return [(k, value) for k, value in out if _is_key(n, value)]
 
 
-def loop_module(n: int, m: int, deg_max: int, k_store: int, *, sq_one: bool) -> FiniteAModule:
+def loop_module(n: int, m: int, deg_max: int, *, sq_one: bool) -> FiniteAModule:
     """Finite window of the loop cohomology with its operations.
 
     The labels are the classes of level_keys at every level whose lowest
@@ -167,7 +167,8 @@ def loop_module(n: int, m: int, deg_max: int, k_store: int, *, sq_one: bool) -> 
     A label's products are proposed only with the window keys at levels
     q2 that share no binary digit with its own level q1, since
     binom(q1 + q2, q1) is odd exactly then, and only up to the degree
-    the window leaves.
+    the window leaves.  Every operation inside the window is stored as a
+    nonzero row, whatever its k.
     """
     spec = GradingSpec(n, m)
     step = (n + 1) * m - 2
@@ -195,4 +196,4 @@ def loop_module(n: int, m: int, deg_max: int, k_store: int, *, sq_one: bool) -> 
                     yield partner, name_of[out]
 
     labelled = [(name, total) for name, (_, _, total) in key_of.items()]
-    return FiniteAModule(deg_max, labelled, rule, k_store, product=product)
+    return FiniteAModule(deg_max, labelled, rule, product=product)

@@ -3,15 +3,16 @@
 Labels are numbered once, in degree order up to a cutoff, and every
 value is a Python int used as a bit vector over that index, so the
 checkers only XOR rows.  A module asks its rule once per label for the
-nonzero operations on it, however many operations it stores.  A value
-beyond the cutoff is not stored; the drop is counted, and every checker
-reports how many instances it skipped for that reason.  A product is
-asked of its rule the same way, once per label for every nonzero
-product with a partner, and kept as that label's row {partner: value}.
-The checkers know nothing about where a module came from, which lets
-one of them compare two modules built from entirely different
-descriptions.  The Cartan check runs over unordered pairs of labels, so
-it assumes a commutative product.
+nonzero operations on it and keeps only the nonzero rows, whatever
+their k: sq[k] is {label index: row}.  Whether Sq^k of a label lies
+beyond the cutoff is read from the degrees; such a value is not stored,
+the drop is counted, and every checker reports how many instances it
+skipped for that reason.  A product is asked of its rule the same way,
+once per label for every nonzero product with a partner, and kept as
+that label's row {partner: value}.  The checkers know nothing about
+where a module came from, which lets one of them compare two modules
+built from entirely different descriptions.  The Cartan check runs over
+unordered pairs of labels, so it assumes a commutative product.
 
 The two composite checkers compare whole values at once.  Every label
 has one degree and Sq^k raises it by k, so the terms of one identity at
@@ -22,10 +23,10 @@ the product rows, and counts the rest, which compare 0 with 0.  The
 Adem check builds each composite Sq^c Sq^j once per call as a sparse
 {label: value} dict, because many pairs share the same rewrite terms.
 
-Every checker walks only the live operations: the Sq^k with a nonzero
-row inside the window, read off the module's rows on each call.  An
-operation with no nonzero row counts as verified zero on every label,
-and its instances are counted from the degrees, not compared.
+Every checker walks only the live operations: the keys of sq, the Sq^k
+with a nonzero row inside the window.  An operation with no nonzero row
+counts as verified zero on every label, and its instances are counted
+from the degrees, not compared.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 __all__ = [
     "FiniteAModule",
@@ -64,35 +65,37 @@ def _bits(vec: int) -> list[int]:
     return out
 
 
-def _live(sq: Sequence[Sequence[Optional[int]]], top: int) -> list[int]:
-    """The k in 1..top whose row list holds a nonzero entry, ascending."""
-    return [k for k in range(1, top + 1) if any(sq[k])]
+def _live(sq: dict[int, dict[int, int]], top: int) -> list[int]:
+    """The k in 1..top with a nonzero row, ascending."""
+    return [k for k in sq if 0 < k <= top]
 
 
-def _apply(rows: Sequence[Optional[int]], vec: int) -> int:
-    """Linear extension of rows: the XOR of the rows picked by vec."""
+def _apply(rows: dict[int, int], vec: int) -> int:
+    """Linear extension of rows: the XOR of the rows picked by vec, a missing row 0."""
     out = 0
     while vec:
         low = vec & -vec
-        out ^= rows[low.bit_length() - 1]
+        out ^= rows.get(low.bit_length() - 1, 0)
         vec ^= low
     return out
 
 
 class FiniteAModule:
-    """Labelled basis in degree order with stored squaring rows.
+    """Labelled basis in degree order with its nonzero squaring rows.
 
     elements gives (label, degree) pairs with globally unique labels.
     sq_rule(label) yields the (k, target) summands of every nonzero
-    Sq^k label with k >= 1; a target listed twice cancels.  sq[k][i] is
-    the row of Sq^k on label i for k <= k_store (pairs with a larger k
-    are ignored), and None when its degree lies beyond deg_max.  Such a
-    value is never looked up: each (k, label) that has one counts once
-    in self.skipped.  Inside the window every target must be a label of
-    the right degree.  The optional product(label) yields the
-    (partner, target) summands of every nonzero label * partner; the
-    partner must be a label, a summand listed twice cancels, and a
-    product beyond deg_max is dropped, uncounted.
+    Sq^k label with k >= 1; a target listed twice cancels.  sq[k] is
+    {i: row of Sq^k on label i} over the labels where that row is
+    nonzero, in label order, with the keys k ascending and sq[0] the
+    identity; whatever k the rule names, every value inside the window
+    is kept.  A value of degree beyond deg_max is never looked up: each
+    (k, label) that has one counts once in self.skipped.  Inside the
+    window every target must be a label of the right degree.  The
+    optional product(label) yields the (partner, target) summands of
+    every nonzero label * partner; the partner must be a label, a
+    summand listed twice cancels, and a product beyond deg_max is
+    dropped, uncounted.
 
     >>> def rule(label):  # Sq^k x^j = binom(j, k) x^(j + k), and x^8 = 0
     ...     j = int(label[1:])
@@ -100,9 +103,11 @@ class FiniteAModule:
     >>> def product(label):  # x^j x^i = x^(j + i)
     ...     j = int(label[1:])
     ...     return [(f"x{i}", f"x{j + i}") for i in range(8 - j)]
-    >>> mod = FiniteAModule(5, [(f"x{j}", j) for j in range(6)], rule, 4, product)
+    >>> mod = FiniteAModule(5, [(f"x{j}", j) for j in range(6)], rule, product)
     >>> mod.sq_label(1, "x3"), mod.sq_label(1, "x2"), mod.sq_label(2, "x4")
     (frozenset({'x4'}), frozenset(), None)
+    >>> mod.sq[2]  # Sq^2 x^2 = x^4 and Sq^2 x^3 = x^5; Sq^2 x^4 is not stored
+    {2: 16, 3: 32}
     >>> mod.skipped  # Sq^3 x^3 and Sq^1 x^5 are x^6, beyond the window
     2
     >>> sorted(mod.products_of(2)) == [0, 1, 2, 3] and mod.mul(2, 3) == 1 << 5
@@ -114,11 +119,9 @@ class FiniteAModule:
         deg_max: int,
         elements: Iterable[tuple[str, int]],
         sq_rule: SqRule,
-        k_store: int,
         product: Optional[ProductRule] = None,
     ) -> None:
         self.deg_max = deg_max
-        self.k_store = k_store
         self.product = product
         degree: dict[str, int] = {}
         for label, d in elements:
@@ -132,20 +135,12 @@ class FiniteAModule:
         self.index = index = {label: i for i, label in enumerate(self.label)}
         size = len(deg)
         self._products: list[Optional[dict[int, int]]] = [None] * size
-        # Labels are in degree order, so row k holds 0 up to the last label
-        # of degree deg_max - k and None after it.
-        self.sq: list[list[Optional[int]]] = [[1 << i for i in range(size)]]
-        for k in range(1, k_store + 1):
-            inside = bisect_right(deg, deg_max - k)
-            self.sq.append([0] * inside + [None] * (size - inside))
-        sq = self.sq
+        rows: dict[int, dict[int, int]] = {}
         dropped = set()
         for i, (label, d) in enumerate(zip(self.label, deg)):
             for k, target in sq_rule(label):
                 if k <= 0:
                     raise ValueError(f"Sq^{k} {label}: operations start at k = 1")
-                if k > k_store:
-                    continue
                 if d + k > deg_max:
                     dropped.add((k, i))
                     continue
@@ -154,8 +149,13 @@ class FiniteAModule:
                     raise ValueError(
                         f"Sq^{k} {label} hit {target!r}, not a label of degree {d + k}"
                     )
-                sq[k][i] ^= 1 << j
+                row = rows.setdefault(k, {})
+                row[i] = row.get(i, 0) ^ (1 << j)
         self.skipped = len(dropped)
+        self.sq = {0: {i: 1 << i for i in range(size)}}
+        for k in sorted(rows):
+            if nonzero := {i: row for i, row in rows[k].items() if row}:
+                self.sq[k] = nonzero
 
     def products_of(self, i: int) -> dict[int, int]:
         """Nonzero rows {j: label i times label j} inside the window, from the rule on first use."""
@@ -193,12 +193,15 @@ class FiniteAModule:
     def sq_label(self, k: int, label: str) -> Optional[frozenset[str]]:
         """Value of the k-th operation on a basis label as a label set.
 
-        None when the value lies beyond the cutoff; k = 0 is the identity.
+        None when the value lies beyond the cutoff, read from the degrees;
+        frozenset() for a zero row inside it; k = 0 is the identity.
         """
-        if not 0 <= k <= self.k_store:
-            raise ValueError(f"operations were only stored up to {self.k_store}")
-        row = self.sq[k][self.index[label]]
-        return None if row is None else frozenset(self.label[i] for i in _bits(row))
+        if k < 0:
+            raise ValueError(f"Sq^{k}: operations start at k = 0")
+        i = self.index[label]
+        if self.deg[i] + k > self.deg_max:
+            return None
+        return frozenset(self.label[t] for t in _bits(self.sq.get(k, {}).get(i, 0)))
 
 
 def _report(name: str, checked: int, skipped: int, failures: list[str]) -> dict:
@@ -220,31 +223,29 @@ def check_instability(module: FiniteAModule, k_max: int) -> dict:
     """Operations above the degree vanish; the top one squares.
 
     The squaring half only runs when the module carries a product.
-    Only the live Sq^k are compared with zero above the degree; a dead
-    one is zero on every label, and both counts come from the degrees.
+    Only the live Sq^k, the stored nonzero rows, are compared with zero
+    above the degree; a dead one is zero on every label, and both counts,
+    like the window, come from the degrees.
     """
     _refuse_vacuous(k_max)
-    if k_max > module.k_store:
-        raise ValueError(f"operations were only stored up to {module.k_store}")
     sq, deg_max = module.sq, module.deg_max
     live = _live(sq, k_max)
     checked = skipped = 0
     failures = []
     for x, (label, d) in enumerate(module.labels()):
-        # Sq^k for d < k <= k_max is stored exactly when d + k <= deg_max.
+        # Sq^k for d < k <= k_max lies inside the window exactly when d + k <= deg_max.
         inside = max(0, min(k_max, deg_max - d) - d)
         checked += inside
         skipped += max(0, k_max - d) - inside
         for k in live:
-            if k > d and sq[k][x]:
+            if k > d and x in sq[k]:
                 failures.append(f"Sq^{k} {label} is nonzero above the degree")
         if module.product is not None and 1 <= d <= k_max:
-            value = sq[d][x]
-            if value is None:
+            if 2 * d > deg_max:
                 skipped += 1
             else:
                 checked += 1
-                if value != module.mul(x, x):
+                if sq.get(d, {}).get(x, 0) != module.mul(x, x):
                     failures.append(f"Sq^{d} {label} is not the square")
     return _report("instability", checked, skipped, failures)
 
@@ -268,8 +269,8 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
     b whose total square holds q.  Every other pair compares 0 with 0,
     so it is counted, from the degrees alone, and not formed.
 
-    Only the live rows enter the total squares: a dead Sq^k is zero on
-    every label, and its pairs are counted from the degrees like the rest.
+    Only the stored nonzero rows enter the total squares: a missing row
+    is zero, and every pair is counted from the degrees.
 
     A failure line quotes both labels, so it names one pair even when
     the labels themselves hold "*".
@@ -277,18 +278,15 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
     if module.product is None:
         raise ValueError("the multiplicativity check needs a product")
     _refuse_vacuous(k_max)
-    if k_max > module.k_store:
-        raise ValueError(f"operations were only stored up to {module.k_store}")
     deg, sq, products_of, name = module.deg, module.sq, module.products_of, module.label
     size, deg_max = len(deg), module.deg_max
-    total = list(sq[0])
+    total = dict(sq[0])
     for k in _live(sq, k_max):
-        for x, row in enumerate(sq[k]):
-            if row:
-                total[x] ^= row
+        for x, row in sq[k].items():
+            total[x] ^= row
     # holders[q]: the labels whose total square holds q, in label order.
     holders: list[list[int]] = [[] for _ in range(size)]
-    for b, row in enumerate(total):
+    for b, row in total.items():
         for q in _bits(row):
             holders[q].append(b)
     below = [0, *accumulate(deg)]  # below[i] = deg[0] + ... + deg[i - 1]
@@ -323,24 +321,20 @@ def check_cartan(module: FiniteAModule, k_max: int) -> dict:
 def check_adem(module: FiniteAModule, k_max: int) -> dict:
     """Inadmissible composites rewrite as their standard sums.
 
-    Runs over a < 2b with both indices at most k_max, which needs the
-    module to have stored operations up to 2 * k_max.  A composite
-    Sq^c Sq^j is a dict {x: row} over the nonzero values on the labels
-    with deg x <= deg_max - c - j, so it depends on (c, j) alone and is
-    built once per call; each pair compares the composite Sq^a Sq^b with
-    the XOR merge of its rewrite terms, zero values dropped.  Sq^c Sq^j is
-    zero unless c is live and j is 0 or live, so only those composites are
-    built, Sq^c Sq^0 straight from the rows of Sq^c; a pair's labels are
-    counted from the degrees whether or not any of its terms is live.
+    Runs over a < 2b with both indices at most k_max, but visits only
+    the pairs with a + b <= deg_max - deg x for the lowest label x; every
+    other instance lies beyond the window, and those are counted in
+    closed form.  A composite Sq^c Sq^j is a dict {x: row} over the
+    nonzero values on the labels with deg x <= deg_max - c - j, so it
+    depends on (c, j) alone and is built once per call; each pair
+    compares the composite Sq^a Sq^b with the XOR merge of its rewrite
+    terms, zero values dropped.  Sq^c Sq^j is zero unless c is live and
+    j is 0 or live, so only those composites are built, Sq^c Sq^0
+    straight from the rows of Sq^c; a pair's labels are counted from the
+    degrees whether or not any of its terms is live.
     """
     _refuse_vacuous(k_max)
-    if 2 * k_max > module.k_store:
-        raise ValueError("composites need operations stored up to twice the bound")
     deg, sq = module.deg, module.sq
-    live = _live(sq, 2 * k_max)
-    is_live = set(live)
-    # Per live operation, its nonzero rows (x, row) in label order.
-    nonzero = {k: [(x, row) for x, row in enumerate(sq[k]) if row] for k in live}
     composites: dict[tuple[int, int], dict[int, int]] = {}
 
     def composite(c: int, j: int) -> dict[int, int]:
@@ -349,10 +343,10 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
         if out is None:
             inside = bisect_right(deg, module.deg_max - c - j)
             if j == 0:  # Sq^c Sq^0 is Sq^c, read straight off its nonzero rows
-                out = {x: row for x, row in nonzero[c] if x < inside}
+                out = {x: row for x, row in sq[c].items() if x < inside}
             else:
                 out = {}
-                for x, row in nonzero[j]:
+                for x, row in sq[j].items():
                     if x >= inside:
                         break
                     if value := _apply(sq[c], row):
@@ -360,31 +354,32 @@ def check_adem(module: FiniteAModule, k_max: int) -> dict:
             composites[(c, j)] = out
         return out
 
-    checked = skipped = 0
+    checked = 0
     failures = []
-    for a in range(1, k_max + 1):
-        for b in range(a // 2 + 1, k_max + 1):
+    room = module.deg_max - deg[0] if deg else -1
+    for a in range(1, min(k_max, room) + 1):
+        for b in range(a // 2 + 1, min(k_max, room - a) + 1):
             # Labels are in degree order, so the checkable ones come first.
-            inside = bisect_right(deg, module.deg_max - a - b)
-            checked += inside
-            skipped += len(deg) - inside
+            checked += bisect_right(deg, module.deg_max - a - b)
             rhs: dict[int, int] = {}
-            for j in (0, *live):
+            for j in sq:  # 0, then the live k ascending
                 if j > a // 2:
                     break
-                if a + b - j not in is_live or not _binom_odd(b - 1 - j, a - 2 * j):
+                if a + b - j not in sq or not _binom_odd(b - 1 - j, a - 2 * j):
                     continue
                 for x, value in composite(a + b - j, j).items():
                     if value := rhs.get(x, 0) ^ value:
                         rhs[x] = value
                     else:
                         del rhs[x]
-            lhs = composite(a, b) if a in is_live and b in is_live else {}
+            lhs = composite(a, b) if a in sq and b in sq else {}
             if lhs != rhs:
                 for x in sorted(lhs.keys() | rhs.keys()):
                     if lhs.get(x) != rhs.get(x):
                         failures.append(f"Sq^{a} Sq^{b} on {module.label[x]} breaks the rewrite rule")
-    return _report("adem", checked, skipped, failures)
+    # Pairs a < 2b with 1 <= a, b <= k_max: k_max^2 less floor(a / 2) summed over a.
+    pairs = k_max * k_max - (k_max // 2) * ((k_max + 1) // 2)
+    return _report("adem", checked, len(deg) * pairs - checked, failures)
 
 
 def module_iso(
@@ -397,9 +392,9 @@ def module_iso(
 
     The dictionary must cover the first module exactly and hit the
     second exactly once each; the operation squares are then compared
-    through it, counting windows that fall off either cutoff.  Only the
-    Sq^k live in either module are compared; one dead in both is zero on
-    both sides of every label, and its instances are counted from the degrees.
+    through it, counting windows that fall off either cutoff, read from
+    the degrees.  Only the Sq^k live in either module are compared, a
+    missing row as zero; one dead in both is zero on both sides of every label.
     """
     _refuse_vacuous(k_max)
     checked = skipped = 0
@@ -416,11 +411,9 @@ def module_iso(
             failures.append(f"{label} -> {image} changes degree")
     if failures:
         return _report("module_iso", checked, skipped, failures)
-    if k_max > min(mod_a.k_store, mod_b.k_store):
-        raise ValueError("operations were not stored far enough on both sides")
     horizon = min(mod_a.deg_max, mod_b.deg_max)
     target = [mod_b.index[dictionary[label]] for label in mod_a.label]
-    through = [1 << i for i in target]
+    through = {x: 1 << t for x, t in enumerate(target)}
     live = sorted({*_live(mod_a.sq, k_max), *_live(mod_b.sq, k_max)})
     for x, (label, d) in enumerate(mod_a.labels()):
         top = max(0, min(k_max, horizon - d))
@@ -429,6 +422,7 @@ def module_iso(
         for k in live:
             if k > top:
                 break
-            if _apply(through, mod_a.sq[k][x]) != mod_b.sq[k][target[x]]:
+            rows_a, rows_b = mod_a.sq.get(k, {}), mod_b.sq.get(k, {})
+            if _apply(through, rows_a.get(x, 0)) != rows_b.get(target[x], 0):
                 failures.append(f"Sq^{k} does not commute with the dictionary on {label}")
     return _report("module_iso", checked, skipped, failures)

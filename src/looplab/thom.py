@@ -274,7 +274,7 @@ def _wedge_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:
     return cells
 
 
-def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
+def model_module_f2(sp: Space, deg_max: int) -> FiniteAModule:
     """The assembled wedge as a finite operation module over mod 2.
 
     Cells from the space itself plus every cofiber piece that reaches
@@ -283,7 +283,8 @@ def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
     binom(q (n + 1) + j, i) is odd and that cell survives mod 2, and the
     space's own powers x^j follow the same rule at level zero.  When the
     space switches it on, the single odd operation carries each d^0 to
-    c^n one level down; both survive only for even chi.
+    c^n one level down; both survive only for even chi.  Every operation
+    inside the window is stored as a nonzero row, whatever its k.
     """
     n, r = sp.n, sp.r
     # label -> (family, level, j, degree)
@@ -303,7 +304,7 @@ def model_module_f2(sp: Space, deg_max: int, k_store: int) -> FiniteAModule:
         return out
 
     elements = [(label, cell[3]) for label, cell in cells.items()]
-    return FiniteAModule(deg_max, elements, rule, k_store)
+    return FiniteAModule(deg_max, elements, rule)
 
 
 def loop_dictionary(sp: Space, deg_max: int) -> dict[str, str]:

@@ -167,9 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The per-(k, label) module construction that the per-label operation
 # rules replaced, kept as the reference they are checked against.  Each
-# builder returns the stored layout (label, deg, sq, skipped).  The loop
-# reference asks its own per-k rule, the one closedform's per-key walks
-# replaced, about every k up to k_store.
+# builder returns the dense layout (label, deg, sq, skipped) that
+# FiniteAModule once stored; dense_rows expands a module into it.  The
+# loop reference asks its own per-k rule, the one closedform's per-key
+# walks replaced, about every k up to k_store.
+def dense_rows(module, k_store):
+    """module's (label, deg, sq, skipped) with sq[k][i] for every k <= k_store.
+
+    A row is 0 where the module stores none inside the window and None
+    where Sq^k of the label lies beyond deg_max.
+    """
+    sq = [
+        [module.sq.get(k, {}).get(i, 0) if d + k <= module.deg_max else None
+         for i, d in enumerate(module.deg)]
+        for k in range(k_store + 1)
+    ]
+    return module.label, module.deg, sq, module.skipped
+
+
 def reference_rows(deg_max, elements, sq_rule, k_store):
     """Stored rows from sq_rule(k, label), asked once for every pair.
 

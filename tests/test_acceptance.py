@@ -156,7 +156,7 @@ def test_criterion_05_seeded_shuffle_trials_run_clean_and_deterministic():
 def test_criterion_06_operation_axioms_hold_for_every_space():
     for name in sorted(SPACES):
         sp = SPACES[name]
-        module = loop_module(sp.n, sp.r, 80, 32, sq_one=sp.odd_op)
+        module = loop_module(sp.n, sp.r, 80, sq_one=sp.odd_op)
         for report in (
             check_instability(module, 16),
             check_cartan(module, 16),
@@ -170,8 +170,8 @@ def test_criterion_06_operation_axioms_hold_for_every_space():
 def test_criterion_07_the_dictionary_is_an_operation_isomorphism():
     for name in sorted(SPACES):
         sp = SPACES[name]
-        model = model_module_f2(sp, 100, 16)
-        loop = loop_module(sp.n, sp.r, 100, 16, sq_one=sp.odd_op)
+        model = model_module_f2(sp, 100)
+        loop = loop_module(sp.n, sp.r, 100, sq_one=sp.odd_op)
         report = module_iso(model, loop, loop_dictionary(sp, 100), 16)
         assert report["pass"], (name, report["failures"][:3])
         assert report["checked"] > 0, name
@@ -227,8 +227,8 @@ def test_criterion_10_the_odd_operation_tracks_the_euler_characteristic():
     for name in ("cp1", "cp3", "s3", "s4"):
         sp = SPACES[name]
         flipped = Space(sp.name, sp.n, sp.r, sp.chi, not sp.odd_op, sp.family)
-        model = model_module_f2(flipped, 40, 4)
-        loop = loop_module(sp.n, sp.r, 40, 4, sq_one=sp.odd_op)
+        model = model_module_f2(flipped, 40)
+        loop = loop_module(sp.n, sp.r, 40, sq_one=sp.odd_op)
         report = module_iso(model, loop, loop_dictionary(flipped, 40), 1)
         assert not report["pass"], name
         assert any("commute" in line for line in report["failures"]), name

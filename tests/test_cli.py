@@ -393,3 +393,16 @@ def test_ez_refuses_a_level_bound_past_the_sampler():
     args = cli.parse_args(["verify", "ez", "--n", "1", "--m", "2", "--max-level", str(2**64 - 1)])
     assert args.max_level + 1 == 2**64
     assert SplitMix(0).below(args.max_level + 1) >= 0
+
+
+def test_a_bound_past_the_window_checks_what_the_window_holds(capsys):
+    # Every operation past deg_max is skipped, so raising --max-sq from the
+    # window's own size to a million changes only the skipped counts.
+    for command in (["verify", "steenrod", "--space", "cp2"],
+                    ["compare", "--space", "hp3", "--coeff", "f2"]):
+        checked = []
+        for bound in ("40", "1000000"):
+            code, out, _ = run_cli(capsys, [*command, "--max-degree", "40", "--max-sq", bound])
+            assert code == 0
+            checked.append([field for field in out.split() if field.startswith("checked=")])
+        assert checked[0] == checked[1] and len(checked[0]) > 0, command

@@ -156,7 +156,7 @@ def test_top_diagonal_matches_the_coefficient():
 
 def test_loop_module_dimensions_recount_the_levels():
     for spec, sq_one in ((ODD, True), (EVEN, False), (GradingSpec(3, 2), False)):
-        module = loop_module(spec.n, spec.m, 24, 8, sq_one=sq_one)
+        module = loop_module(spec.n, spec.m, 24, sq_one=sq_one)
         for total in range(25):
             by_levels = 0
             q = 0
@@ -168,16 +168,16 @@ def test_loop_module_dimensions_recount_the_levels():
 
 def test_loop_module_operation_values():
     # Odd truncation at exponent three, so squaring can land inside.
-    mod = loop_module(3, 2, 30, 8, sq_one=True)
+    mod = loop_module(3, 2, 30, sq_one=True)
     assert mod.sq_label(2, "x") == frozenset({"x^2"})
     assert mod.sq_label(1, "g1") == frozenset({"x^3*dx"})
     assert mod.sq_label(1, "g2") == frozenset({"x^3*dx*g1"})
     assert mod.sq_label(1, "x*g1") == frozenset()
     assert mod.sq_label(2, "x*g1") == frozenset({"x^2*g1"})
-    silent = loop_module(3, 2, 30, 8, sq_one=False)
+    silent = loop_module(3, 2, 30, sq_one=False)
     assert silent.sq_label(1, "g1") == frozenset()
     # Even truncation: the same binomial rule, less the value x^n dx.
-    mod = loop_module(2, 2, 30, 8, sq_one=False)
+    mod = loop_module(2, 2, 30, sq_one=False)
     assert mod.sq_label(2, "x") == frozenset({"x^2"})
     assert mod.sq_label(2, "dx") == frozenset()
     assert mod.sq_label(2, "dx*g1") == frozenset({"x*dx*g1"})
@@ -195,7 +195,7 @@ def test_loop_modules_pass_the_operation_checks():
         (1, 4, True),
     ]
     for n, m, sq_one in cases:
-        module = loop_module(n, m, 30, 12, sq_one=sq_one)
+        module = loop_module(n, m, 30, sq_one=sq_one)
         for report in (
             check_instability(module, 6),
             check_cartan(module, 6),
