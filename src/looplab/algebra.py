@@ -386,10 +386,13 @@ def nondegenerate_basis(q: int, spec: GradingSpec, t: int, w: int) -> list[Mono]
 
     Slot j is filled when y_j > 0 or dy_j = 1; these are the monomials
     that no degeneracy reaches (simplicial.mono_is_degenerate), so they
-    are a basis of the quotient by the degenerate subcomplex.  The w - dx
-    slots with dy_j = 1 are chosen, every other slot gets y_j = 1, and the
-    rest of the degree is distributed.  The order is not canonical.  At
-    m = 2 the blocks with t + w odd are empty, as are all with w > q + 1:
+    are a basis of the quotient by the degenerate subcomplex.  For each
+    dx, the w - dx slots with dy_j = 1 are chosen, every other slot gets
+    y_j = 1, and the y degree left over is distributed; those choices
+    depend only on (q, w - dx, leftover y degree), so they are read from
+    the cached _fill_pattern and only x is set here, from the degree the
+    pattern leaves.  The order is not canonical.  At m = 2 the blocks
+    with t + w odd are empty, as are all with w > q + 1:
 
     >>> [len(nondegenerate_basis(2, GradingSpec(1, 2), 11, w)) for w in range(5)]
     [0, 7, 0, 3, 0]
@@ -402,15 +405,39 @@ def nondegenerate_basis(q: int, spec: GradingSpec, t: int, w: int) -> list[Mono]
         rest = t - (m - 1) * dx - (y_deg - 1) * ones - y_deg * (q - ones)
         if not 0 <= ones <= q or rest < 0 or rest % m:
             continue
-        extras = [
-            (y, (rest - y_deg * sum(y)) // m) for y in _exponents(q, rest // y_deg)
+        # Each extra unit of y degree takes n + 1 powers of x.
+        top, step = rest // m, n + 1
+        out += [
+            Mono(top - step * used, dx, y, dy)
+            for used, y, dy in _fill_pattern(q, ones, rest // y_deg)
         ]
-        for at in combinations(range(q), ones):
-            dy = tuple(1 if j in at else 0 for j in range(q))
-            floor = tuple(1 - d for d in dy)
-            for y, x in extras:
-                out.append(Mono(x, dx, tuple(map(add, floor, y)), dy))
     return out
+
+
+# nondegenerate_basis reads its blocks' slot fillings through this memo:
+# a pattern depends neither on the spec nor on t, so the slices of one
+# job, and each level read as sources and again as targets, keep asking
+# for the same few hundred (q, ones, extra) keys.  It holds one triple
+# per monomial of one block per key, never a whole level, and the Mono
+# values themselves are built anew on every call; it grows, for the life
+# of the process, only with the deepest level and degree asked for.
+@cache
+def _fill_pattern(
+    q: int, ones: int, extra: int
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Every filling of q slots, ones of them by dy, with up to extra more y.
+
+    One (extra y degree used, y, dy) triple per filling: the slots chosen
+    for dy_j = 1 in combinations order, and for each choice the extra y
+    exponents in _exponents order on top of y_j = 1 in the other slots.
+    """
+    spreads = [(sum(e), e) for e in _exponents(q, extra)]
+    out = []
+    for at in combinations(range(q), ones):
+        dy = tuple(1 if j in at else 0 for j in range(q))
+        floor = tuple(1 - d for d in dy)
+        out += [(used, tuple(map(add, floor, e)), dy) for used, e in spreads]
+    return tuple(out)
 
 
 def _exponents(q: int, total: int) -> Iterable[tuple[int, ...]]:

@@ -7,7 +7,8 @@ comparison, the graded group table itself); --format json emits a
 single run report object carrying the command, its parameters, the
 verdicts, pass/fail/skip counts, the wall time, and run statistics (the
 process's peak resident memory, the hits and misses of the homology
-caches, and the wall seconds of the parse, run and render stages).
+caches, for verify main1 the number and the largest of the differential
+blocks ranked, and the wall seconds of the parse, run and render stages).
 
 ``main`` first freezes the heap that importing the package left behind
 (``gc.freeze``).  That heap lives until the process ends, so no
@@ -39,7 +40,7 @@ from types import SimpleNamespace
 from .algebra import GradingSpec
 from .closedform import loop_module, main1_dims
 from .ez import run_trials
-from .homology import cache_stats, homology_dim, koszul_dim
+from .homology import block_stats, cache_stats, homology_dim, koszul_dim
 from .steenrod import check_adem, check_cartan, check_instability, module_iso
 from .thom import (
     abelian_tsv,
@@ -414,18 +415,18 @@ def _render(name, params, verdicts, counts, table, fmt, parse_s, run_s) -> str:
         started = time.perf_counter()
         # ru_maxrss is in kilobytes on Linux.
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        stats = {"peakRssMb": round(peak_kb / 1024, 1), "caches": cache_stats()}
+        if name == "verify main1":
+            stats["blocks"] = block_stats()
+        # Filled in below, once the report text is encoded.
+        stats["stages"] = {"parse": round(parse_s, 6), "run": round(run_s, 6), "render": None}
         report = {
             "command": name,
             "parameters": params,
             "verdicts": verdicts,
             "counts": counts,
             "wallTime": round(run_s, 6),
-            "stats": {
-                "peakRssMb": round(peak_kb / 1024, 1),
-                "caches": cache_stats(),
-                # Filled in below, once the report text is encoded.
-                "stages": {"parse": round(parse_s, 6), "run": round(run_s, 6), "render": None},
-            },
+            "stats": stats,
         }
         text = json.dumps(report, indent=2) + "\n"
         # The render time covers encoding the text that carries it, so it

@@ -12,6 +12,7 @@ never as inputs to the machinery that checks them.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from .algebra import Form, GradingSpec, gen_dx, gen_x
@@ -130,8 +131,17 @@ def main1_level_dim(spec: GradingSpec, q: int) -> int:
 
 
 def main1_dims(spec: GradingSpec, q: int, t: int) -> int:
-    """Predicted homology dimension at level q, internal degree t."""
-    return sum(1 for key in level_keys(spec, q) if key_degree(spec, key) == t)
+    """Predicted homology dimension at level q, internal degree t.
+
+    The number of the level's keys of that degree, counted on a cached
+    tuple of their degrees, as a job asks each level at every t.
+    """
+    return _level_degrees(spec, q).count(t)
+
+
+@cache
+def _level_degrees(spec: GradingSpec, q: int) -> tuple[int, ...]:
+    return tuple(key_degree(spec, key) for key in level_keys(spec, q))
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,26 @@ def echelon(rows: Sequence[int]) -> dict[int, int]:
     every kept row has a different lowest bit, which is its key as a
     one-bit int (1 << column).  No row is ever back-reduced.  The keys
     are the pivot columns of the row span and do not depend on the row
-    order; the rows under them do.
+    order; the rows under them do.  The elimination itself (_pivots)
+    keys by column + 1, a small int, and the keys become one-bit ints
+    only on return.
 
     >>> {bin(k): bin(r) for k, r in echelon([0b110, 0b011, 0b101]).items()}
     {'0b10': '0b110', '0b1': '0b11'}
     """
+    return {1 << (key - 1): row for key, row in _pivots(rows).items()}
+
+
+def _pivots(rows: Sequence[int]) -> dict[int, int]:
+    """echelon's rows keyed by column + 1 ((row & -row).bit_length()).
+
+    A one-bit key as wide as the row would be hashed anew on every
+    lookup, at a cost that grows with the column; a small int is not.
+    """
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
+            low = (row & -row).bit_length()
             pivot = pivots.get(low)
             if pivot is None:
                 pivots[low] = row
@@ -83,7 +94,7 @@ def rank(rows: Sequence[int]) -> int:
     >>> rank([0b11, 0b11])
     1
     """
-    return len(echelon(rows))
+    return len(_pivots(rows))
 
 
 def apply_row(v: int, rows: Sequence[int]) -> int:
@@ -98,11 +109,12 @@ def apply_row(v: int, rows: Sequence[int]) -> int:
 def left_kernel(rows: Sequence[int]) -> list[int]:
     """Basis of the vectors c with c M = 0, i.e. the dependencies among the rows.
 
-    Forward elimination as in echelon, with a tag on every row recording
-    which input rows were XORed into it; a row that reduces to zero
-    leaves its tag as a dependency.  The dependency found at row i has
-    i as its highest bit, so the dependencies are independent, and there
-    are len(rows) - rank(rows) of them.
+    Forward elimination as in echelon, on the same small column keys,
+    with a tag on every row recording which input rows were XORed into
+    it; a row that reduces to zero leaves its tag as a dependency.  The
+    dependency found at row i has i as its highest bit, so the
+    dependencies are independent, and there are len(rows) - rank(rows)
+    of them.
 
     >>> left_kernel([0b01, 0b11, 0b10, 0b00])
     [7, 8]
@@ -112,7 +124,7 @@ def left_kernel(rows: Sequence[int]) -> list[int]:
     for i, row in enumerate(rows):
         tag = 1 << i
         while row:
-            low = row & -row
+            low = (row & -row).bit_length()
             pivot = pivots.get(low)
             if pivot is None:
                 pivots[low] = (row, tag)

@@ -29,6 +29,7 @@ agree with the brute force answer degree by degree.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterable, NamedTuple, Optional
 
 from .algebra import (
@@ -49,6 +50,7 @@ __all__ = [
     "normalized_rows",
     "homology_at",
     "homology_dim",
+    "block_stats",
     "cache_stats",
     "clear_caches",
     "is_normalized",
@@ -216,7 +218,21 @@ def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
             down = nondegenerate_basis(q - 1, spec, t, w)
             chains += len(sources)
             boundary += rank(_differential_rows(spec.n, sources, down))
+            _blocks["ranked"] += 1
+            _blocks["largest"] = max(_blocks["largest"], (len(sources), len(down)), key=prod)
     return chains, boundary
+
+
+# The differential blocks _quotient_level has ranked since the last
+# clear_caches: how many, and the first with the most entries as
+# (rows, cols).
+_blocks = {"ranked": 0, "largest": (0, 0)}
+
+
+def block_stats() -> dict[str, object]:
+    """How many differential blocks the dimensions ranked, and the largest
+    as [rows, cols] (the first of the most entries), since clear_caches."""
+    return {"ranked": _blocks["ranked"], "largest": list(_blocks["largest"])}
 
 
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
@@ -258,11 +274,13 @@ def clear_caches() -> None:
 
     All three grow without bound across a process; a long-lived caller that
     moves on to other gradings can drop them, and the hit and miss
-    counts of ``cache_stats`` restart from zero.
+    counts of ``cache_stats`` restart from zero, as do the counts of
+    ``block_stats``.
     """
     _pipeline.cache_clear()
     _classes.cache_clear()
     _quotient_level.cache_clear()
+    _blocks.update(ranked=0, largest=(0, 0))
 
 
 def is_normalized(n: int, form: Form) -> bool:

@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
 import argparse
+import itertools
+import operator
 
 from looplab import closedform, thom
-from looplab.algebra import Form, GradingSpec, Mono
+from looplab.algebra import Form, GradingSpec, Mono, _exponents
 from looplab.thom import space
 
 
@@ -63,6 +65,30 @@ def quotient_reps(z_basis, b_basis):
         if z:
             reduced.append(z)
     return list_rref(reduced)[0]
+
+
+# The per-block enumerator that algebra.nondegenerate_basis replaced with
+# cached slot patterns, kept as the reference it is checked against,
+# output order included.
+def reference_nondegenerate_basis(q, spec, t, w):
+    """Choose the w - dx dy slots, fill the rest with y_j = 1, spread the rest."""
+    n, m = spec.n, spec.m
+    y_deg = (n + 1) * m
+    out = []
+    for dx in (0, 1):
+        ones = w - dx
+        rest = t - (m - 1) * dx - (y_deg - 1) * ones - y_deg * (q - ones)
+        if not 0 <= ones <= q or rest < 0 or rest % m:
+            continue
+        extras = [
+            (y, (rest - y_deg * sum(y)) // m) for y in _exponents(q, rest // y_deg)
+        ]
+        for at in itertools.combinations(range(q), ones):
+            dy = tuple(1 if j in at else 0 for j in range(q))
+            floor = tuple(1 - d for d in dy)
+            for y, x in extras:
+                out.append(Mono(x, dx, tuple(map(operator.add, floor, y)), dy))
+    return out
 
 
 # The (w, p) bigrading that the word length w alone replaced, kept as the

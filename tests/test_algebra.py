@@ -30,9 +30,10 @@ from looplab.algebra import (
 )
 from looplab.simplicial import mono_is_degenerate
 
-from support import mono_bigrading, random_form
+from support import mono_bigrading, random_form, reference_nondegenerate_basis
 
 SPEC = GradingSpec(n=2, m=2)
+ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
 
 def test_spec_validation():
@@ -289,6 +290,23 @@ def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
         for t in range(41):
             assert all(nondegenerate_basis(-1, spec, t, w) == [] for w in range(3))
     assert seen
+
+
+def test_nondegenerate_basis_equals_the_per_block_reference():
+    # The cached slot patterns give the blocks of the old per-block
+    # enumeration, in its order, including the empty ones (w outside
+    # 0 .. q + 1, q = -1).
+    cases = [(GradingSpec(n, m), 5, 6 * (n + 1) * m) for n, m in ACCEPTANCE_PAIRS]
+    cases.append((GradingSpec(2, 2), 9, 64))
+    seen = 0
+    for spec, max_q, max_t in cases:
+        for q in range(-1, max_q + 1):
+            for t in range(max_t + 1):
+                for w in range(-1, q + 3):
+                    block = nondegenerate_basis(q, spec, t, w)
+                    assert block == reference_nondegenerate_basis(q, spec, t, w), (spec, q, t, w)
+                    seen += len(block)
+    assert seen > 100_000
 
 
 mono_strategy = st.builds(

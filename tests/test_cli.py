@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from support import build_parser
 
-from looplab import cli
+from looplab import cli, homology
 from looplab.rng import SplitMix
 
 
@@ -71,6 +71,27 @@ def test_main1_json_report(capsys):
     )
     stages = report["stats"]["stages"]
     assert set(stages) == {"parse", "run", "render"} and min(stages.values()) >= 0
+
+
+def test_main1_json_report_counts_the_ranked_blocks(capsys):
+    # Levels 0 .. 4 (level 4 for the boundaries into level 3) at t <= 12
+    # hold 50 nonempty (q, t, w) blocks; the widest, q = 4, t = 12, w = 2,
+    # maps 6 monomials onto 9.  A rerun reads every rank from the cache.
+    argv = ["verify", "main1", "--n", "1", "--m", "2", "--max-level", "3"]
+    homology.clear_caches()
+    _, tsv, _ = run_cli(capsys, argv)
+    homology.clear_caches()
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert json.loads(out)["stats"]["blocks"] == {"ranked": 50, "largest": [6, 9]}
+    _, again, _ = run_cli(capsys, argv)
+    assert again == tsv
+    homology.clear_caches()
+    assert homology.block_stats() == {"ranked": 0, "largest": [0, 0]}
+    code, out, _ = run_cli(capsys, ["compare", "--space", "cp1", "--coeff", "z",
+                                    "--max-degree", "4", "--format", "json"])
+    assert code == 0 and "blocks" not in json.loads(out)["stats"]
 
 
 def test_ez_is_deterministic(capsys):

@@ -117,6 +117,83 @@ def test_rank_equals_the_length_of_the_echelon_form():
     assert rank([]) == rank([0, 0]) == 0
 
 
+# echelon, rref and left_kernel as they were with one-bit pivot keys
+# (row & -row), kept as the reference for the small column keys.
+def one_bit_echelon(rows):
+    pivots = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = row
+                break
+            row ^= pivot
+    return pivots
+
+
+def one_bit_rref(rows):
+    pivots = one_bit_echelon(rows)
+    order = sorted(pivots)
+    mask = 0
+    for low in reversed(order):
+        row = pivots[low]
+        higher = row & mask
+        while higher:
+            row ^= pivots[higher & -higher]
+            higher &= higher - 1
+        pivots[low] = row
+        mask |= low
+    return [pivots[k] for k in order], [k.bit_length() - 1 for k in order]
+
+
+def one_bit_left_kernel(rows):
+    pivots = {}
+    deps = []
+    for i, row in enumerate(rows):
+        tag = 1 << i
+        while row:
+            low = row & -row
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (row, tag)
+                break
+            row ^= pivot[0]
+            tag ^= pivot[1]
+        if not row:
+            deps.append(tag)
+    return deps
+
+
+def test_small_pivot_keys_equal_the_one_bit_keys_on_wide_rows():
+    rng = random.Random(611)
+    seen_deps = 0
+    for ncols in (20_000, 20_001, 32_768):
+        for shape in ("dense", "sparse", "banded"):
+            rows = []
+            for _ in range(rng.randint(80, 120)):
+                if shape == "dense":
+                    row = rng.getrandbits(ncols)
+                elif shape == "sparse":
+                    row = sum(1 << rng.randrange(ncols) for _ in range(rng.randint(1, 6)))
+                else:
+                    # bits near the top, so the pivots sit in the widest columns
+                    row = sum(1 << rng.randrange(ncols - 300, ncols) for _ in range(3))
+                rows.append(row)
+            rows += [apply_row(rng.getrandbits(len(rows)), rows) for _ in range(20)]
+            rows += [0, rows[0]]
+            rng.shuffle(rows)
+            assert max(rows).bit_length() > 19_000
+            want = one_bit_echelon(rows)
+            assert list(echelon(rows).items()) == list(want.items()), (ncols, shape)
+            assert rank(rows) == len(want)
+            assert rref(rows) == one_bit_rref(rows)
+            deps = left_kernel(rows)
+            assert deps == one_bit_left_kernel(rows)
+            seen_deps += len(deps)
+    assert seen_deps >= 9 * 22
+
+
 def test_kernel_of_single_equation():
     ker = kernel_basis([0b011], 3)
     assert len(ker) == 2

@@ -389,6 +389,19 @@ def test_dimensions_agree_at_level_seven_and_degree_sixty_two():
     assert time.monotonic() - start < 60.0
 
 
+def test_dimensions_agree_at_level_eight_to_degree_sixty_one():
+    # Level 8 holds classes in degrees 41 to 44.  Above them the blocks
+    # grow fast: the largest, at t = 61 and w = 5, maps 12,390 level 8
+    # monomials onto 11,130 at level 7.
+    spec = GradingSpec(2, 2)
+    start = time.monotonic()
+    dims = [homology_dim(spec, 8, t) for t in range(62)]
+    assert dims == [main1_dims(spec, 8, t) for t in range(62)]
+    assert dims == [koszul_dim(spec, 8, t) for t in range(62)]
+    assert [t for t, dim in enumerate(dims) if dim] == [41, 42, 43, 44]
+    assert time.monotonic() - start < 60.0
+
+
 def test_classes_certify_every_representative_to_level_six_and_degree_forty_eight():
     spec = GradingSpec(2, 2)
     start = time.monotonic()
