@@ -9,6 +9,11 @@ isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on C/D,
 whose basis is the nondegenerate monomials and whose differential is the
 sum of all faces with degenerate images dropped, one block at a time:
 - a dimension is a monomial count minus two boundary ranks, summed over w;
+  the faces are algebra maps that fix x, so multiplying by x carries the
+  (q, t, w) block onto the (q, t + m, w) block, differential rows and
+  all, whenever the leftover y budgets of its slot patterns stay the
+  same, and each block is ranked once under a key of those budgets
+  (_block_keys);
 - a block's representatives are its cycles with no bit in a pivot column
   of the boundaries' echelon form, reduced to a canonical basis, and
   lifted to normalized cycles by the normalizing projection P; a
@@ -202,36 +207,80 @@ def homology_at(
     return SliceHomology(q, t, len(forms), forms)
 
 
+def _block_keys(spec: GradingSpec, q: int, t: int) -> Iterable[tuple[int, tuple[int, ...]]]:
+    """The w blocks of the (q, t) level of C/D that can be nonempty, with their keys.
+
+    A block's two halves, dx = 0 and dx = 1, leave rest and rest - m of
+    y degree to set x and the extra y exponents from, where
+    rest = t + w - (n+1)m q (nondegenerate_basis).  The x exponent is
+    whole only when m divides rest, and both halves are empty when rest
+    is negative, so every other w is skipped.  The key is
+    (n % 2, q, w, rest // ((n+1)m), (rest - m) // ((n+1)m)): the last two
+    entries are the leftover y budgets of the halves, negative for an
+    empty half.  They fix the block's slot patterns, in order (algebra's
+    _fill_pattern), and so every face image's place in the target block:
+    only face 0 touches x or dx, and it kills dy_1 when dx is present or
+    n is odd.  So blocks under one key have the same differential rows;
+    within one spec, multiplying by a power of x carries one onto the
+    other, as the faces are algebra maps that fix x (simplicial).  The
+    target block at level q - 1 has both budgets one higher, so the key
+    fixes it too.
+    """
+    n, m = spec.n, spec.m
+    y_deg = (n + 1) * m
+    for w in range(-t % m, q + 2, m):
+        rest = t + w - y_deg * q
+        if rest >= 0:
+            yield w, (n % 2, q, w, rest // y_deg, (rest - m) // y_deg)
+
+
 @lru_cache(maxsize=None)
 def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
     """Dimension of C/D at (q, t) and the rank of its differential to level q-1.
 
     Faces preserve w, so both are sums over the w blocks, each rank on
-    rows as wide as its target block; empty source blocks are skipped.
-    The blocks keep nondegenerate_basis's order: a rank does not depend
-    on it, so the sort that _classes needs is skipped here.
+    rows as wide as its target block.  Each block's (size, rank) is read
+    from _block_ranks under its _block_keys key, so a block that x
+    carries onto another, in this slice or in another spec of the same
+    parity of n, is ranked once.  The blocks keep nondegenerate_basis's
+    order: a rank does not depend on it, so the sort that _classes needs
+    is skipped here.
     """
     chains = boundary = 0
-    for w in range(q + 2):
-        sources = nondegenerate_basis(q, spec, t, w)
-        if sources:
+    for w, key in _block_keys(spec, q, t):
+        block = _block_ranks.get(key)
+        if block is None:
+            sources = nondegenerate_basis(q, spec, t, w)
             down = nondegenerate_basis(q - 1, spec, t, w)
-            chains += len(sources)
-            boundary += rank(_differential_rows(spec.n, sources, down))
-            _blocks["ranked"] += 1
-            _blocks["largest"] = max(_blocks["largest"], (len(sources), len(down)), key=prod)
+            block = _block_ranks[key] = (
+                len(sources),
+                rank(_differential_rows(spec.n, sources, down)),
+            )
+            if sources:
+                _blocks["ranked"] += 1
+                _blocks["largest"] = max(_blocks["largest"], (len(sources), len(down)), key=prod)
+        chains += block[0]
+        boundary += block[1]
     return chains, boundary
 
 
+# The (size, rank) of every C/D block _quotient_level has built since the
+# last clear_caches, under its _block_keys key: one pair of ints per key,
+# and a key holds neither t nor the spec beyond the parity of n.
+_block_ranks: dict[tuple[int, ...], tuple[int, int]] = {}
+
 # The differential blocks _quotient_level has ranked since the last
-# clear_caches: how many, and the first with the most entries as
-# (rows, cols).
+# clear_caches (each key once): how many, and the first with the most
+# entries as (rows, cols).
 _blocks = {"ranked": 0, "largest": (0, 0)}
 
 
 def block_stats() -> dict[str, object]:
     """How many differential blocks the dimensions ranked, and the largest
-    as [rows, cols] (the first of the most entries), since clear_caches."""
+    as [rows, cols] (the first of the most entries), since clear_caches.
+
+    A block read back under its key (see _block_keys) is not counted again.
+    """
     return {"ranked": _blocks["ranked"], "largest": list(_blocks["largest"])}
 
 
@@ -241,7 +290,8 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     Equal to homology_at(spec, q, t).dim without finding cycles or
     representatives.  Each level's dimension and boundary rank are cached
     as two ints, so the slices at q and q+1 eliminate their shared
-    boundary once.
+    boundary once, and each w block is ranked once per key of its y
+    budgets (_block_keys), however many degrees t share it.
 
     For x truncated at x^3 with |x| = 2 (n = 2, m = 2), level 0 holds the
     powers of x and dx x^j below the truncation, and level 1 the classes
@@ -272,7 +322,8 @@ def cache_stats() -> dict[str, dict[str, int]]:
 def clear_caches() -> None:
     """Empty the slice pipeline, class and quotient level caches.
 
-    All three grow without bound across a process; a long-lived caller that
+    All three grow without bound across a process, as do the block ranks
+    and the Koszul levels that this also empties; a long-lived caller that
     moves on to other gradings can drop them, and the hit and miss
     counts of ``cache_stats`` restart from zero, as do the counts of
     ``block_stats``.
@@ -280,6 +331,8 @@ def clear_caches() -> None:
     _pipeline.cache_clear()
     _classes.cache_clear()
     _quotient_level.cache_clear()
+    _block_ranks.clear()
+    _koszul_level.cache_clear()
     _blocks.update(ranked=0, largest=(0, 0))
 
 
@@ -381,15 +434,21 @@ def _koszul_rows(spec: GradingSpec, src, tgt) -> list[int]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _koszul_level(spec: GradingSpec, h: int, t: int) -> tuple[int, int]:
+    """Oracle chain count at (h, t) and the rank of its boundary to h - 1."""
+    basis = _koszul_basis(spec, h, t)
+    return len(basis), rank(_koszul_rows(spec, basis, _koszul_basis(spec, h - 1, t)))
+
+
 def koszul_dim(spec: GradingSpec, q: int, t: int) -> int:
-    """Oracle homology dimension at homological degree q, degree t."""
-    basis_q = _koszul_basis(spec, q, t)
-    if not basis_q:
-        return 0
-    down = _koszul_basis(spec, q - 1, t) if q else []
-    cycles = len(basis_q) - rank(_koszul_rows(spec, basis_q, down))
-    up = _koszul_basis(spec, q + 1, t)
-    return cycles - rank(_koszul_rows(spec, up, basis_q))
+    """Oracle homology dimension at homological degree q, degree t.
+
+    Read off the cached _koszul_level as homology_dim reads _quotient_level,
+    so degrees q and q+1 share the rank of the boundary between them.
+    """
+    chains, boundary_out = _koszul_level(spec, q, t)
+    return chains - boundary_out - _koszul_level(spec, q + 1, t)[1]
 
 
 def check_pi0(spec: GradingSpec, max_level: int, max_degree: int) -> list[str]:

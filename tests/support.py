@@ -4,8 +4,9 @@ import argparse
 import itertools
 import operator
 
-from looplab import closedform, thom
+from looplab import closedform, homology, thom
 from looplab.algebra import Form, GradingSpec, Mono, _exponents
+from looplab.gf2 import rank
 from looplab.thom import space
 
 
@@ -89,6 +90,20 @@ def reference_nondegenerate_basis(q, spec, t, w):
             for y, x in extras:
                 out.append(Mono(x, dx, tuple(map(operator.add, floor, y)), dy))
     return out
+
+
+# The Koszul recount before homology.koszul_dim read its levels through a
+# cache, kept as the reference it is checked against: three bases and two
+# ranks per call.
+def reference_koszul_dim(spec, q, t):
+    """Oracle homology dimension at homological degree q, degree t."""
+    basis_q = homology._koszul_basis(spec, q, t)
+    if not basis_q:
+        return 0
+    down = homology._koszul_basis(spec, q - 1, t) if q else []
+    cycles = len(basis_q) - rank(homology._koszul_rows(spec, basis_q, down))
+    up = homology._koszul_basis(spec, q + 1, t)
+    return cycles - rank(homology._koszul_rows(spec, up, basis_q))
 
 
 # The (w, p) bigrading that the word length w alone replaced, kept as the

@@ -94,6 +94,19 @@ def test_main1_json_report_counts_the_ranked_blocks(capsys):
     assert code == 0 and "blocks" not in json.loads(out)["stats"]
 
 
+def test_main1_json_report_ranks_each_block_key_once(capsys):
+    # At (2, 2) the levels 0 .. 4 at t <= 30 hold 178 nonempty blocks, but
+    # a block that x carries onto another has the same key and is read
+    # back, so only 125 are ranked; the widest maps 50 monomials onto 60.
+    argv = ["verify", "main1", "--n", "2", "--m", "2", "--max-level", "3",
+            "--max-degree", "30", "--format", "json"]
+    homology.clear_caches()
+    code, out, _ = run_cli(capsys, argv)
+    homology.clear_caches()
+    assert code == 0
+    assert json.loads(out)["stats"]["blocks"] == {"ranked": 125, "largest": [50, 60]}
+
+
 def test_ez_is_deterministic(capsys):
     argv = ["verify", "ez", "--n", "1", "--m", "2", "--max-level", "2",
             "--trials", "12", "--seed", "5"]

@@ -40,7 +40,7 @@ from looplab.simplicial import (
     mono_normalize,
     omega,
 )
-from support import mono_bigrading, quotient_reps
+from support import mono_bigrading, quotient_reps, reference_koszul_dim
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
@@ -382,6 +382,31 @@ def test_block_ranks_equal_the_one_matrix_rank():
     assert split > 100
 
 
+def test_blocks_that_share_a_key_have_the_same_differential():
+    # _quotient_level ranks each key once, so every block under one key,
+    # across degrees and specs of one parity of n, must be the same matrix,
+    # and every w that _block_keys skips must hold no monomial.
+    seen = {}
+    shared = 0
+    for n, m in ACCEPTANCE_PAIRS + ((5, 2), (6, 3), (1, 5), (2, 3)):
+        spec = GradingSpec(n, m)
+        for q in range(6):
+            for t in range(5 * (n + 1) * m):
+                keys = dict(homology._block_keys(spec, q, t))
+                for w in range(q + 3):
+                    sources = nondegenerate_basis(q, spec, t, w)
+                    if w not in keys:
+                        assert not sources, (spec, q, t, w)
+                        continue
+                    down = nondegenerate_basis(q - 1, spec, t, w)
+                    block = len(sources), homology._differential_rows(n, sources, down)
+                    first = seen.setdefault(keys[w], block)
+                    assert block == first, (spec, q, t, w)
+                    shared += bool(sources) and first is not block
+    # most nonempty blocks are read back under a key met before
+    assert shared > 2000
+
+
 def test_dimensions_agree_at_level_seven_and_degree_sixty_two():
     spec = GradingSpec(2, 2)
     start = time.monotonic()
@@ -414,6 +439,19 @@ def test_classes_certify_every_representative_to_level_six_and_degree_forty_eigh
                 assert not is_boundary(spec, rep), (q, t)
     assert check_pi0(spec, 6, 48) == []
     assert time.monotonic() - start < 60.0
+
+
+def test_koszul_levels_give_the_three_basis_recount():
+    levels = [
+        (GradingSpec(n, m), q, t)
+        for n, m in ACCEPTANCE_PAIRS
+        for q in range(7)
+        for t in range(6 * (n + 1) * m + 1)
+    ]
+    levels += [(GradingSpec(2, 2), q, t) for q in range(10) for t in range(65)]
+    for spec, q, t in levels:
+        assert koszul_dim(spec, q, t) == reference_koszul_dim(spec, q, t), (spec, q, t)
+    assert any(koszul_dim(spec, q, t) for spec, q, t in levels if q == 9)
 
 
 def test_slice_homology_is_a_frozen_value():
