@@ -7,8 +7,9 @@ comparison, the graded group table itself); --format json emits a
 single run report object carrying the command, its parameters, the
 verdicts, pass/fail/skip counts, the wall time, and run statistics (the
 process's peak resident memory, the hits and misses of the homology
-caches, for verify main1 the number and the largest of the differential
-blocks ranked, and the wall seconds of the parse, run and render stages).
+caches, for verify main1 the number of differential blocks ranked and
+read back and the largest ranked, and the wall seconds of the parse,
+run and render stages).
 
 ``main`` first freezes the heap that importing the package left behind
 (``gc.freeze``).  That heap lives until the process ends, so no

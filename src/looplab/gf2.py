@@ -3,6 +3,8 @@
 A matrix is a list of Python ints, one int per row, bit j of a row being
 the entry in column j.  Everything reduces to integer XOR, so results
 are exact and there is no tolerance knob anywhere in the package.
+Pivot rows are keyed by their lowest bit's column + 1 inside this
+module only: rref returns plain pivot columns, and rank counts rows.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from typing import Optional, Sequence
 
 __all__ = [
     "low_bit",
-    "echelon",
     "rref",
     "rank",
     "apply_row",
@@ -25,28 +26,17 @@ def low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def echelon(rows: Sequence[int]) -> dict[int, int]:
-    """Forward elimination: the independent rows keyed by their lowest set bit.
+def _echelon(rows: Sequence[int]) -> dict[int, int]:
+    """Forward elimination: the independent rows keyed by (row & -row).bit_length().
 
     A new row is reduced until its lowest bit is free or it vanishes, so
-    every kept row has a different lowest bit, which is its key as a
-    one-bit int (1 << column).  No row is ever back-reduced.  The keys
-    are the pivot columns of the row span and do not depend on the row
-    order; the rows under them do.  The elimination itself (_pivots)
-    keys by column + 1, a small int, and the keys become one-bit ints
-    only on return.
+    every kept row has a different lowest bit; no row is back-reduced.
+    The key, the pivot column + 1, is a small int, where a one-bit key as
+    wide as the row would be hashed anew on every lookup.  The keys do
+    not depend on the row order; the rows under them do.
 
-    >>> {bin(k): bin(r) for k, r in echelon([0b110, 0b011, 0b101]).items()}
-    {'0b10': '0b110', '0b1': '0b11'}
-    """
-    return {1 << (key - 1): row for key, row in _pivots(rows).items()}
-
-
-def _pivots(rows: Sequence[int]) -> dict[int, int]:
-    """echelon's rows keyed by column + 1 ((row & -row).bit_length()).
-
-    A one-bit key as wide as the row would be hashed anew on every
-    lookup, at a cost that grows with the column; a small int is not.
+    >>> {k: bin(r) for k, r in _echelon([0b110, 0b011, 0b101]).items()}
+    {2: '0b110', 1: '0b11'}
     """
     pivots: dict[int, int] = {}
     for row in rows:
@@ -68,22 +58,23 @@ def rref(rows: Sequence[int]) -> tuple[list[int], list[int]]:
     row.  The pivot of a row is its lowest set bit.  The output depends
     only on the row span, which makes it usable as a canonical form.
 
-    The echelon rows are back-reduced from the highest pivot down: a
-    row's bits in the higher pivot columns are XORed out with those
-    columns' rows, which are already reduced and have no other pivot bit.
+    The echelon rows are back-reduced from the highest pivot down, on
+    the same small keys as the forward elimination: a row's bits in the
+    higher pivot columns are XORed out with those columns' rows, which
+    are already reduced and have no other pivot bit.
     """
-    pivots = echelon(rows)
+    pivots = _echelon(rows)
     order = sorted(pivots)
     mask = 0
-    for low in reversed(order):
-        row = pivots[low]
+    for key in reversed(order):
+        row = pivots[key]
         higher = row & mask
         while higher:
-            row ^= pivots[higher & -higher]
+            row ^= pivots[(higher & -higher).bit_length()]
             higher &= higher - 1
-        pivots[low] = row
-        mask |= low
-    return [pivots[k] for k in order], [low_bit(k) for k in order]
+        pivots[key] = row
+        mask |= 1 << (key - 1)
+    return [pivots[k] for k in order], [k - 1 for k in order]
 
 
 def rank(rows: Sequence[int]) -> int:
@@ -94,7 +85,7 @@ def rank(rows: Sequence[int]) -> int:
     >>> rank([0b11, 0b11])
     1
     """
-    return len(_pivots(rows))
+    return len(_echelon(rows))
 
 
 def apply_row(v: int, rows: Sequence[int]) -> int:
@@ -109,7 +100,7 @@ def apply_row(v: int, rows: Sequence[int]) -> int:
 def left_kernel(rows: Sequence[int]) -> list[int]:
     """Basis of the vectors c with c M = 0, i.e. the dependencies among the rows.
 
-    Forward elimination as in echelon, on the same small column keys,
+    Forward elimination as in _echelon, on the same small column keys,
     with a tag on every row recording which input rows were XORed into
     it; a row that reduces to zero leaves its tag as a dependency.  The
     dependency found at row i has i as its highest bit, so the

@@ -15,10 +15,10 @@ sum of all faces with degenerate images dropped, one block at a time:
   same, and each block is ranked once under a key of those budgets
   (_block_keys);
 - a block's representatives are its cycles with no bit in a pivot column
-  of the boundaries' echelon form, reduced to a canonical basis, and
-  lifted to normalized cycles by the normalizing projection P; a
-  boundary that is not a cycle (d∘d ≠ 0) raises ValueError; a slice
-  merges its blocks' representatives by their lowest monomial;
+  of the boundaries' rref, reduced to a canonical basis, and lifted to
+  normalized cycles by the normalizing projection P; a boundary that is
+  not a cycle (d∘d ≠ 0) raises ValueError; a slice merges by lowest
+  monomial the representatives of the blocks that _block_keys yields;
 - a normalized cycle's class is read off its nondegenerate terms.
 N itself is built only for the rows that the shuffle trials draw from
 (normalized_rows).
@@ -46,7 +46,7 @@ from .algebra import (
     monomial_basis,
     nondegenerate_basis,
 )
-from .gf2 import apply_row, echelon, left_kernel, low_bit, rank, rref, solve_in_span
+from .gf2 import apply_row, left_kernel, low_bit, rank, rref, solve_in_span
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 
 __all__ = [
@@ -128,27 +128,26 @@ def _classes(
     """Nondegenerate basis, boundaries and canonical representatives of a w block.
 
     The basis is the (q, t, w) block of C/D, sorted; boundaries and
-    representatives are bit rows over it, the boundaries being the echelon
-    rows of the differential from the block above.  Every cycle reduces
-    modulo the boundaries to exactly one cycle with no bit in a pivot column
-    of the boundaries, so the cycles off the pivots represent the homology:
-    the dependencies among the differential rows of the free (non-pivot)
-    basis monomials, reduced to a canonical basis (so the neighbouring
-    blocks need no sort).  A boundary that is not a cycle (d∘d ≠ 0) means
-    the face tables are inconsistent and raises ValueError.
+    representatives are bit rows over it, the boundaries being the reduced
+    rows of the differential from the block above (rref), with their pivot
+    columns.  Every cycle reduces modulo the boundaries to exactly one cycle
+    with no bit in a pivot column, so the cycles off the pivots represent
+    the homology: the dependencies among the differential rows of the free
+    (non-pivot) basis monomials, reduced to a canonical basis (so the
+    neighbouring blocks need no sort).  A boundary that is not a cycle
+    (d∘d ≠ 0) means the face tables are inconsistent and raises ValueError.
     """
     basis = tuple(sorted(nondegenerate_basis(q, spec, t, w)))
     down = nondegenerate_basis(q - 1, spec, t, w)
     up = nondegenerate_basis(q + 1, spec, t, w)
     rows = _differential_rows(spec.n, basis, down)
-    bounds = echelon(_differential_rows(spec.n, up, basis))
-    if any(apply_row(b, rows) for b in bounds.values()):
+    bounds, pivot_cols = rref(_differential_rows(spec.n, up, basis))
+    if any(apply_row(b, rows) for b in bounds):
         raise ValueError("a boundary is not a cycle: the face tables break d∘d = 0")
-    pivots = sum(bounds)
-    free = [k for k in range(len(basis)) if not pivots >> k & 1]
+    free = sorted(set(range(len(basis))).difference(pivot_cols))
     units = [1 << k for k in free]
     reps = [apply_row(dep, units) for dep in left_kernel([rows[k] for k in free])]
-    return basis, tuple(bounds.values()), tuple(rref(reps)[0])
+    return basis, tuple(bounds), tuple(rref(reps)[0])
 
 
 def _to_vec(monos: Iterable[Mono], index: dict[Mono, int]) -> int:
@@ -192,12 +191,14 @@ def homology_at(
     """Homology of the (q, t) slice, or of its w block when w is given.
 
     Representatives are the canonical ones of each block on C/D, lifted to
-    normalized cycles by the normalizing projection.  A slice orders them
-    by lowest nondegenerate monomial, the order of its own reduced echelon
-    form, which is the union of its blocks' (they sit on disjoint columns).
+    normalized cycles by the normalizing projection.  A slice visits the
+    blocks _block_keys yields, as every other w block is empty, and orders
+    the representatives by lowest nondegenerate monomial, the order of its
+    own reduced echelon form, which is the union of its blocks' (they sit
+    on disjoint columns).
     """
     reps = []
-    for v in range(q + 2) if w is None else (w,):
+    for v in [v for v, _ in _block_keys(spec, q, t)] if w is None else [w]:
         basis, _, vecs = _classes(spec, q, t, v)
         reps += [(basis[low_bit(vec)], _to_form(q, vec, basis)) for vec in vecs]
     forms = tuple(
@@ -259,6 +260,8 @@ def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
             if sources:
                 _blocks["ranked"] += 1
                 _blocks["largest"] = max(_blocks["largest"], (len(sources), len(down)), key=prod)
+        elif block[0]:
+            _blocks["hits"] += 1
         chains += block[0]
         boundary += block[1]
     return chains, boundary
@@ -269,19 +272,19 @@ def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
 # and a key holds neither t nor the spec beyond the parity of n.
 _block_ranks: dict[tuple[int, ...], tuple[int, int]] = {}
 
-# The differential blocks _quotient_level has ranked since the last
-# clear_caches (each key once): how many, and the first with the most
-# entries as (rows, cols).
-_blocks = {"ranked": 0, "largest": (0, 0)}
+# The nonempty blocks _quotient_level has ranked (each key once) and read
+# back under a ranked key since the last clear_caches, and the first
+# ranked with the most entries as (rows, cols).
+_blocks = {"ranked": 0, "hits": 0, "largest": (0, 0)}
 
 
 def block_stats() -> dict[str, object]:
-    """How many differential blocks the dimensions ranked, and the largest
-    as [rows, cols] (the first of the most entries), since clear_caches.
-
-    A block read back under its key (see _block_keys) is not counted again.
+    """How many nonempty differential blocks the dimensions ranked, how many
+    they read back under a key already ranked (see _block_keys), and the
+    largest ranked as [rows, cols] (the first of the most entries), since
+    clear_caches.
     """
-    return {"ranked": _blocks["ranked"], "largest": list(_blocks["largest"])}
+    return {**_blocks, "largest": list(_blocks["largest"])}
 
 
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
@@ -333,7 +336,7 @@ def clear_caches() -> None:
     _quotient_level.cache_clear()
     _block_ranks.clear()
     _koszul_level.cache_clear()
-    _blocks.update(ranked=0, largest=(0, 0))
+    _blocks.update(ranked=0, hits=0, largest=(0, 0))
 
 
 def is_normalized(n: int, form: Form) -> bool:
@@ -374,12 +377,14 @@ def class_of(spec: GradingSpec, form: Form) -> tuple[int, ...]:
     The order matches homology_at(spec, q, t).reps.  Requires a nonzero
     homogeneous normalized cycle.  Its image in C/D drops the degenerate
     terms, and is a cycle there exactly when the form is one in N; the
-    image splits by word length and is solved block by block.
+    image splits by word length and is solved on the blocks _block_keys
+    yields, which hold every term: rest = m(x + dx) + (n+1)m(Σy + Σdy − q)
+    is a multiple of m, and not negative as every slot is filled.
     """
     q, t = _require_cycle(spec, form)
     terms = [m for m in form.terms if not mono_is_degenerate(m)]
     coords = []
-    for w in range(q + 2):
+    for w, _ in _block_keys(spec, q, t):
         basis, b_basis, reps = _classes(spec, q, t, w)
         index = {m: k for k, m in enumerate(basis)}
         vec = _to_vec((m for m in terms if mono_word_length(m) == w), index)

@@ -12,6 +12,7 @@ import pytest
 from support import build_parser
 
 from looplab import cli, homology
+from looplab.algebra import GradingSpec, nondegenerate_basis
 from looplab.rng import SplitMix
 
 
@@ -84,11 +85,11 @@ def test_main1_json_report_counts_the_ranked_blocks(capsys):
     for _ in range(2):
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert code == 0
-        assert json.loads(out)["stats"]["blocks"] == {"ranked": 50, "largest": [6, 9]}
+        assert json.loads(out)["stats"]["blocks"] == {"ranked": 50, "hits": 0, "largest": [6, 9]}
     _, again, _ = run_cli(capsys, argv)
     assert again == tsv
     homology.clear_caches()
-    assert homology.block_stats() == {"ranked": 0, "largest": [0, 0]}
+    assert homology.block_stats() == {"ranked": 0, "hits": 0, "largest": [0, 0]}
     code, out, _ = run_cli(capsys, ["compare", "--space", "cp1", "--coeff", "z",
                                     "--max-degree", "4", "--format", "json"])
     assert code == 0 and "blocks" not in json.loads(out)["stats"]
@@ -97,14 +98,25 @@ def test_main1_json_report_counts_the_ranked_blocks(capsys):
 def test_main1_json_report_ranks_each_block_key_once(capsys):
     # At (2, 2) the levels 0 .. 4 at t <= 30 hold 178 nonempty blocks, but
     # a block that x carries onto another has the same key and is read
-    # back, so only 125 are ranked; the widest maps 50 monomials onto 60.
+    # back, so only 125 are ranked and 53 are hits; the widest maps 50
+    # monomials onto 60.
     argv = ["verify", "main1", "--n", "2", "--m", "2", "--max-level", "3",
             "--max-degree", "30", "--format", "json"]
     homology.clear_caches()
     code, out, _ = run_cli(capsys, argv)
     homology.clear_caches()
     assert code == 0
-    assert json.loads(out)["stats"]["blocks"] == {"ranked": 125, "largest": [50, 60]}
+    blocks = json.loads(out)["stats"]["blocks"]
+    assert blocks == {"ranked": 125, "hits": 53, "largest": [50, 60]}
+    spec = GradingSpec(2, 2)
+    nonempty = sum(
+        1
+        for q in range(5)
+        for t in range(31)
+        for w, _ in homology._block_keys(spec, q, t)
+        if nondegenerate_basis(q, spec, t, w)
+    )
+    assert blocks["ranked"] + blocks["hits"] == nonempty == 178
 
 
 def test_ez_is_deterministic(capsys):

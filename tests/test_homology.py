@@ -9,13 +9,14 @@ from looplab.algebra import (
     GradingSpec,
     Mono,
     gen_x,
+    internal_degree,
     mono_word_length,
     monomial_basis,
     nondegenerate_basis,
     parse_form,
 )
 from looplab.closedform import main1_dims
-from looplab.gf2 import apply_row, left_kernel, rank, rref, solve_in_span
+from looplab.gf2 import apply_row, left_kernel, low_bit, rank, rref, solve_in_span
 from looplab import homology
 from looplab.homology import (
     SliceHomology,
@@ -504,6 +505,58 @@ def test_whole_slices_merge_their_blocks_by_lowest_monomial(monkeypatch):
     assert class_of(spec, Form.from_monos(q, [short[1]])) == (0, 1)
 
 
+# homology_at and class_of as they were, visiting every w in range(q + 2),
+# kept as the reference for the _block_keys walk; classes is _classes.
+def every_w_reps(classes, spec, q, t):
+    reps = []
+    for w in range(q + 2):
+        basis, _, vecs = classes(spec, q, t, w)
+        reps += [(basis[low_bit(vec)], homology._to_form(q, vec, basis)) for vec in vecs]
+    return tuple(
+        sum((mono_normalize(spec.n, m) for m in form.terms), Form.zero(q))
+        for _, form in sorted(reps, key=lambda rep: rep[0])
+    )
+
+
+def every_w_class_of(classes, spec, form):
+    q, t = form.level, internal_degree(spec, form)
+    terms = [m for m in form.terms if not mono_is_degenerate(m)]
+    coords = []
+    for w in range(q + 2):
+        basis, b_basis, reps = classes(spec, q, t, w)
+        index = {m: k for k, m in enumerate(basis)}
+        vec = homology._to_vec((m for m in terms if mono_word_length(m) == w), index)
+        solved = solve_in_span(b_basis + reps, vec)
+        assert solved is not None
+        coords += zip((basis[low_bit(r)] for r in reps), solved[len(b_basis) :])
+    return tuple(c for _, c in sorted(coords))
+
+
+def test_the_class_route_asks_only_for_the_blocks_block_keys_yields(monkeypatch):
+    classes = homology._classes
+    asked = []
+
+    def recording(spec, q, t, w):
+        asked.append((spec, q, t, w))
+        return classes(spec, q, t, w)
+
+    monkeypatch.setattr(homology, "_classes", recording)
+    checked = skipped = 0
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        for q in range(5):
+            for t in range(4 * (n + 1) * m + 1):
+                reps = homology_at(spec, q, t).reps
+                assert reps == every_w_reps(classes, spec, q, t), (spec, q, t)
+                for rep in reps:
+                    assert class_of(spec, rep) == every_w_class_of(classes, spec, rep)
+                checked += len(reps)
+                skipped += q + 2 - len(list(homology._block_keys(spec, q, t)))
+    assert all(w in dict(homology._block_keys(spec, q, t)) for spec, q, t, w in asked)
+    # the walk is not vacuous: many classes are checked and many w skipped
+    assert checked > 100 and skipped > 1000
+
+
 def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     spec = GradingSpec(1, 2)
     homology_at(spec, 1, 6)
@@ -516,6 +569,8 @@ def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     normalized_basis(spec, 1, 6)
     assert homology.cache_stats() == {
         "pipeline": {"hits": 0, "misses": 1},
-        "classes": {"hits": 0, "misses": 3},
+        # w = 0 and w = 2 only: at (1,2), q = 1, t = 6, m = 2 does not
+        # divide t + w for w = 1, so homology_at never asks for that block.
+        "classes": {"hits": 0, "misses": 2},
         "quotientLevel": {"hits": 0, "misses": 2},
     }
