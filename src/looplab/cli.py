@@ -7,9 +7,9 @@ comparison, the graded group table itself); --format json emits a
 single run report object carrying the command, its parameters, the
 verdicts, pass/fail/skip counts, the wall time, and run statistics (the
 process's peak resident memory, the hits and misses of the homology
-caches, for verify main1 the number of differential blocks ranked and
-read back and the largest ranked, and the wall seconds of the parse,
-run and render stages).
+caches, for verify main1 the generators whose boundary column was
+reduced or cleared and the largest boundary matrix, and the wall seconds
+of the parse, run and render stages).
 
 ``main`` first freezes the heap that importing the package left behind
 (``gc.freeze``).  That heap lives until the process ends, so no
@@ -277,6 +277,7 @@ def _run_main1(args):
             "detail": f"chain={chain} closed={closed} resolution={resolution}",
         }
 
+    homology_dim(spec, args.max_level, t_max)  # extends the barcode once, to the corner
     verdicts = [check(q, t) for q in range(args.max_level + 1) for t in range(t_max + 1)]
     return params, verdicts, _counts(verdicts), None
 
@@ -296,6 +297,8 @@ def _check_verdict(side: str, report: dict) -> dict:
 def _run_steenrod(args):
     sp = args.space
     params = {"space": sp.name, "maxDegree": args.max_degree, "maxSq": args.max_sq}
+    # No Sq^k with k past --max-degree stays in the window: cap the bound there.
+    k_max = min(args.max_sq, max(args.max_degree, 1))
     loop = loop_module(sp.n, sp.r, args.max_degree, sq_one=sp.odd_op)
     model = model_module_f2(sp, args.max_degree)
     jobs = [
@@ -305,9 +308,7 @@ def _run_steenrod(args):
         ("model", model, check_instability),
         ("model", model, check_adem),
     ]
-    verdicts = [
-        _check_verdict(side, checker(module, args.max_sq)) for side, module, checker in jobs
-    ]
+    verdicts = [_check_verdict(side, checker(module, k_max)) for side, module, checker in jobs]
     skipped = sum(v.pop("skipped") for v in verdicts)
     return params, verdicts, _counts(verdicts, skipped), None
 
@@ -386,7 +387,8 @@ def _run_compare(args):
         }
 
     verdicts = [per_degree(deg) for deg in range(args.max_degree + 1)]
-    iso = module_iso(model, loop, loop_dictionary(sp, args.max_degree), args.max_sq)
+    k_max = min(args.max_sq, max(args.max_degree, 1))  # as in _run_steenrod
+    iso = module_iso(model, loop, loop_dictionary(sp, args.max_degree), k_max)
     verdicts.append(_check_verdict("dictionary", iso))
     skipped = verdicts[-1].pop("skipped")
     return params, verdicts, _counts(verdicts, skipped), None

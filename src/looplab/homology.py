@@ -1,4 +1,4 @@
-"""Homology of the resolution, computed by brute force slice by slice.
+"""Homology of the resolution, computed by brute force.
 
 A slice is the span of all level q monomials of one internal degree t;
 faces preserve the word length w, which fixes every other grading given
@@ -7,13 +7,16 @@ monomials span a subcomplex D, and the normalized complex N (the common
 kernel of the faces 1 .. q, with the bottom face as differential) is
 isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on C/D,
 whose basis is the nondegenerate monomials and whose differential is the
-sum of all faces with degenerate images dropped, one block at a time:
-- a dimension is a monomial count minus two boundary ranks, summed over w;
-  the faces are algebra maps that fix x, so multiplying by x carries the
-  (q, t, w) block onto the (q, t + m, w) block, differential rows and
-  all, whenever the leftover y budgets of its slot patterns stay the
-  same, and each block is ranked once under a key of those budgets
-  (_block_keys);
+sum of all faces with degenerate images dropped:
+- dimensions come from one barcode per spec: a nondegenerate monomial is
+  x^a g for one x-free generator g, and the faces are F2[x]-linear, so at
+  fixed (q, w) C/D is a complex of free graded F2[x]-modules, and its
+  homology is persistent (Zomorodian and Carlsson, 2005).  The columns
+  of the generators' face images, in degree order, are reduced on their
+  highest row, each level before the one below, whose pivot rows skip
+  their own columns (clearing; Chen and Kerber, 2011).  A pivot row is a
+  cycle born at its degree that dies at its column's, or never if no
+  column has it as pivot;
 - a block's representatives are its cycles with no bit in a pivot column
   of the boundaries' rref, reduced to a canonical basis, and lifted to
   normalized cycles by the normalizing projection P; a boundary that is
@@ -21,10 +24,8 @@ sum of all faces with degenerate images dropped, one block at a time:
   monomial the representatives of the blocks that _block_keys yields;
 - a normalized cycle's class is read off its nondegenerate terms.
 N itself is built only for the rows that the shuffle trials draw from
-(normalized_rows).
-Nothing here knows any closed-form answer; the closed forms live
-elsewhere and the two only ever meet in tests and in the command line
-cross checks.
+(normalized_rows).  Nothing here knows any closed-form answer: the
+closed forms meet this module only in tests and command line checks.
 
 The module also carries a deliberately independent oracle: a four-track
 complex small enough to differentiate by hand, whose homology must
@@ -34,13 +35,15 @@ agree with the brute force answer degree by degree.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import inf, prod
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .algebra import (
     Form,
     GradingSpec,
     Mono,
+    _fill_pattern,
     internal_degree,
     mono_word_length,
     monomial_basis,
@@ -76,19 +79,13 @@ class SliceHomology(NamedTuple):
     reps: tuple[Form, ...]
 
 
-def _differential_rows(
-    n: int, sources: Iterable[Mono], targets: Iterable[Mono]
-) -> list[int]:
+def _differential_rows(n: int, sources: Iterable[Mono], targets: Iterable[Mono]) -> list[int]:
     """Bit rows of the C/D differential from sources to the level below.
 
-    The differential is the sum of the faces on nondegenerate monomials,
-    with degenerate images dropped.  No image is degenerate, as a face
-    keeps every slot filled (d_0 shifts the slots and an inner face
-    merges two filled slots), and the top face kills a filled top slot,
-    so only the faces below the top are applied and every surviving
-    image is looked up in targets; one missing from it raises rather
-    than being dropped.  Faces preserve degree and word length, so a
-    (q, t, w) block maps into the (q - 1, t, w) block.
+    The sum of the faces below the top one, which kills a filled top slot;
+    no image is degenerate, as a face keeps every slot filled, and each is
+    looked up in targets, a missing one raising.  Faces preserve degree
+    and word length: a (q, t, w) block maps into the (q - 1, t, w) block.
     """
     index = {mono: k for k, mono in enumerate(targets)}
     rows = []
@@ -103,9 +100,7 @@ def _differential_rows(
 
 
 @lru_cache(maxsize=None)
-def _pipeline(
-    spec: GradingSpec, q: int, t: int
-) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+def _pipeline(spec: GradingSpec, q: int, t: int) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
     """Monomial basis of the (q, t) slice and the reduced basis of N in it.
 
     The rows are the projections of the nondegenerate monomials, the
@@ -127,15 +122,13 @@ def _classes(
 ) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
     """Nondegenerate basis, boundaries and canonical representatives of a w block.
 
-    The basis is the (q, t, w) block of C/D, sorted; boundaries and
-    representatives are bit rows over it, the boundaries being the reduced
-    rows of the differential from the block above (rref), with their pivot
-    columns.  Every cycle reduces modulo the boundaries to exactly one cycle
-    with no bit in a pivot column, so the cycles off the pivots represent
-    the homology: the dependencies among the differential rows of the free
-    (non-pivot) basis monomials, reduced to a canonical basis (so the
-    neighbouring blocks need no sort).  A boundary that is not a cycle
-    (d∘d ≠ 0) means the face tables are inconsistent and raises ValueError.
+    The basis is the (q, t, w) block of C/D, sorted; boundaries (the rref
+    of the differential from the block above) and representatives are bit
+    rows over it.  Every cycle reduces modulo the boundaries to exactly one
+    with no bit in a pivot column, so the representatives are the
+    dependencies among the differential rows of the free (non-pivot) basis
+    monomials, reduced to a canonical basis.  A boundary that is not a
+    cycle (d∘d ≠ 0) means the face tables are inconsistent: ValueError.
     """
     basis = tuple(sorted(nondegenerate_basis(q, spec, t, w)))
     down = nondegenerate_basis(q - 1, spec, t, w)
@@ -162,15 +155,12 @@ def _to_vec(monos: Iterable[Mono], index: dict[Mono, int]) -> int:
 def _to_form(level: int, vec: int, basis: tuple[Mono, ...]) -> Form:
     monos = []
     while vec:
-        k = (vec & -vec).bit_length() - 1
-        monos.append(basis[k])
+        monos.append(basis[low_bit(vec)])
         vec &= vec - 1
     return Form.from_monos(level, monos)
 
 
-def normalized_rows(
-    spec: GradingSpec, q: int, t: int
-) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
+def normalized_rows(spec: GradingSpec, q: int, t: int) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
     """The (q, t) slice basis and the cached bit rows of its normalized subspace.
 
     Bit k of a row stands for basis[k], and row j is the form
@@ -185,9 +175,7 @@ def normalized_basis(spec: GradingSpec, q: int, t: int) -> list[Form]:
     return [_to_form(q, v, basis) for v in n_basis]
 
 
-def homology_at(
-    spec: GradingSpec, q: int, t: int, w: Optional[int] = None
-) -> SliceHomology:
+def homology_at(spec: GradingSpec, q: int, t: int, w: Optional[int] = None) -> SliceHomology:
     """Homology of the (q, t) slice, or of its w block when w is given.
 
     Representatives are the canonical ones of each block on C/D, lifted to
@@ -195,10 +183,13 @@ def homology_at(
     blocks _block_keys yields, as every other w block is empty, and orders
     the representatives by lowest nondegenerate monomial, the order of its
     own reduced echelon form, which is the union of its blocks' (they sit
-    on disjoint columns).
+    on disjoint columns).  A w outside 0 <= w <= q + 1, which no level q
+    monomial has, raises ValueError.
     """
+    if w is not None and not 0 <= w <= q + 1:
+        raise ValueError(f"word length {w} is outside 0 .. {q + 1} at level {q}")
     reps = []
-    for v in [v for v, _ in _block_keys(spec, q, t)] if w is None else [w]:
+    for v in _block_keys(spec, q, t) if w is None else [w]:
         basis, _, vecs = _classes(spec, q, t, v)
         reps += [(basis[low_bit(vec)], _to_form(q, vec, basis)) for vec in vecs]
     forms = tuple(
@@ -208,93 +199,105 @@ def homology_at(
     return SliceHomology(q, t, len(forms), forms)
 
 
-def _block_keys(spec: GradingSpec, q: int, t: int) -> Iterable[tuple[int, tuple[int, ...]]]:
-    """The w blocks of the (q, t) level of C/D that can be nonempty, with their keys.
+def _block_keys(spec: GradingSpec, q: int, t: int) -> range:
+    """The w of the (q, t) blocks of C/D that can be nonempty: those where m
+    divides rest = t + w - (n+1)m q, the y degree left to set x and the
+    extra y exponents from (nondegenerate_basis), and rest >= 0."""
+    return range(max(-t % spec.m, (spec.n + 1) * spec.m * q - t), q + 2, spec.m)
 
-    A block's two halves, dx = 0 and dx = 1, leave rest and rest - m of
-    y degree to set x and the extra y exponents from, where
-    rest = t + w - (n+1)m q (nondegenerate_basis).  The x exponent is
-    whole only when m divides rest, and both halves are empty when rest
-    is negative, so every other w is skipped.  The key is
-    (n % 2, q, w, rest // ((n+1)m), (rest - m) // ((n+1)m)): the last two
-    entries are the leftover y budgets of the halves, negative for an
-    empty half.  They fix the block's slot patterns, in order (algebra's
-    _fill_pattern), and so every face image's place in the target block:
-    only face 0 touches x or dx, and it kills dy_1 when dx is present or
-    n is odd.  So blocks under one key have the same differential rows;
-    within one spec, multiplying by a power of x carries one onto the
-    other, as the faces are algebra maps that fix x (simplicial).  The
-    target block at level q - 1 has both budgets one higher, so the key
-    fixes it too.
+
+class _Barcode:
+    """The barcode of C/D over F2[x] for one spec, up to a (level, degree) corner:
+    the generators of the levels 0 .. level + 1 up to degree.  Per (q, w)
+    each generator's row, the rows' degrees, and the reduced columns of d_q
+    under their pivot rows; per q the bars {(w, row): (birth, death)}, d > b.
     """
-    n, m = spec.n, spec.m
-    y_deg = (n + 1) * m
-    for w in range(-t % m, q + 2, m):
-        rest = t + w - y_deg * q
-        if rest >= 0:
-            yield w, (n % 2, q, w, rest // y_deg, (rest - m) // y_deg)
+
+    def __init__(self, spec: GradingSpec) -> None:
+        self.spec, self.level, self.degree = spec, -1, -1
+        self.rows, self.degrees, self.pivots, self.bars = {}, {}, {}, {}
+
+    def extend(self, level: int, degree: int) -> None:
+        """Grow the corner to hold (level, degree), reducing only the new columns.
+
+        Generators come from _fill_pattern (uncached: each is read once) with
+        x = 0, of degree m dx - w + (n+1)m(q + used).  New ones outrank every
+        old one of their (q, w), so old rows and reductions stand.  A face
+        image that is no generator raises KeyError."""
+        level, degree = max(level, self.level), max(degree, self.degree)
+        n, m = self.spec
+        y_deg = (n + 1) * m
+        new = []
+        for q in range(level + 2):
+            low = self.degree if q <= self.level + 1 else -1
+            for w in range(q + 2):
+                gens = []
+                for dx in (0, 1):
+                    ones, base = w - dx, m * dx - w + y_deg * q
+                    top, old = (degree - base) // y_deg, max((low - base) // y_deg, -1)
+                    if 0 <= ones <= q and top > old:
+                        gens += [
+                            (base + y_deg * used, (dx, y, dy))
+                            for used, y, dy in _fill_pattern.__wrapped__(q, ones, top)
+                            if used > old
+                        ]
+                gens.sort(key=itemgetter(0))
+                rows, degs = self.rows.setdefault((q, w), {}), self.degrees.setdefault((q, w), [])
+                new.append((q, w, len(degs), gens))
+                rows.update((gen, k) for k, (_, gen) in enumerate(gens, len(degs)))
+                degs += [deg for deg, _ in gens]
+        while new:
+            q, w, start, gens = new.pop()
+            skip, pivots = self.pivots.get((q + 1, w), {}), self.pivots.setdefault((q, w), {})
+            index, births = self.rows.get((q - 1, w), {}), self.degrees.get((q - 1, w))
+            bars, below = self.bars.setdefault(q, {}), self.bars.setdefault(q - 1, {})
+            cleared = 0
+            for row, (d, (dx, y, dy)) in enumerate(gens, start):
+                if row in skip:
+                    cleared += 1
+                    continue
+                mono, col = Mono(0, dx, y, dy), 0
+                for i in range(q):
+                    img = mono_face(n, i, mono)
+                    if img is not None:
+                        col ^= 1 << index[img[1:]]
+                while col:
+                    r = col.bit_length() - 1
+                    if r not in pivots:
+                        pivots[r] = col
+                        below.pop((w, r), None)
+                        if d > births[r]:
+                            below[w, r] = (births[r], d)
+                        break
+                    col ^= pivots[r]
+                else:
+                    bars[w, row] = (d, inf)
+            _blocks["reduced"] += len(gens) - cleared
+            _blocks["cleared"] += cleared
+            size = (len(births or ()), len(self.degrees[q, w]))
+            _blocks["largest"] = max(_blocks["largest"], size, key=prod)
+        self.level, self.degree = level, degree
 
 
-@lru_cache(maxsize=None)
-def _quotient_level(spec: GradingSpec, q: int, t: int) -> tuple[int, int]:
-    """Dimension of C/D at (q, t) and the rank of its differential to level q-1.
-
-    Faces preserve w, so both are sums over the w blocks, each rank on
-    rows as wide as its target block.  Each block's (size, rank) is read
-    from _block_ranks under its _block_keys key, so a block that x
-    carries onto another, in this slice or in another spec of the same
-    parity of n, is ranked once.  The blocks keep nondegenerate_basis's
-    order: a rank does not depend on it, so the sort that _classes needs
-    is skipped here.
-    """
-    chains = boundary = 0
-    for w, key in _block_keys(spec, q, t):
-        block = _block_ranks.get(key)
-        if block is None:
-            sources = nondegenerate_basis(q, spec, t, w)
-            down = nondegenerate_basis(q - 1, spec, t, w)
-            block = _block_ranks[key] = (
-                len(sources),
-                rank(_differential_rows(spec.n, sources, down)),
-            )
-            if sources:
-                _blocks["ranked"] += 1
-                _blocks["largest"] = max(_blocks["largest"], (len(sources), len(down)), key=prod)
-        elif block[0]:
-            _blocks["hits"] += 1
-        chains += block[0]
-        boundary += block[1]
-    return chains, boundary
-
-
-# The (size, rank) of every C/D block _quotient_level has built since the
-# last clear_caches, under its _block_keys key: one pair of ints per key,
-# and a key holds neither t nor the spec beyond the parity of n.
-_block_ranks: dict[tuple[int, ...], tuple[int, int]] = {}
-
-# The nonempty blocks _quotient_level has ranked (each key once) and read
-# back under a ranked key since the last clear_caches, and the first
-# ranked with the most entries as (rows, cols).
-_blocks = {"ranked": 0, "hits": 0, "largest": (0, 0)}
+# Since the last clear_caches: each spec's barcode (a lookup misses once
+# per spec), and block_stats's counts, largest as (rows, cols).
+_barcode = lru_cache(maxsize=None)(_Barcode)
+_blocks = {"reduced": 0, "cleared": 0, "largest": (0, 0)}
 
 
 def block_stats() -> dict[str, object]:
-    """How many nonempty differential blocks the dimensions ranked, how many
-    they read back under a key already ranked (see _block_keys), and the
-    largest ranked as [rows, cols] (the first of the most entries), since
-    clear_caches.
-    """
+    """Generators whose column the barcodes reduced and cleared, and the first
+    of the largest boundary matrices of one (q, w) as [rows, cols]."""
     return {**_blocks, "largest": list(_blocks["largest"])}
 
 
 def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
-    """Dimension of the (q, t) homology, read off the quotient C/D.
+    """Dimension of the (q, t) homology: the level q bars [b, d) of the
+    spec's barcode with b <= t < d and m | t - b.
 
     Equal to homology_at(spec, q, t).dim without finding cycles or
-    representatives.  Each level's dimension and boundary rank are cached
-    as two ints, so the slices at q and q+1 eliminate their shared
-    boundary once, and each w block is ranked once per key of its y
-    budgets (_block_keys), however many degrees t share it.
+    representatives.  The barcode grows first when its corner does not
+    hold (q, t); a sweep that asks for its corner first reduces once.
 
     For x truncated at x^3 with |x| = 2 (n = 2, m = 2), level 0 holds the
     powers of x and dx x^j below the truncation, and level 1 the classes
@@ -306,37 +309,37 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     >>> [homology_dim(spec, 1, t) for t in range(5, 11)]
     [0, 1, 1, 1, 1, 0]
     """
-    chains, boundary_out = _quotient_level(spec, q, t)
-    return chains - boundary_out - _quotient_level(spec, q + 1, t)[1]
+    code = _barcode(spec)
+    if q > code.level or t > code.degree:
+        code.extend(q, t)
+    bars = code.bars.get(q, {}).values()
+    return sum(1 for b, d in bars if b <= t < d and not (t - b) % spec.m)
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits and misses of the slice pipeline, class and quotient level caches."""
+    """Hits and misses of the slice pipeline, class and barcode caches."""
     return {
         name: {"hits": info.hits, "misses": info.misses}
         for name, info in (
             ("pipeline", _pipeline.cache_info()),
             ("classes", _classes.cache_info()),
-            ("quotientLevel", _quotient_level.cache_info()),
+            ("barcode", _barcode.cache_info()),
         )
     }
 
 
 def clear_caches() -> None:
-    """Empty the slice pipeline, class and quotient level caches.
+    """Empty the slice pipeline, class, barcode and Koszul level caches.
 
-    All three grow without bound across a process, as do the block ranks
-    and the Koszul levels that this also empties; a long-lived caller that
-    moves on to other gradings can drop them, and the hit and miss
-    counts of ``cache_stats`` restart from zero, as do the counts of
-    ``block_stats``.
+    All grow without bound across a process; a caller that moves on to
+    other gradings can drop them, and the counts of ``cache_stats`` and
+    ``block_stats`` restart from zero.
     """
     _pipeline.cache_clear()
     _classes.cache_clear()
-    _quotient_level.cache_clear()
-    _block_ranks.clear()
+    _barcode.cache_clear()
     _koszul_level.cache_clear()
-    _blocks.update(ranked=0, hits=0, largest=(0, 0))
+    _blocks.update(reduced=0, cleared=0, largest=(0, 0))
 
 
 def is_normalized(n: int, form: Form) -> bool:
@@ -353,9 +356,7 @@ def is_cycle(spec: GradingSpec, form: Form) -> bool:
     """
     if not is_normalized(spec.n, form):
         raise ValueError("form is not normalized")
-    if form.level == 0:
-        return True
-    return not face(spec.n, 0, form)
+    return form.level == 0 or not face(spec.n, 0, form)
 
 
 def _require_cycle(spec: GradingSpec, form: Form) -> tuple[int, int]:
@@ -384,7 +385,7 @@ def class_of(spec: GradingSpec, form: Form) -> tuple[int, ...]:
     q, t = _require_cycle(spec, form)
     terms = [m for m in form.terms if not mono_is_degenerate(m)]
     coords = []
-    for w, _ in _block_keys(spec, q, t):
+    for w in _block_keys(spec, q, t):
         basis, b_basis, reps = _classes(spec, q, t, w)
         index = {m: k for k, m in enumerate(basis)}
         vec = _to_vec((m for m in terms if mono_word_length(m) == w), index)
@@ -447,11 +448,8 @@ def _koszul_level(spec: GradingSpec, h: int, t: int) -> tuple[int, int]:
 
 
 def koszul_dim(spec: GradingSpec, q: int, t: int) -> int:
-    """Oracle homology dimension at homological degree q, degree t.
-
-    Read off the cached _koszul_level as homology_dim reads _quotient_level,
-    so degrees q and q+1 share the rank of the boundary between them.
-    """
+    """Oracle homology dimension at homological degree q, degree t; degrees q
+    and q+1 share the cached rank (_koszul_level) of the boundary between them."""
     chains, boundary_out = _koszul_level(spec, q, t)
     return chains - boundary_out - _koszul_level(spec, q + 1, t)[1]
 

@@ -5,7 +5,7 @@ import itertools
 import operator
 
 from looplab import closedform, homology, thom
-from looplab.algebra import Form, GradingSpec, Mono, _exponents
+from looplab.algebra import Form, GradingSpec, Mono, _exponents, nondegenerate_basis
 from looplab.gf2 import rank
 from looplab.thom import space
 
@@ -90,6 +90,55 @@ def reference_nondegenerate_basis(q, spec, t, w):
             for y, x in extras:
                 out.append(Mono(x, dx, tuple(map(operator.add, floor, y)), dy))
     return out
+
+
+# The block route that homology.homology_dim's barcode replaced, kept as
+# the reference the barcode is checked against: a dimension is a count of
+# nondegenerate monomials minus two boundary ranks, each taken one w block
+# at a time and kept under a key of the block's y budgets, since x carries
+# every block of one key onto the others, differential rows included.
+def block_keys(spec, q, t):
+    """The (w, key) of every (q, t) block of C/D that can be nonempty.
+
+    rest = t + w - (n+1)m q is the y degree a block leaves to x and the
+    extra y exponents, rest - m its dx = 1 half's; both halves are empty
+    unless m divides rest and rest >= 0.  The key is (n % 2, q, w, and the
+    leftover y budgets of the halves), which fixes the block's slot
+    patterns and so its differential rows.
+    """
+    n, m = spec.n, spec.m
+    y_deg = (n + 1) * m
+    for w in range(-t % m, q + 2, m):
+        rest = t + w - y_deg * q
+        if rest >= 0:
+            yield w, (n % 2, q, w, rest // y_deg, (rest - m) // y_deg)
+
+
+# (size, rank) of every block reference_quotient_level has ranked, by key.
+_block_ranks = {}
+
+
+def reference_quotient_level(spec, q, t):
+    """Nondegenerate monomial count at (q, t) and the rank of the differential out."""
+    chains = boundary = 0
+    for w, key in block_keys(spec, q, t):
+        block = _block_ranks.get(key)
+        if block is None:
+            sources = nondegenerate_basis(q, spec, t, w)
+            down = nondegenerate_basis(q - 1, spec, t, w)
+            block = _block_ranks[key] = (
+                len(sources),
+                rank(homology._differential_rows(spec.n, sources, down)),
+            )
+        chains += block[0]
+        boundary += block[1]
+    return chains, boundary
+
+
+def reference_homology_dim(spec, q, t):
+    """Dimension of the (q, t) homology of C/D from the block ranks."""
+    chains, boundary_out = reference_quotient_level(spec, q, t)
+    return chains - boundary_out - reference_quotient_level(spec, q + 1, t)[1]
 
 
 # The Koszul recount before homology.koszul_dim read its levels through a

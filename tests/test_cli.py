@@ -68,16 +68,17 @@ def test_main1_json_report(capsys):
     assert (
         report["stats"]["peakRssMb"] > 0
         and set(caches["pipeline"]) == {"hits", "misses"}
-        and caches["quotientLevel"]["misses"] > 0
+        and caches["barcode"]["misses"] > 0
     )
     stages = report["stats"]["stages"]
     assert set(stages) == {"parse", "run", "render"} and min(stages.values()) >= 0
 
 
 def test_main1_json_report_counts_the_ranked_blocks(capsys):
-    # Levels 0 .. 4 (level 4 for the boundaries into level 3) at t <= 12
-    # hold 50 nonempty (q, t, w) blocks; the widest, q = 4, t = 12, w = 2,
-    # maps 6 monomials onto 9.  A rerun reads every rank from the cache.
+    # The barcode's corner holds levels 0 .. 4 (level 4 for the boundaries
+    # into level 3) up to t = 12: 51 generators, 24 of them cleared; the
+    # largest boundary maps the 6 level 4 generators of w = 2 onto 9.  A
+    # rerun finds the corner built and reduces nothing more.
     argv = ["verify", "main1", "--n", "1", "--m", "2", "--max-level", "3"]
     homology.clear_caches()
     _, tsv, _ = run_cli(capsys, argv)
@@ -85,21 +86,22 @@ def test_main1_json_report_counts_the_ranked_blocks(capsys):
     for _ in range(2):
         code, out, _ = run_cli(capsys, argv + ["--format", "json"])
         assert code == 0
-        assert json.loads(out)["stats"]["blocks"] == {"ranked": 50, "hits": 0, "largest": [6, 9]}
+        blocks = json.loads(out)["stats"]["blocks"]
+        assert blocks == {"reduced": 27, "cleared": 24, "largest": [9, 6]}
     _, again, _ = run_cli(capsys, argv)
     assert again == tsv
     homology.clear_caches()
-    assert homology.block_stats() == {"ranked": 0, "hits": 0, "largest": [0, 0]}
+    assert homology.block_stats() == {"reduced": 0, "cleared": 0, "largest": [0, 0]}
     code, out, _ = run_cli(capsys, ["compare", "--space", "cp1", "--coeff", "z",
                                     "--max-degree", "4", "--format", "json"])
     assert code == 0 and "blocks" not in json.loads(out)["stats"]
 
 
 def test_main1_json_report_ranks_each_block_key_once(capsys):
-    # At (2, 2) the levels 0 .. 4 at t <= 30 hold 178 nonempty blocks, but
-    # a block that x carries onto another has the same key and is read
-    # back, so only 125 are ranked and 53 are hits; the widest maps 50
-    # monomials onto 60.
+    # At (2, 2) the corner holds levels 0 .. 4 up to t = 30.  Each of its
+    # generators, an x-free nondegenerate monomial, has its column either
+    # reduced once or cleared, as the pivot row of a column one level up;
+    # the widest boundary maps 50 generators onto 60.
     argv = ["verify", "main1", "--n", "2", "--m", "2", "--max-level", "3",
             "--max-degree", "30", "--format", "json"]
     homology.clear_caches()
@@ -107,16 +109,17 @@ def test_main1_json_report_ranks_each_block_key_once(capsys):
     homology.clear_caches()
     assert code == 0
     blocks = json.loads(out)["stats"]["blocks"]
-    assert blocks == {"ranked": 125, "hits": 53, "largest": [50, 60]}
+    assert blocks == {"reduced": 234, "cleared": 173, "largest": [60, 50]}
     spec = GradingSpec(2, 2)
-    nonempty = sum(
+    generators = sum(
         1
         for q in range(5)
         for t in range(31)
-        for w, _ in homology._block_keys(spec, q, t)
-        if nondegenerate_basis(q, spec, t, w)
+        for w in range(q + 2)
+        for mono in nondegenerate_basis(q, spec, t, w)
+        if mono.x == 0
     )
-    assert blocks["ranked"] + blocks["hits"] == nonempty == 178
+    assert blocks["reduced"] + blocks["cleared"] == generators == 407
 
 
 def test_ez_is_deterministic(capsys):
@@ -452,3 +455,22 @@ def test_a_bound_past_the_window_checks_what_the_window_holds(capsys):
             assert code == 0
             checked.append([field for field in out.split() if field.startswith("checked=")])
         assert checked[0] == checked[1] and len(checked[0]) > 0, command
+
+
+def test_a_bound_past_the_window_is_capped_at_the_window(capsys):
+    # Every Sq^k with k past --max-degree leaves the window, so the bound
+    # the checkers get is capped there and a million prints what 40 prints;
+    # the JSON parameters still report the bound as given.
+    for command in (["verify", "steenrod", "--space", "cp2"],
+                    ["compare", "--space", "hp3", "--coeff", "f2"]):
+        outs = [
+            run_cli(capsys, [*command, "--max-degree", "40", "--max-sq", bound])[1]
+            for bound in ("40", "1000000")
+        ]
+        assert outs[0] == outs[1] and "skipped=" in outs[0], command
+        code, out, _ = run_cli(capsys, [*command, "--max-degree", "40", "--max-sq", "1000000",
+                                        "--format", "json"])
+        assert code == 0 and json.loads(out)["parameters"]["maxSq"] == 1000000
+    # a window of degree 0 still checks from Sq^1, every operation skipped
+    code, out, _ = run_cli(capsys, ["verify", "steenrod", "--space", "cp2", "--max-degree", "0"])
+    assert code == 0 and "checked=0" in out

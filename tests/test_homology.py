@@ -1,6 +1,7 @@
 """Brute force homology against the small-complex oracle and hand values."""
 
 import time
+from math import inf
 
 import pytest
 
@@ -14,6 +15,7 @@ from looplab.algebra import (
     monomial_basis,
     nondegenerate_basis,
     parse_form,
+    word_length,
 )
 from looplab.closedform import main1_dims
 from looplab.gf2 import apply_row, left_kernel, low_bit, rank, rref, solve_in_span
@@ -41,7 +43,14 @@ from looplab.simplicial import (
     mono_normalize,
     omega,
 )
-from support import mono_bigrading, quotient_reps, reference_koszul_dim
+from support import (
+    block_keys,
+    mono_bigrading,
+    quotient_reps,
+    reference_homology_dim,
+    reference_koszul_dim,
+    reference_quotient_level,
+)
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
 
@@ -358,8 +367,8 @@ def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
 
 
 def _one_matrix_quotient_level(spec, q, t):
-    """_quotient_level as one rank over the whole slice, the reference for
-    the rank taken block by block in w."""
+    """reference_quotient_level as one rank over the whole slice, the
+    reference for the rank taken block by block in w."""
     sources = _whole_slice(spec, q, t)
     down = _whole_slice(spec, q - 1, t)
     return len(sources), rank(homology._differential_rows(spec.n, sources, down))
@@ -375,7 +384,7 @@ def test_block_ranks_equal_the_one_matrix_rank():
     levels += [(GradingSpec(2, 2), q, t) for q in range(8) for t in range(49)]
     split = 0
     for spec, q, t in levels:
-        got = homology._quotient_level(spec, q, t)
+        got = reference_quotient_level(spec, q, t)
         assert got == _one_matrix_quotient_level(spec, q, t), (spec, q, t)
         lengths = {mono_word_length(m) for m in _whole_slice(spec, q, t)}
         split += got[1] > 0 and len(lengths) > 1
@@ -384,16 +393,17 @@ def test_block_ranks_equal_the_one_matrix_rank():
 
 
 def test_blocks_that_share_a_key_have_the_same_differential():
-    # _quotient_level ranks each key once, so every block under one key,
-    # across degrees and specs of one parity of n, must be the same matrix,
-    # and every w that _block_keys skips must hold no monomial.
+    # reference_quotient_level ranks each key once, so every block under
+    # one key, across degrees and specs of one parity of n, must be the
+    # same matrix, and every w that block_keys skips must hold no monomial.
     seen = {}
     shared = 0
     for n, m in ACCEPTANCE_PAIRS + ((5, 2), (6, 3), (1, 5), (2, 3)):
         spec = GradingSpec(n, m)
         for q in range(6):
             for t in range(5 * (n + 1) * m):
-                keys = dict(homology._block_keys(spec, q, t))
+                keys = dict(block_keys(spec, q, t))
+                assert list(keys) == list(homology._block_keys(spec, q, t)), (spec, q, t)
                 for w in range(q + 3):
                     sources = nondegenerate_basis(q, spec, t, w)
                     if w not in keys:
@@ -406,6 +416,61 @@ def test_blocks_that_share_a_key_have_the_same_differential():
                     shared += bool(sources) and first is not block
     # most nonempty blocks are read back under a key met before
     assert shared > 2000
+
+
+def test_barcode_dimensions_equal_the_block_reference():
+    cases = [(GradingSpec(n, m), 5, 6 * (n + 1) * m) for n, m in ACCEPTANCE_PAIRS]
+    cases.append((GradingSpec(2, 2), 8, 56))
+    nonzero = 0
+    for spec, max_q, max_t in cases:
+        homology.clear_caches()
+        homology_dim(spec, max_q, max_t)
+        for q in range(max_q + 1):
+            for t in range(max_t + 1):
+                dim = homology_dim(spec, q, t)
+                assert dim == reference_homology_dim(spec, q, t), (spec, q, t)
+                nonzero += dim > 0
+    homology.clear_caches()
+    assert nonzero > 250
+
+
+def test_a_barcode_extended_step_by_step_has_the_bars_of_one_built_at_its_corner():
+    # Degree by degree at level 3, then level by level at degree 40, against
+    # one extension to (6, 40): the rows land in the same places, so the
+    # bars, keyed by (w, row), must be equal, and so must the dimensions.
+    for spec in (GradingSpec(1, 2), GradingSpec(2, 2), GradingSpec(3, 4)):
+        steps = homology._Barcode(spec)
+        for t in range(41):
+            steps.extend(3, t)
+        for q in range(4, 7):
+            steps.extend(q, 40)
+        corner = homology._Barcode(spec)
+        corner.extend(6, 40)
+        assert (steps.level, steps.degree) == (corner.level, corner.degree) == (6, 40)
+        assert steps.bars == corner.bars, spec
+        assert steps.pivots == corner.pivots, spec
+        assert any(d != inf for bars in corner.bars.values() for _, d in bars.values())
+        # and the bars give the oracle's dimensions
+        for q in range(7):
+            for t in range(41):
+                bars = steps.bars.get(q, {}).values()
+                dim = sum(1 for b, d in bars if b <= t < d and not (t - b) % spec.m)
+                assert dim == koszul_dim(spec, q, t), (spec, q, t)
+    homology.clear_caches()
+
+
+def test_a_face_image_outside_the_generators_raises(monkeypatch):
+    # A face that lands on a monomial no generator of the level below is
+    # (here a degenerate one, its first slot emptied) must not be dropped.
+    def broken_face(n, i, mono):
+        img = mono_face(n, i, mono)
+        if img is None or not img.y:
+            return img
+        return img._replace(y=(0,) + img.y[1:], dy=(0,) + img.dy[1:])
+
+    monkeypatch.setattr(homology, "mono_face", broken_face)
+    with pytest.raises(KeyError):
+        homology._Barcode(GradingSpec(1, 2)).extend(2, 8)
 
 
 def test_dimensions_agree_at_level_seven_and_degree_sixty_two():
@@ -424,6 +489,24 @@ def test_dimensions_agree_at_level_eight_to_degree_sixty_one():
     dims = [homology_dim(spec, 8, t) for t in range(62)]
     assert dims == [main1_dims(spec, 8, t) for t in range(62)]
     assert dims == [koszul_dim(spec, 8, t) for t in range(62)]
+    assert [t for t, dim in enumerate(dims) if dim] == [41, 42, 43, 44]
+    assert time.monotonic() - start < 60.0
+
+
+def test_dimensions_agree_at_level_eight_to_degree_sixty_six():
+    # One extension to the corner (8, 66) reduces levels 0 .. 9 up to
+    # t = 66, about 5 s on a 2-core VM (t = 68 takes twice that).  The
+    # state is dropped afterwards: it holds some 300 MB.
+    spec = GradingSpec(2, 2)
+    homology.clear_caches()
+    start = time.monotonic()
+    try:
+        homology_dim(spec, 8, 66)
+        dims = [homology_dim(spec, 8, t) for t in range(67)]
+    finally:
+        homology.clear_caches()
+    assert dims == [main1_dims(spec, 8, t) for t in range(67)]
+    assert dims == [koszul_dim(spec, 8, t) for t in range(67)]
     assert [t for t, dim in enumerate(dims) if dim] == [41, 42, 43, 44]
     assert time.monotonic() - start < 60.0
 
@@ -551,10 +634,33 @@ def test_the_class_route_asks_only_for_the_blocks_block_keys_yields(monkeypatch)
                 for rep in reps:
                     assert class_of(spec, rep) == every_w_class_of(classes, spec, rep)
                 checked += len(reps)
-                skipped += q + 2 - len(list(homology._block_keys(spec, q, t)))
-    assert all(w in dict(homology._block_keys(spec, q, t)) for spec, q, t, w in asked)
+                skipped += q + 2 - len(homology._block_keys(spec, q, t))
+    assert all(w in homology._block_keys(spec, q, t) for spec, q, t, w in asked)
     # the walk is not vacuous: many classes are checked and many w skipped
     assert checked > 100 and skipped > 1000
+
+
+def test_homology_at_refuses_a_word_length_outside_the_level():
+    spec = GradingSpec(2, 2)
+    for q, t in ((0, 2), (1, 6), (3, 20)):
+        for w in (-1, q + 2, 99):
+            with pytest.raises(ValueError, match="word length"):
+                homology_at(spec, q, t, w)
+    # every w in range answers with its block's share of the whole slice
+    met = 0
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        for q in range(4):
+            for t in range(3 * (n + 1) * m + 1):
+                blocks = [homology_at(spec, q, t, w) for w in range(q + 2)]
+                whole = homology_at(spec, q, t)
+                assert sorted(map(str, (r for h in blocks for r in h.reps))) == sorted(
+                    map(str, whole.reps)
+                ), (spec, q, t)
+                for w, h in enumerate(blocks):
+                    assert h.dim == len(h.reps) and {word_length(r) for r in h.reps} <= {w}
+                    met += h.dim > 0
+    assert met > 100
 
 
 def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
@@ -563,7 +669,7 @@ def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     homology_dim(spec, 1, 6)
     homology.clear_caches()
     zero = {"hits": 0, "misses": 0}
-    assert homology.cache_stats() == {"pipeline": zero, "classes": zero, "quotientLevel": zero}
+    assert homology.cache_stats() == {"pipeline": zero, "classes": zero, "barcode": zero}
     homology_at(spec, 1, 6)
     homology_dim(spec, 1, 6)
     normalized_basis(spec, 1, 6)
@@ -572,5 +678,5 @@ def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
         # w = 0 and w = 2 only: at (1,2), q = 1, t = 6, m = 2 does not
         # divide t + w for w = 1, so homology_at never asks for that block.
         "classes": {"hits": 0, "misses": 2},
-        "quotientLevel": {"hits": 0, "misses": 2},
+        "barcode": {"hits": 0, "misses": 1},
     }
