@@ -6,6 +6,9 @@ a finite set of monomials combined with XOR, graded commutativity needs
 no signs, and every exterior generator squares to zero.  Degrees are
 weighted by a grading spec (n, m); the polynomial ring itself is free,
 truncation only ever appears in homology.
+
+The nondegenerate monomials, on which homology works, are enumerated
+once: as x^a times the x-free generators of nondegenerate_generators.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import re
 from functools import cache
 from itertools import combinations
-from operator import add, and_, or_
+from operator import add, and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Optional
 
 __all__ = [
@@ -31,6 +34,7 @@ __all__ = [
     "word_length",
     "monomial_basis",
     "nondegenerate_basis",
+    "nondegenerate_generators",
     "gen_x",
     "gen_dx",
     "gen_y",
@@ -382,49 +386,59 @@ def monomial_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
 
 
 def nondegenerate_basis(q: int, spec: GradingSpec, t: int, w: int) -> list[Mono]:
-    """The level q monomials of degree t and word length w with every slot filled.
+    """The level q monomials of degree t and word length w with every slot filled, sorted.
 
     Slot j is filled when y_j > 0 or dy_j = 1; these are the monomials
     that no degeneracy reaches (simplicial.mono_is_degenerate), so they
-    are a basis of the quotient by the degenerate subcomplex.  For each
-    dx, the w - dx slots with dy_j = 1 are chosen, every other slot gets
-    y_j = 1, and the y degree left over is distributed; those choices
-    depend only on (q, w - dx, leftover y degree), so they are read from
-    the cached _fill_pattern and only x is set here, from the degree the
-    pattern leaves.  The order is not canonical.  At m = 2 the blocks
-    with t + w odd are empty, as are all with w > q + 1:
+    are a basis of the quotient by the degenerate subcomplex.  Each is
+    x^((t - d)/m) g for one generator g of degree d <= t, and every d is
+    -w mod m, so the block is empty unless m divides t + w.  At m = 2 the
+    blocks with t + w odd are empty, as are all with w > q + 1:
 
     >>> [len(nondegenerate_basis(2, GradingSpec(1, 2), 11, w)) for w in range(5)]
     [0, 7, 0, 3, 0]
     """
-    n, m = spec.n, spec.m
+    m = spec.m
+    if (t + w) % m:
+        return []
+    gens = nondegenerate_generators(q, spec, w, -1, t)
+    return sorted([Mono((t - d) // m, dx, y, dy) for d, (dx, y, dy) in gens])
+
+
+def nondegenerate_generators(
+    q: int, spec: GradingSpec, w: int, low: int, high: int
+) -> list[tuple[int, tuple[int, tuple[int, ...], tuple[int, ...]]]]:
+    """The x-free nondegenerate level q monomials of word length w with
+    low < degree <= high, as (degree, (dx, y, dy)) pairs sorted by degree.
+
+    Every nondegenerate monomial is x^a times exactly one of these.  For
+    each dx, the w - dx slots with dy_j = 1 are chosen, every other slot
+    gets y_j = 1, and the extra y degree used on top (_fill_pattern)
+    gives the degree m dx - w + (n+1)m(q + used).  Generators of equal
+    degree keep the _fill_pattern order, dx = 0 first.
+
+    >>> nondegenerate_generators(1, GradingSpec(1, 2), 1, -1, 8)
+    [(3, (0, (0,), (1,))), (5, (1, (1,), (0,))), (7, (0, (1,), (1,)))]
+    """
+    n, m = spec
     y_deg = (n + 1) * m
-    out = []
+    gens = []
     for dx in (0, 1):
-        ones = w - dx
-        rest = t - (m - 1) * dx - (y_deg - 1) * ones - y_deg * (q - ones)
-        if not 0 <= ones <= q or rest < 0 or rest % m:
-            continue
-        # Each extra unit of y degree takes n + 1 powers of x.
-        top, step = rest // m, n + 1
-        out += [
-            Mono(top - step * used, dx, y, dy)
-            for used, y, dy in _fill_pattern(q, ones, rest // y_deg)
-        ]
-    return out
+        ones, base = w - dx, m * dx - w + y_deg * q
+        top, old = (high - base) // y_deg, max((low - base) // y_deg, -1)
+        if 0 <= ones <= q and top > old:
+            gens += [
+                (base + y_deg * used, (dx, y, dy))
+                for used, y, dy in _fill_pattern(q, ones, top)
+                if used > old
+            ]
+    gens.sort(key=itemgetter(0))
+    return gens
 
 
-# nondegenerate_basis reads its blocks' slot fillings through this memo:
-# a pattern depends neither on the spec nor on t, so the slices of one
-# job, and each level read as sources and again as targets, keep asking
-# for the same few hundred (q, ones, extra) keys.  It holds one triple
-# per monomial of one block per key, never a whole level, and the Mono
-# values themselves are built anew on every call; it grows, for the life
-# of the process, only with the deepest level and degree asked for.
-@cache
 def _fill_pattern(
     q: int, ones: int, extra: int
-) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Every filling of q slots, ones of them by dy, with up to extra more y.
 
     One (extra y degree used, y, dy) triple per filling: the slots chosen
@@ -437,7 +451,7 @@ def _fill_pattern(
         dy = tuple(1 if j in at else 0 for j in range(q))
         floor = tuple(1 - d for d in dy)
         out += [(used, tuple(map(add, floor, e)), dy) for used, e in spreads]
-    return tuple(out)
+    return out
 
 
 def _exponents(q: int, total: int) -> Iterable[tuple[int, ...]]:

@@ -265,9 +265,11 @@ def lemma_squares_check(spec: GradingSpec, a: Form, b: Form, c: Form) -> dict[st
     """Face values of s0(c) q(a) and a boundary certificate for q of a face.
 
     a normalized at level k, b normalized at level k + 1, c unrestricted
-    at level k.  The two bottom face values of s0(c) q(a) are identities
-    and checked outright; the membership and cycle branches then follow
-    when their products vanish, and the boundary branch verifies the
+    at level k.  The identities verdict checks every face of s0(c) q(a)
+    outright: face 1 is c a a, face 0 is c a s0(d0 a), and faces 2 .. k+1
+    vanish.  So s0(c) q(a) is normalized when c a a = 0 and a cycle when
+    both products vanish; those follow from the identities and are not
+    counted as verdicts of their own.  The boundary verdict verifies the
     explicit level k + 2 chain for s0(c) q(bottom face of b).
     """
     k = a.level
@@ -285,9 +287,6 @@ def lemma_squares_check(spec: GradingSpec, a: Form, b: Form, c: Form) -> dict[st
     d0_value = c * a * degeneracy(0, face(spec.n, 0, a))
     identities = faces[1] == caa and faces[0] == d0_value and not any(faces[2:])
 
-    membership = _verdict(not caa, not any(faces[1:]))
-    cycle = _verdict(not caa and not d0_value, not faces[0])
-
     s0c_bb = s0c * b * b
     boundary = "vacuous"
     if not s0c_bb:
@@ -298,12 +297,7 @@ def lemma_squares_check(spec: GradingSpec, a: Form, b: Form, c: Form) -> dict[st
         )
         boundary = _verdict(True, holds)
 
-    return {
-        "identities": "pass" if identities else "fail",
-        "membership": membership,
-        "cycle": cycle,
-        "boundary": boundary,
-    }
+    return {"identities": "pass" if identities else "fail", "boundary": boundary}
 
 
 def _random_form(rng: SplitMix, level: int) -> Form:

@@ -7,7 +7,9 @@ monomials span a subcomplex D, and the normalized complex N (the common
 kernel of the faces 1 .. q, with the bottom face as differential) is
 isomorphic to the quotient C/D (Dold-Kan).  Homology is computed on C/D,
 whose basis is the nondegenerate monomials and whose differential is the
-sum of all faces with degenerate images dropped:
+sum of all faces with degenerate images dropped.  Both halves below
+take their bases from algebra's one enumeration of the generators, and
+build each row of the differential from one monomial's faces (_face_row):
 - dimensions come from one barcode per spec: a nondegenerate monomial is
   x^a g for one x-free generator g, and the faces are F2[x]-linear, so at
   fixed (q, w) C/D is a complex of free graded F2[x]-modules, and its
@@ -36,18 +38,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf, prod
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from .algebra import (
     Form,
     GradingSpec,
     Mono,
-    _fill_pattern,
     internal_degree,
     mono_word_length,
     monomial_basis,
     nondegenerate_basis,
+    nondegenerate_generators,
 )
 from .gf2 import apply_row, left_kernel, low_bit, rank, rref, solve_in_span
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
@@ -79,24 +80,21 @@ class SliceHomology(NamedTuple):
     reps: tuple[Form, ...]
 
 
-def _differential_rows(n: int, sources: Iterable[Mono], targets: Iterable[Mono]) -> list[int]:
-    """Bit rows of the C/D differential from sources to the level below.
+def _face_row(n: int, mono: Mono, index: dict[tuple, int]) -> int:
+    """Bit row of the C/D differential on one monomial over the level below.
 
     The sum of the faces below the top one, which kills a filled top slot;
-    no image is degenerate, as a face keeps every slot filled, and each is
-    looked up in targets, a missing one raising.  Faces preserve degree
-    and word length: a (q, t, w) block maps into the (q - 1, t, w) block.
+    no image is degenerate, as a face keeps every slot filled.  Faces keep
+    x, degree and word length, so an image lies in the block below and is
+    looked up by its x-free part (dx, y, dy), unique within a block; a
+    missing one raises KeyError.
     """
-    index = {mono: k for k, mono in enumerate(targets)}
-    rows = []
-    for mono in sources:
-        row = 0
-        for i in range(mono.level):
-            img = mono_face(n, i, mono)
-            if img is not None:
-                row ^= 1 << index[img]
-        rows.append(row)
-    return rows
+    row = 0
+    for i in range(mono.level):
+        img = mono_face(n, i, mono)
+        if img is not None:
+            row ^= 1 << index[img[1:]]
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -122,19 +120,22 @@ def _classes(
 ) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
     """Nondegenerate basis, boundaries and canonical representatives of a w block.
 
-    The basis is the (q, t, w) block of C/D, sorted; boundaries (the rref
-    of the differential from the block above) and representatives are bit
-    rows over it.  Every cycle reduces modulo the boundaries to exactly one
-    with no bit in a pivot column, so the representatives are the
-    dependencies among the differential rows of the free (non-pivot) basis
-    monomials, reduced to a canonical basis.  A boundary that is not a
-    cycle (d∘d ≠ 0) means the face tables are inconsistent: ValueError.
+    The basis is the (q, t, w) block of C/D, sorted by nondegenerate_basis;
+    boundaries (the rref of the differential from the block above) and
+    representatives are bit rows over it, the rows of both differentials
+    built by _face_row.  Every cycle reduces modulo the boundaries to
+    exactly one with no bit in a pivot column, so the representatives are
+    the dependencies among the differential rows of the free (non-pivot)
+    basis monomials, reduced to a canonical basis.  A boundary that is not
+    a cycle (d∘d ≠ 0) means the face tables are inconsistent: ValueError.
     """
-    basis = tuple(sorted(nondegenerate_basis(q, spec, t, w)))
-    down = nondegenerate_basis(q - 1, spec, t, w)
+    n = spec.n
+    basis = tuple(nondegenerate_basis(q, spec, t, w))
+    down = {mono[1:]: k for k, mono in enumerate(nondegenerate_basis(q - 1, spec, t, w))}
+    here = {mono[1:]: k for k, mono in enumerate(basis)}
+    rows = [_face_row(n, mono, down) for mono in basis]
     up = nondegenerate_basis(q + 1, spec, t, w)
-    rows = _differential_rows(spec.n, basis, down)
-    bounds, pivot_cols = rref(_differential_rows(spec.n, up, basis))
+    bounds, pivot_cols = rref([_face_row(n, mono, here) for mono in up])
     if any(apply_row(b, rows) for b in bounds):
         raise ValueError("a boundary is not a cycle: the face tables break d∘d = 0")
     free = sorted(set(range(len(basis))).difference(pivot_cols))
@@ -220,28 +221,17 @@ class _Barcode:
     def extend(self, level: int, degree: int) -> None:
         """Grow the corner to hold (level, degree), reducing only the new columns.
 
-        Generators come from _fill_pattern (uncached: each is read once) with
-        x = 0, of degree m dx - w + (n+1)m(q + used).  New ones outrank every
-        old one of their (q, w), so old rows and reductions stand.  A face
-        image that is no generator raises KeyError."""
+        Each (q, w) gains its generators of degree above the old corner's
+        (algebra.nondegenerate_generators), which outrank every old one, so
+        old rows and reductions stand; only a column that is reduced is
+        built, by _face_row on its generator with x = 0.  A face image that
+        is no generator raises KeyError."""
         level, degree = max(level, self.level), max(degree, self.degree)
-        n, m = self.spec
-        y_deg = (n + 1) * m
-        new = []
+        n, new = self.spec.n, []
         for q in range(level + 2):
             low = self.degree if q <= self.level + 1 else -1
             for w in range(q + 2):
-                gens = []
-                for dx in (0, 1):
-                    ones, base = w - dx, m * dx - w + y_deg * q
-                    top, old = (degree - base) // y_deg, max((low - base) // y_deg, -1)
-                    if 0 <= ones <= q and top > old:
-                        gens += [
-                            (base + y_deg * used, (dx, y, dy))
-                            for used, y, dy in _fill_pattern.__wrapped__(q, ones, top)
-                            if used > old
-                        ]
-                gens.sort(key=itemgetter(0))
+                gens = nondegenerate_generators(q, self.spec, w, low, degree)
                 rows, degs = self.rows.setdefault((q, w), {}), self.degrees.setdefault((q, w), [])
                 new.append((q, w, len(degs), gens))
                 rows.update((gen, k) for k, (_, gen) in enumerate(gens, len(degs)))
@@ -252,15 +242,11 @@ class _Barcode:
             index, births = self.rows.get((q - 1, w), {}), self.degrees.get((q - 1, w))
             bars, below = self.bars.setdefault(q, {}), self.bars.setdefault(q - 1, {})
             cleared = 0
-            for row, (d, (dx, y, dy)) in enumerate(gens, start):
+            for row, (d, gen) in enumerate(gens, start):
                 if row in skip:
                     cleared += 1
                     continue
-                mono, col = Mono(0, dx, y, dy), 0
-                for i in range(q):
-                    img = mono_face(n, i, mono)
-                    if img is not None:
-                        col ^= 1 << index[img[1:]]
+                col = _face_row(n, Mono(0, *gen), index)
                 while col:
                     r = col.bit_length() - 1
                     if r not in pivots:

@@ -5,8 +5,9 @@ import itertools
 import operator
 
 from looplab import closedform, homology, thom
-from looplab.algebra import Form, GradingSpec, Mono, _exponents, nondegenerate_basis
+from looplab.algebra import Form, GradingSpec, Mono, _exponents
 from looplab.gf2 import rank
+from looplab.simplicial import mono_face
 from looplab.thom import space
 
 
@@ -69,8 +70,8 @@ def quotient_reps(z_basis, b_basis):
 
 
 # The per-block enumerator that algebra.nondegenerate_basis replaced with
-# cached slot patterns, kept as the reference it is checked against,
-# output order included.
+# x-free generators, kept as the reference those are checked against and
+# as the blocks of the block route below.
 def reference_nondegenerate_basis(q, spec, t, w):
     """Choose the w - dx dy slots, fill the rest with y_j = 1, spread the rest."""
     n, m = spec.n, spec.m
@@ -114,6 +115,22 @@ def block_keys(spec, q, t):
             yield w, (n % 2, q, w, rest // y_deg, (rest - m) // y_deg)
 
 
+# The C/D differential rows that homology._face_row replaced, which look
+# each face image up as a whole monomial among the targets.
+def differential_rows(n, sources, targets):
+    """Bit rows of the sum of the faces below the top one, sources to targets."""
+    index = {mono: k for k, mono in enumerate(targets)}
+    rows = []
+    for mono in sources:
+        row = 0
+        for i in range(mono.level):
+            img = mono_face(n, i, mono)
+            if img is not None:
+                row ^= 1 << index[img]
+        rows.append(row)
+    return rows
+
+
 # (size, rank) of every block reference_quotient_level has ranked, by key.
 _block_ranks = {}
 
@@ -124,11 +141,11 @@ def reference_quotient_level(spec, q, t):
     for w, key in block_keys(spec, q, t):
         block = _block_ranks.get(key)
         if block is None:
-            sources = nondegenerate_basis(q, spec, t, w)
-            down = nondegenerate_basis(q - 1, spec, t, w)
+            sources = reference_nondegenerate_basis(q, spec, t, w)
+            down = reference_nondegenerate_basis(q - 1, spec, t, w)
             block = _block_ranks[key] = (
                 len(sources),
-                rank(homology._differential_rows(spec.n, sources, down)),
+                rank(differential_rows(spec.n, sources, down)),
             )
         chains += block[0]
         boundary += block[1]

@@ -9,10 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from support import build_parser
+from support import build_parser, reference_nondegenerate_basis
 
 from looplab import cli, homology
-from looplab.algebra import GradingSpec, nondegenerate_basis
+from looplab.algebra import GradingSpec
 from looplab.rng import SplitMix
 
 
@@ -116,7 +116,7 @@ def test_main1_json_report_ranks_each_block_key_once(capsys):
         for q in range(5)
         for t in range(31)
         for w in range(q + 2)
-        for mono in nondegenerate_basis(q, spec, t, w)
+        for mono in reference_nondegenerate_basis(q, spec, t, w)
         if mono.x == 0
     )
     assert blocks["reduced"] + blocks["cleared"] == generators == 407

@@ -11,6 +11,7 @@ from looplab.algebra import (
     Mono,
     gen_x,
     internal_degree,
+    mono_degree,
     mono_word_length,
     monomial_basis,
     nondegenerate_basis,
@@ -45,10 +46,12 @@ from looplab.simplicial import (
 )
 from support import (
     block_keys,
+    differential_rows,
     mono_bigrading,
     quotient_reps,
     reference_homology_dim,
     reference_koszul_dim,
+    reference_nondegenerate_basis,
     reference_quotient_level,
 )
 
@@ -371,7 +374,7 @@ def _one_matrix_quotient_level(spec, q, t):
     reference for the rank taken block by block in w."""
     sources = _whole_slice(spec, q, t)
     down = _whole_slice(spec, q - 1, t)
-    return len(sources), rank(homology._differential_rows(spec.n, sources, down))
+    return len(sources), rank(differential_rows(spec.n, sources, down))
 
 
 def test_block_ranks_equal_the_one_matrix_rank():
@@ -405,12 +408,12 @@ def test_blocks_that_share_a_key_have_the_same_differential():
                 keys = dict(block_keys(spec, q, t))
                 assert list(keys) == list(homology._block_keys(spec, q, t)), (spec, q, t)
                 for w in range(q + 3):
-                    sources = nondegenerate_basis(q, spec, t, w)
+                    sources = reference_nondegenerate_basis(q, spec, t, w)
                     if w not in keys:
                         assert not sources, (spec, q, t, w)
                         continue
-                    down = nondegenerate_basis(q - 1, spec, t, w)
-                    block = len(sources), homology._differential_rows(n, sources, down)
+                    down = reference_nondegenerate_basis(q - 1, spec, t, w)
+                    block = len(sources), differential_rows(n, sources, down)
                     first = seen.setdefault(keys[w], block)
                     assert block == first, (spec, q, t, w)
                     shared += bool(sources) and first is not block
@@ -434,19 +437,28 @@ def test_barcode_dimensions_equal_the_block_reference():
     assert nonzero > 250
 
 
-def test_a_barcode_extended_step_by_step_has_the_bars_of_one_built_at_its_corner():
+@pytest.fixture(scope="module")
+def corners():
+    """A barcode built in one call at the corner (6, 40), for three specs."""
+    out = {}
+    for spec in (GradingSpec(1, 2), GradingSpec(2, 2), GradingSpec(3, 4)):
+        out[spec] = homology._Barcode(spec)
+        out[spec].extend(6, 40)
+    return out
+
+
+def test_a_barcode_extended_step_by_step_has_the_bars_of_one_built_at_its_corner(corners):
     # Degree by degree at level 3, then level by level at degree 40, against
     # one extension to (6, 40): the rows land in the same places, so the
     # bars, keyed by (w, row), must be equal, and so must the dimensions.
-    for spec in (GradingSpec(1, 2), GradingSpec(2, 2), GradingSpec(3, 4)):
+    for spec, corner in corners.items():
         steps = homology._Barcode(spec)
         for t in range(41):
             steps.extend(3, t)
         for q in range(4, 7):
             steps.extend(q, 40)
-        corner = homology._Barcode(spec)
-        corner.extend(6, 40)
         assert (steps.level, steps.degree) == (corner.level, corner.degree) == (6, 40)
+        assert steps.rows == corner.rows and steps.degrees == corner.degrees, spec
         assert steps.bars == corner.bars, spec
         assert steps.pivots == corner.pivots, spec
         assert any(d != inf for bars in corner.bars.values() for _, d in bars.values())
@@ -457,6 +469,30 @@ def test_a_barcode_extended_step_by_step_has_the_bars_of_one_built_at_its_corner
                 dim = sum(1 for b, d in bars if b <= t < d and not (t - b) % spec.m)
                 assert dim == koszul_dim(spec, q, t), (spec, q, t)
     homology.clear_caches()
+
+
+def test_barcode_rows_are_the_x_free_generators_in_degree_order(corners):
+    # The rows of each (q, w) at the corner (6, 40) are the x-free
+    # monomials of the reference blocks up to t = 40, one row each, with
+    # their degrees, in order of degree.
+    seen = 0
+    for spec, code in corners.items():
+        for q in range(8):
+            for w in range(q + 2):
+                want = {
+                    mono[1:]
+                    for t in range(41)
+                    for mono in reference_nondegenerate_basis(q, spec, t, w)
+                    if mono.x == 0
+                }
+                rows, degrees = code.rows[q, w], code.degrees[q, w]
+                assert set(rows) == want, (spec, q, w)
+                assert sorted(rows.values()) == list(range(len(degrees))), (spec, q, w)
+                for gen, k in rows.items():
+                    assert degrees[k] == mono_degree(spec, Mono(0, *gen)), (spec, gen)
+                assert degrees == sorted(degrees), (spec, q, w)
+                seen += len(want)
+    assert seen > 1000
 
 
 def test_a_face_image_outside_the_generators_raises(monkeypatch):
