@@ -14,7 +14,7 @@ once: as x^a times the x-free generators of nondegenerate_generators.
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 from operator import add, and_, itemgetter, or_
 from typing import Iterable, NamedTuple, Optional
@@ -22,6 +22,7 @@ from typing import Iterable, NamedTuple, Optional
 __all__ = [
     "GradingSpec",
     "Mono",
+    "new_mono",
     "Form",
     "mono_mul",
     "mono_degree",
@@ -82,16 +83,18 @@ class Mono(NamedTuple):
         return len(self.y)
 
 
+# A Mono from one (x, dx, y, dy) tuple, built in C: the kernels that make
+# monomials by the thousand skip the Python-level __new__ of a NamedTuple.
+new_mono = partial(tuple.__new__, Mono)
+
+
 def mono_mul(a: Mono, b: Mono) -> Optional[Mono]:
     """Product of two monomials, or None when an exterior square kills it."""
-    if a.dx and b.dx or any(map(and_, a.dy, b.dy)):
+    ax, adx, ay, ady = a
+    bx, bdx, by, bdy = b
+    if adx and bdx or any(map(and_, ady, bdy)):
         return None
-    return Mono(
-        a.x + b.x,
-        a.dx | b.dx,
-        tuple(map(add, a.y, b.y)),
-        tuple(map(or_, a.dy, b.dy)),
-    )
+    return new_mono((ax + bx, adx | bdx, tuple(map(add, ay, by)), tuple(map(or_, ady, bdy))))
 
 
 def mono_degree(spec: GradingSpec, mono: Mono) -> int:
@@ -274,6 +277,8 @@ class Form:
         return Form(self.level, frozenset(acc))
 
     def __pow__(self, k: int) -> "Form":
+        if k < 0:
+            raise ValueError(f"a form has no power {k}, only powers from 0 up")
         out = Form.one(self.level)
         for _ in range(k):
             out = out * self
@@ -402,7 +407,7 @@ def nondegenerate_basis(q: int, spec: GradingSpec, t: int, w: int) -> list[Mono]
     if (t + w) % m:
         return []
     gens = nondegenerate_generators(q, spec, w, -1, t)
-    return sorted([Mono((t - d) // m, dx, y, dy) for d, (dx, y, dy) in gens])
+    return sorted([new_mono(((t - d) // m, dx, y, dy)) for d, (dx, y, dy) in gens])
 
 
 def nondegenerate_generators(

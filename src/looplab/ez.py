@@ -26,7 +26,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
-from .algebra import Form, GradingSpec, Mono
+from .algebra import Form, GradingSpec, Mono, new_mono
 from .gf2 import apply_row, low_bit
 from .homology import is_cycle, is_normalized, normalized_rows
 from .rng import SplitMix
@@ -44,6 +44,7 @@ __all__ = [
     "lemma_products_check",
     "lemma_squares_check",
     "run_trials",
+    "draw_stats",
 ]
 
 
@@ -108,7 +109,7 @@ def _interleave_sum(a: Form, b: Form, pickers: Iterable[Callable]) -> Form:
             x, dx = u.x + v.x, u.dx | v.dx
             y, dy = u.y + v.y, u.dy + v.dy
             for pick in pickers:
-                term = Mono(x, dx, pick(y), pick(dy))
+                term = new_mono((x, dx, pick(y), pick(dy)))
                 if term in acc:
                     acc.remove(term)
                 else:
@@ -237,9 +238,7 @@ def lemma_products_check(
 
     s10c = degeneracy(1, degeneracy(0, c))
     elem = s10c * m_form(a, b)
-    membership = _verdict(
-        True, all(not face(spec.n, i, elem) for i in range(1, n_level + 2))
-    )
+    membership = _verdict(True, is_normalized(spec.n, elem))
 
     d0a_c = face(spec.n, 0, a) * c
     d0b_c = face(spec.n, 0, b) * c
@@ -253,9 +252,7 @@ def lemma_products_check(
             + degeneracy(2, s0a) * degeneracy(1, x)
             + degeneracy(1, s0a) * degeneracy(2, x)
         )
-        holds = face(spec.n, 0, chain) == elem and all(
-            not face(spec.n, i, chain) for i in range(1, n_level + 3)
-        )
+        holds = face(spec.n, 0, chain) == elem and is_normalized(spec.n, chain)
         boundary = _verdict(True, holds)
 
     return {"membership": membership, "cycle": cycle, "boundary": boundary}
@@ -292,27 +289,22 @@ def lemma_squares_check(spec: GradingSpec, a: Form, b: Form, c: Form) -> dict[st
     if not s0c_bb:
         target = s0c * q_form(face(spec.n, 0, b))
         chain = degeneracy(1, s0c) * degeneracy(1, b) * degeneracy(2, b)
-        holds = face(spec.n, 0, chain) == target and all(
-            not face(spec.n, i, chain) for i in range(1, k + 3)
-        )
+        holds = face(spec.n, 0, chain) == target and is_normalized(spec.n, chain)
         boundary = _verdict(True, holds)
 
     return {"identities": "pass" if identities else "fail", "boundary": boundary}
 
 
 def _random_form(rng: SplitMix, level: int) -> Form:
-    # The draws run in argument order: x, dx, the y slots, the dy slots.
-    below, bits = rng.below, rng.bits
-    slots = range(level)
-    monos = [
-        Mono(
-            below(4),
-            bits(1),
-            tuple([below(2) for _ in slots]),
-            tuple([bits(1) for _ in slots]),
-        )
-        for _ in range(1 + below(3))
-    ]
+    # Drawn in order: the term count below(3), then per term x below(4) and
+    # one bit each for dx, the y slots and the dy slots.  below(2^k) never
+    # rejects and returns the draw mod 2^k, its low k bits, as bits(k) does,
+    # so each is next64 masked and the stream is the one below/bits drew.
+    draw, slots = rng.next64, range(level)
+    monos = []
+    for _ in range(1 + rng.below(3)):
+        x, dx, y = draw() & 3, draw() & 1, tuple([draw() & 1 for _ in slots])
+        monos.append(new_mono((x, dx, y, tuple([draw() & 1 for _ in slots]))))
     return Form.from_monos(level, monos)
 
 
@@ -320,13 +312,16 @@ def _random_normalized(spec: GradingSpec, rng: SplitMix, level: int, t_hi: int) 
     """A random sum of the normalized basis of a random slice.
 
     The mask picks bit rows over the slice basis; their XOR is the sum,
-    decoded into monomials once.
+    decoded into monomials once (an empty slice's mask, bits(0), takes no
+    draw).  Each draw counts in _draws, and so does each zero one.
     """
     t = rng.below(t_hi + 1)
     basis, rows = normalized_rows(spec, level, t)
-    if not rows:
-        return Form.zero(level)
     vec = apply_row(rng.bits(len(rows)), rows)
+    _draws["normalized"] += 1
+    if not vec:
+        _draws["zero"] += 1
+        return Form.zero(level)
     monos = []
     while vec:
         monos.append(basis[low_bit(vec)])
@@ -334,10 +329,21 @@ def _random_normalized(spec: GradingSpec, rng: SplitMix, level: int, t_hi: int) 
     return Form(level, frozenset(monos))
 
 
-def _tally(report: dict, verdict: str, trial: int, branch: str, *args) -> None:
-    """Count a verdict; only a failure formats its name, branch.format(*args)."""
+_draws = {"normalized": 0, "zero": 0, "passedOnZero": 0}
+
+
+def draw_stats() -> dict[str, int]:
+    """The last run_trials sweep's normalized factors, the zero ones among
+    them, and the passed verdicts of checks handed a zero form."""
+    return dict(_draws)
+
+
+def _tally(report: dict, verdict: str, zero: bool, trial: int, branch: str, *args) -> None:
+    """Count a verdict, and in _draws a pass of a check handed a zero form;
+    only a failure formats its name, branch.format(*args)."""
     if verdict == "pass":
         report["passed"] += 1
+        _draws["passedOnZero"] += zero
     elif verdict == "vacuous":
         report["vacuous"] += 1
     else:
@@ -358,30 +364,35 @@ def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dic
     rng = SplitMix(seed)
     t_hi = 2 * (spec.n + 1) * spec.m
     report = {"trials": trials, "passed": 0, "vacuous": 0, "failures": []}
+    _draws.update(normalized=0, zero=0, passedOnZero=0)
     for trial in range(trials):
         p = rng.below(max_level + 1)
         q = 1 + rng.below(max_level)
-        bottom_ok = ez_bottom_check(spec, _random_form(rng, p), _random_form(rng, q))
-        _tally(report, "pass" if bottom_ok else "fail", trial, "bottom face")
+        a, b = _random_form(rng, p), _random_form(rng, q)
+        verdict = "pass" if ez_bottom_check(spec, a, b) else "fail"
+        _tally(report, verdict, not (a and b), trial, "bottom face")
 
         a = _random_normalized(spec, rng, 1 + rng.below(max_level), t_hi)
         b = _random_normalized(spec, rng, 1 + rng.below(max_level), t_hi)
+        zero = not (a and b)
         for i, verdict in ez_face_checks(spec, a, b):
-            _tally(report, verdict, trial, "face {} of product", i)
+            _tally(report, verdict, zero, trial, "face {} of product", i)
 
         k = 1 + rng.below(max_level)
         a = _random_normalized(spec, rng, k, t_hi)
         c = _random_form(rng, k - 1)
         x = _random_normalized(spec, rng, k + 1, t_hi)
         b = face(spec.n, 0, x) if rng.bits(1) else _random_normalized(spec, rng, k, t_hi)
+        zero = not (a and b and c)
         for branch, verdict in lemma_products_check(spec, a, b, c, x).items():
-            _tally(report, verdict, trial, "products {}", branch)
+            _tally(report, verdict, zero, trial, "products {}", branch)
 
         if max_level >= 2:
             k = 1 + rng.below(max_level - 1)
             a = _random_normalized(spec, rng, k, t_hi)
             b = _random_normalized(spec, rng, k + 1, t_hi)
             c = _random_form(rng, k)
+            zero = not (a and b and c)
             for branch, verdict in lemma_squares_check(spec, a, b, c).items():
-                _tally(report, verdict, trial, "squares {}", branch)
+                _tally(report, verdict, zero, trial, "squares {}", branch)
     return report

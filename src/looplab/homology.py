@@ -47,6 +47,7 @@ from .algebra import (
     internal_degree,
     mono_word_length,
     monomial_basis,
+    new_mono,
     nondegenerate_basis,
     nondegenerate_generators,
 )
@@ -246,7 +247,7 @@ class _Barcode:
                 if row in skip:
                     cleared += 1
                     continue
-                col = _face_row(n, Mono(0, *gen), index)
+                col = _face_row(n, new_mono((0, *gen)), index)
                 while col:
                     r = col.bit_length() - 1
                     if r not in pivots:
@@ -329,8 +330,8 @@ def clear_caches() -> None:
 
 
 def is_normalized(n: int, form: Form) -> bool:
-    """Whether every face above the bottom one kills the form."""
-    return all(not face(n, i, form) for i in range(1, form.level + 1))
+    """Whether every face above the bottom one kills the form; True at once for zero."""
+    return not form.terms or all(not face(n, i, form) for i in range(1, form.level + 1))
 
 
 def is_cycle(spec: GradingSpec, form: Form) -> bool:

@@ -51,10 +51,13 @@ class SplitMix:
         """k uniform random bits as an int, any k from 0 up.
 
         Up to 64 bits come from one draw, masked; more take the low bits
-        of each draw in turn, the first draw lowest.  bits(0) draws nothing.
+        of each draw in turn, the first draw lowest.  bits(0) draws nothing,
+        and a negative k is refused without a draw.
         """
         if 0 < k <= 64:
             return self.next64() & ((1 << k) - 1)
+        if k < 0:
+            raise ValueError("width must be at least 0")
         out = 0
         got = 0
         while got < k:

@@ -33,6 +33,7 @@ from .algebra import (
     gen_dy,
     gen_x,
     gen_y,
+    new_mono,
 )
 
 __all__ = [
@@ -73,19 +74,16 @@ def mono_face(n: int, i: int, mono: Mono) -> Optional[Mono]:
                 return None
             x += n
             dx = 1
-        return Mono(x, dx, y[1:], dy[1:])
+        return new_mono((x, dx, y[1:], dy[1:]))
     if i == q:
         if y[-1] or dy[-1]:
             return None
-        return Mono(x, dx, y[:-1], dy[:-1])
+        return new_mono((x, dx, y[:-1], dy[:-1]))
     if dy[i - 1] and dy[i]:
         return None
-    return Mono(
-        x,
-        dx,
-        y[: i - 1] + (y[i - 1] + y[i],) + y[i + 1 :],
-        dy[: i - 1] + (dy[i - 1] | dy[i],) + dy[i + 1 :],
-    )
+    y = y[: i - 1] + (y[i - 1] + y[i],) + y[i + 1 :]
+    dy = dy[: i - 1] + (dy[i - 1] | dy[i],) + dy[i + 1 :]
+    return new_mono((x, dx, y, dy))
 
 
 def mono_degeneracy(i: int, mono: Mono) -> Mono:
@@ -95,7 +93,7 @@ def mono_degeneracy(i: int, mono: Mono) -> Mono:
     1 .. i keep their index and the slots above move up by one.
     """
     x, dx, y, dy = mono
-    return Mono(x, dx, y[:i] + (0,) + y[i:], dy[:i] + (0,) + dy[i:])
+    return new_mono((x, dx, y[:i] + (0,) + y[i:], dy[:i] + (0,) + dy[i:]))
 
 
 # The Form-level map reads its images through this memo: the shuffle

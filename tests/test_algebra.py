@@ -23,6 +23,7 @@ from looplab.algebra import (
     mono_str,
     mono_word_length,
     monomial_basis,
+    new_mono,
     nondegenerate_basis,
     parse_form,
     parse_mono,
@@ -98,6 +99,24 @@ def test_exterior_squares_vanish():
     assert not gen_dx(2) * gen_dx(2)
     assert not gen_dy(2, 1) * gen_dy(2, 1)
     assert gen_x(2) * gen_x(2) == gen_x(2) ** 2
+
+
+def test_powers_from_zero_up_and_no_negative_power():
+    assert gen_x(1) ** 0 == Form.one(1)
+    assert gen_x(1) ** 3 == gen_x(1) * gen_x(1) * gen_x(1)
+    for k in (-1, -2):
+        with pytest.raises(ValueError):
+            gen_x(1) ** k
+
+
+def test_new_mono_builds_the_mono_the_constructor_builds():
+    cases = [(0, 0, (), ()), (3, 1, (2, 0), (0, 1)), (1, 0, (0, 1, 4), (1, 0, 0))]
+    cases += [tuple(mono) for t in range(12) for mono in monomial_basis(2, SPEC, t)]
+    for fields in cases:
+        got, want = new_mono(fields), Mono(*fields)
+        assert type(got) is Mono and got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) and got.level == want.level
+        assert (got.x, got.dx, got.y, got.dy) == fields
 
 
 def test_char_two_addition():

@@ -133,6 +133,25 @@ def test_ez_is_deterministic(capsys):
     assert first.splitlines()[1].startswith("trials\tpass\ttrials=12")
 
 
+def test_ez_json_report_counts_the_zero_draws(capsys):
+    # The three jobs of the benchmark's trials workload: most normalized
+    # factors are zero, and most passed checks were handed a zero form.
+    expect = {1: (6505, 5025), 2: (6503, 5242), 3: (6489, 5375)}
+    for n, (normalized, zero) in expect.items():
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "ez", "--n", str(n), "--m", "2", "--max-level", "3",
+             "--trials", "1000", "--seed", "0", "--format", "json"],
+        )
+        report = json.loads(out)
+        draws = report["stats"]["draws"]
+        assert code == 0 and draws["normalized"] == normalized and draws["zero"] == zero
+        assert report["counts"]["pass"] / 2 < draws["passedOnZero"] <= report["counts"]["pass"]
+    # The TSV carries no draw counts.
+    tsv = run_cli(capsys, ["verify", "ez", "--n", "1", "--m", "2", "--trials", "20"])[1]
+    assert "zero" not in tsv and len(tsv.splitlines()) == 2
+
+
 def test_mostly_vacuous_trials_exit_one(capsys, monkeypatch):
     def vacuous(spec, max_level, trials, seed):
         return {"trials": trials, "passed": 4, "vacuous": 4, "failures": []}

@@ -9,6 +9,7 @@ import pytest
 from looplab.algebra import Form, GradingSpec, Mono, gen_x, parse_form
 from looplab.ez import (
     _killed_by_faces,
+    _random_form,
     degeneracy_chain,
     delta_top,
     ez_bottom_check,
@@ -22,8 +23,10 @@ from looplab.ez import (
     shuffles,
 )
 from looplab.homology import homology_at, is_cycle, normalized_basis
+from looplab.rng import SplitMix
 from looplab.simplicial import alpha, beta, degeneracy, face, omega
 from support import random_form
+from test_rng import SEEDS
 
 ODD = GradingSpec(1, 2)
 EVEN = GradingSpec(2, 2)
@@ -330,6 +333,39 @@ def test_benchmark_trial_counts_are_pinned():
         assert report == {
             "trials": 1000, "passed": passed, "vacuous": vacuous, "failures": []
         }
+
+
+# The sampler as it drew through below and bits; _random_form now masks
+# next64, which must give the same forms and leave the same state.
+
+
+def reference_random_form(rng, level):
+    below, bits = rng.below, rng.bits
+    slots = range(level)
+    monos = [
+        Mono(
+            below(4),
+            bits(1),
+            tuple([below(2) for _ in slots]),
+            tuple([bits(1) for _ in slots]),
+        )
+        for _ in range(1 + below(3))
+    ]
+    return Form.from_monos(level, monos)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_form_draws_what_below_and_bits_drew(seed):
+    got, ref = SplitMix(seed), SplitMix(seed)
+    xs = set()
+    for _ in range(40):
+        for level in range(5):
+            form = _random_form(got, level)
+            assert form == reference_random_form(ref, level), (seed, level)
+            assert got.state == ref.state, (seed, level)
+            assert all(type(mono) is Mono for mono in form.terms)
+            xs |= {mono.x for mono in form.terms}
+    assert xs == {0, 1, 2, 3}
 
 
 def test_trials_run_clean_at_level_six():

@@ -132,6 +132,13 @@ def test_is_cycle_rejects_unnormalized_input():
     assert not is_normalized(1, gen_x(1))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_zero_form_is_normalized_at_every_level(n):
+    for q in range(5):
+        assert is_normalized(n, Form.zero(q))
+        assert is_normalized(n, Form(q, frozenset()))
+
+
 def test_class_of_rejects_zero_and_noncycles():
     spec = GradingSpec(1, 2)
     with pytest.raises(ValueError):

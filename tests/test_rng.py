@@ -66,6 +66,14 @@ def test_below_refuses_bounds_without_an_accepted_draw():
     assert g.state == SplitMix(0).state
 
 
+def test_bits_refuses_a_negative_width():
+    g = SplitMix(0)
+    for k in (-1, -3, -65, -(2**64)):
+        with pytest.raises(ValueError):
+            g.bits(k)
+    assert g.state == SplitMix(0).state
+
+
 def test_trials_with_a_bound_past_the_generator_raise():
     # At n = 2^64 the sampler asks for a degree below 2^66 + 5; that draw
     # used to reject every value and never return.
