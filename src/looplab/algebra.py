@@ -34,7 +34,6 @@ __all__ = [
     "internal_degree",
     "word_length",
     "monomial_basis",
-    "nondegenerate_basis",
     "nondegenerate_generators",
     "gen_x",
     "gen_dx",
@@ -388,26 +387,6 @@ def monomial_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
                 out.append(Mono((rest - y_deg * sum(y)) // m, dx, y, dy))
     out.sort()
     return out
-
-
-def nondegenerate_basis(q: int, spec: GradingSpec, t: int, w: int) -> list[Mono]:
-    """The level q monomials of degree t and word length w with every slot filled, sorted.
-
-    Slot j is filled when y_j > 0 or dy_j = 1; these are the monomials
-    that no degeneracy reaches (simplicial.mono_is_degenerate), so they
-    are a basis of the quotient by the degenerate subcomplex.  Each is
-    x^((t - d)/m) g for one generator g of degree d <= t, and every d is
-    -w mod m, so the block is empty unless m divides t + w.  At m = 2 the
-    blocks with t + w odd are empty, as are all with w > q + 1:
-
-    >>> [len(nondegenerate_basis(2, GradingSpec(1, 2), 11, w)) for w in range(5)]
-    [0, 7, 0, 3, 0]
-    """
-    m = spec.m
-    if (t + w) % m:
-        return []
-    gens = nondegenerate_generators(q, spec, w, -1, t)
-    return sorted([new_mono(((t - d) // m, dx, y, dy)) for d, (dx, y, dy) in gens])
 
 
 def nondegenerate_generators(

@@ -118,8 +118,11 @@ def level_keys(spec: GradingSpec, q: int) -> list[Key]:
     """All label keys living at one level, in degree order.
 
     The degree m a + (m - 1) eps grows with (a, eps) in lexicographic
-    order, so listing the keys in that order sorts them.
+    order, so listing the keys in that order sorts them.  No level below
+    zero has a key.
     """
+    if q < 0:
+        return []
     keys = [(a, eps, q) for a in range(spec.n + 1) for eps in (0, 1)]
     return [key for key in keys if _is_key(spec.n, key)]
 

@@ -3,21 +3,21 @@
 A matrix is a list of Python ints, one int per row, bit j of a row being
 the entry in column j.  Everything reduces to integer XOR, so results
 are exact and there is no tolerance knob anywhere in the package.
-Pivot rows are keyed by their lowest bit's column + 1 inside this
-module only: rref returns plain pivot columns, and rank counts rows.
+One forward elimination (_echelon) gives both the rank and, after one
+back-reduction pass, the reduced echelon form.  Pivot rows are keyed by
+their lowest bit's column + 1 inside this module only: rref returns
+plain pivot columns, and rank counts rows.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 __all__ = [
     "low_bit",
     "rref",
     "rank",
     "apply_row",
-    "left_kernel",
-    "solve_in_span",
 ]
 
 
@@ -95,53 +95,3 @@ def apply_row(v: int, rows: Sequence[int]) -> int:
         acc ^= rows[low_bit(v)]
         v &= v - 1
     return acc
-
-
-def left_kernel(rows: Sequence[int]) -> list[int]:
-    """Basis of the vectors c with c M = 0, i.e. the dependencies among the rows.
-
-    Forward elimination as in _echelon, on the same small column keys,
-    with a tag on every row recording which input rows were XORed into
-    it; a row that reduces to zero leaves its tag as a dependency.  The
-    dependency found at row i has i as its highest bit, so the
-    dependencies are independent, and there are len(rows) - rank(rows)
-    of them.
-
-    >>> left_kernel([0b01, 0b11, 0b10, 0b00])
-    [7, 8]
-    """
-    pivots: dict[int, tuple[int, int]] = {}
-    deps = []
-    for i, row in enumerate(rows):
-        tag = 1 << i
-        while row:
-            low = (row & -row).bit_length()
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = (row, tag)
-                break
-            row ^= pivot[0]
-            tag ^= pivot[1]
-        if not row:
-            deps.append(tag)
-    return deps
-
-
-def solve_in_span(basis: Sequence[int], target: int) -> Optional[list[int]]:
-    """Coefficients expressing target in the given spanning set, or None.
-
-    The result is a 0/1 list aligned with basis order; XORing the chosen
-    rows reproduces target exactly.  Dependent spanning sets are fine,
-    one valid certificate is returned.  Target is appended as the last
-    row: it lies in the span exactly when it reduces to zero, which
-    leaves a last dependency with bit len(basis) set.
-
-    >>> solve_in_span([0b011, 0b110, 0b101], 0b101)
-    [1, 1, 0]
-    >>> solve_in_span([0b011, 0b110], 0b100) is None
-    True
-    """
-    deps = left_kernel([*basis, target])
-    if not deps or not deps[-1] >> len(basis) & 1:
-        return None
-    return [deps[-1] >> i & 1 for i in range(len(basis))]

@@ -24,7 +24,8 @@ build each row of the differential from one monomial's faces (_face_row):
   normalized cycles by the normalizing projection P; a boundary that is
   not a cycle (d∘d ≠ 0) raises ValueError; a slice merges by lowest
   monomial the representatives of the blocks that _block_keys yields;
-- a normalized cycle's class is read off its nondegenerate terms.
+- a normalized cycle's class is read off its nondegenerate terms, at the
+  pivots of the reduced boundaries and then of the representatives.
 N itself is built only for the rows that the shuffle trials draw from
 (normalized_rows).  Nothing here knows any closed-form answer: the
 closed forms meet this module only in tests and command line checks.
@@ -48,10 +49,9 @@ from .algebra import (
     mono_word_length,
     monomial_basis,
     new_mono,
-    nondegenerate_basis,
     nondegenerate_generators,
 )
-from .gf2 import apply_row, left_kernel, low_bit, rank, rref, solve_in_span
+from .gf2 import apply_row, low_bit, rank, rref
 from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 
 __all__ = [
@@ -121,28 +121,32 @@ def _classes(
 ) -> tuple[tuple[Mono, ...], tuple[int, ...], tuple[int, ...]]:
     """Nondegenerate basis, boundaries and canonical representatives of a w block.
 
-    The basis is the (q, t, w) block of C/D, sorted by nondegenerate_basis;
-    boundaries (the rref of the differential from the block above) and
-    representatives are bit rows over it, the rows of both differentials
-    built by _face_row.  Every cycle reduces modulo the boundaries to
-    exactly one with no bit in a pivot column, so the representatives are
-    the dependencies among the differential rows of the free (non-pivot)
-    basis monomials, reduced to a canonical basis.  A boundary that is not
-    a cycle (d∘d ≠ 0) means the face tables are inconsistent: ValueError.
+    The block is empty unless m divides t + w; its basis is x^((t - d)/m) g
+    over the generators g of degree d <= t, sorted.  The faces keep x, so
+    the rows of both differentials (_face_row) need only the x-free parts
+    of the levels next to it.  Boundaries (the rref of the rows from above)
+    and representatives are bit rows over the basis.  Every cycle reduces
+    modulo the boundaries to exactly one with no bit in a pivot column, so
+    the representatives are the kernel on the free basis monomials: their
+    rows tagged with their own units above the level below, the rref rows
+    with no bit below the tags, shifted down.  A boundary that is not a
+    cycle (d∘d ≠ 0) means the face tables are inconsistent: ValueError.
     """
-    n = spec.n
-    basis = tuple(nondegenerate_basis(q, spec, t, w))
-    down = {mono[1:]: k for k, mono in enumerate(nondegenerate_basis(q - 1, spec, t, w))}
+    n, m = spec
+    if (t + w) % m:
+        return (), (), ()
+    down, gens, up = (nondegenerate_generators(k, spec, w, -1, t) for k in (q - 1, q, q + 1))
+    basis = tuple(sorted(new_mono(((t - d) // m, *gen)) for d, gen in gens))
+    below = {gen: k for k, (_, gen) in enumerate(down)}
     here = {mono[1:]: k for k, mono in enumerate(basis)}
-    rows = [_face_row(n, mono, down) for mono in basis]
-    up = nondegenerate_basis(q + 1, spec, t, w)
-    bounds, pivot_cols = rref([_face_row(n, mono, here) for mono in up])
+    rows = [_face_row(n, mono, below) for mono in basis]
+    bounds, pivot_cols = rref([_face_row(n, new_mono((0, *gen)), here) for _, gen in up])
     if any(apply_row(b, rows) for b in bounds):
         raise ValueError("a boundary is not a cycle: the face tables break d∘d = 0")
-    free = sorted(set(range(len(basis))).difference(pivot_cols))
-    units = [1 << k for k in free]
-    reps = [apply_row(dep, units) for dep in left_kernel([rows[k] for k in free])]
-    return basis, tuple(bounds), tuple(rref(reps)[0])
+    width, pivots = len(down), set(pivot_cols)
+    tagged = rref([row | 1 << width + k for k, row in enumerate(rows) if k not in pivots])[0]
+    reps = tuple(row >> width for row in tagged if not row & (1 << width) - 1)
+    return basis, tuple(bounds), reps
 
 
 def _to_vec(monos: Iterable[Mono], index: dict[Mono, int]) -> int:
@@ -204,7 +208,7 @@ def homology_at(spec: GradingSpec, q: int, t: int, w: Optional[int] = None) -> S
 def _block_keys(spec: GradingSpec, q: int, t: int) -> range:
     """The w of the (q, t) blocks of C/D that can be nonempty: those where m
     divides rest = t + w - (n+1)m q, the y degree left to set x and the
-    extra y exponents from (nondegenerate_basis), and rest >= 0."""
+    extra y exponents (algebra.nondegenerate_generators), and rest >= 0."""
     return range(max(-t % spec.m, (spec.n + 1) * spec.m * q - t), q + 2, spec.m)
 
 
@@ -365,21 +369,31 @@ def class_of(spec: GradingSpec, form: Form) -> tuple[int, ...]:
     The order matches homology_at(spec, q, t).reps.  Requires a nonzero
     homogeneous normalized cycle.  Its image in C/D drops the degenerate
     terms, and is a cycle there exactly when the form is one in N; the
-    image splits by word length and is solved on the blocks _block_keys
-    yields, which hold every term: rest = m(x + dx) + (n+1)m(Σy + Σdy − q)
-    is a multiple of m, and not negative as every slot is filled.
+    image splits by word length over the blocks _block_keys yields, which
+    hold every term: rest = m(x + dx) + (n+1)m(Σy + Σdy − q) is a multiple
+    of m, and not negative as every slot is filled.  Both reduced bases are
+    rrefs and the representatives miss the boundaries' pivots, so a
+    coefficient is the bit at the row's pivot, boundaries first; a block
+    that leaves a residue raises ValueError.
     """
     q, t = _require_cycle(spec, form)
     terms = [m for m in form.terms if not mono_is_degenerate(m)]
     coords = []
     for w in _block_keys(spec, q, t):
-        basis, b_basis, reps = _classes(spec, q, t, w)
+        basis, bounds, reps = _classes(spec, q, t, w)
         index = {m: k for k, m in enumerate(basis)}
         vec = _to_vec((m for m in terms if mono_word_length(m) == w), index)
-        solved = solve_in_span(b_basis + reps, vec)
-        if solved is None:
+        for row in bounds:
+            if vec >> low_bit(row) & 1:
+                vec ^= row
+        for row in reps:
+            low = low_bit(row)
+            bit = vec >> low & 1
+            coords.append((basis[low], bit))
+            if bit:
+                vec ^= row
+        if vec:
             raise ValueError("cycle does not reduce against the slice homology")
-        coords += zip((basis[low_bit(r)] for r in reps), solved[len(b_basis) :])
     return tuple(c for _, c in sorted(coords))
 
 

@@ -6,7 +6,7 @@ import operator
 
 from looplab import closedform, homology, thom
 from looplab.algebra import Form, GradingSpec, Mono, _exponents
-from looplab.gf2 import rank
+from looplab.gf2 import apply_row, rank, rref
 from looplab.simplicial import mono_face
 from looplab.thom import space
 
@@ -69,9 +69,53 @@ def quotient_reps(z_basis, b_basis):
     return list_rref(reduced)[0]
 
 
-# The per-block enumerator that algebra.nondegenerate_basis replaced with
-# x-free generators, kept as the reference those are checked against and
-# as the blocks of the block route below.
+# The tagged forward elimination and the span solver that gf2 carried
+# until the class route read its kernels and coordinates off one rref,
+# kept as reference tools for the normalized route and the span checks.
+def left_kernel(rows):
+    """Basis of the vectors c with c M = 0, i.e. the dependencies among the rows.
+
+    Forward elimination on lowest bits, with a tag on every row recording
+    which input rows were XORed into it; a row that reduces to zero leaves
+    its tag as a dependency.  The dependency found at row i has i as its
+    highest bit, so the dependencies are independent, and there are
+    len(rows) - rank(rows) of them.
+    """
+    pivots = {}
+    deps = []
+    for i, row in enumerate(rows):
+        tag = 1 << i
+        while row:
+            low = (row & -row).bit_length()
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (row, tag)
+                break
+            row ^= pivot[0]
+            tag ^= pivot[1]
+        if not row:
+            deps.append(tag)
+    return deps
+
+
+def solve_in_span(basis, target):
+    """Coefficients expressing target in the given spanning set, or None.
+
+    The result is a 0/1 list aligned with basis order; XORing the chosen
+    rows reproduces target exactly.  Dependent spanning sets are fine,
+    one valid certificate is returned.  Target is appended as the last
+    row: it lies in the span exactly when it reduces to zero, which
+    leaves a last dependency with bit len(basis) set.
+    """
+    deps = left_kernel([*basis, target])
+    if not deps or not deps[-1] >> len(basis) & 1:
+        return None
+    return [deps[-1] >> i & 1 for i in range(len(basis))]
+
+
+# The per-block enumerator that the x-free generators replaced, kept as
+# the reference those are checked against and as the blocks of the block
+# route and of the class route below.
 def reference_nondegenerate_basis(q, spec, t, w):
     """Choose the w - dx dy slots, fill the rest with y_j = 1, spread the rest."""
     n, m = spec.n, spec.m
@@ -129,6 +173,25 @@ def differential_rows(n, sources, targets):
                 row ^= 1 << index[img]
         rows.append(row)
     return rows
+
+
+# The class route as it was before it read its blocks off the generators
+# and its representatives off one tagged rref, kept as the reference the
+# class route is checked against: per-block bases, whole-monomial
+# differential rows, and the dependencies among the free rows.
+def reference_classes(spec, q, t, w):
+    """Basis, boundaries and canonical representatives of the (q, t, w) block of C/D."""
+    basis = tuple(sorted(reference_nondegenerate_basis(q, spec, t, w)))
+    down = sorted(reference_nondegenerate_basis(q - 1, spec, t, w))
+    up = sorted(reference_nondegenerate_basis(q + 1, spec, t, w))
+    rows = differential_rows(spec.n, basis, down)
+    bounds, pivot_cols = rref(differential_rows(spec.n, up, basis))
+    if any(apply_row(b, rows) for b in bounds):
+        raise ValueError("a boundary is not a cycle: the face tables break d∘d = 0")
+    free = sorted(set(range(len(basis))).difference(pivot_cols))
+    units = [1 << k for k in free]
+    reps = [apply_row(dep, units) for dep in left_kernel([rows[k] for k in free])]
+    return basis, tuple(bounds), tuple(rref(reps)[0])
 
 
 # (size, rank) of every block reference_quotient_level has ranked, by key.

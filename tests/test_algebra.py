@@ -24,7 +24,7 @@ from looplab.algebra import (
     mono_word_length,
     monomial_basis,
     new_mono,
-    nondegenerate_basis,
+    nondegenerate_generators,
     parse_form,
     parse_mono,
     word_length,
@@ -290,40 +290,50 @@ def test_monomial_basis_is_complete_for_weights_above_two(n, m):
             assert basis == sorted(found), (q, t)
 
 
+def x_free_block(gens, t, m):
+    """The x-free parts of the (q, t, w) block of C/D from the (q, w)
+    generators: those of degree d <= t with m dividing t - d."""
+    return {gen for d, gen in gens if d <= t and not (t - d) % m}
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
+    # Within a block the degree fixes x, so the x-free parts name the
+    # monomials: each block is x^((t - d)/m) times the generators above.
     seen = 0
     for n in range(1, 5):
         spec = GradingSpec(n, m)
         for q in range(5):
+            gens = [nondegenerate_generators(q, spec, w, -1, 40) for w in range(q + 3)]
+            assert all(len({gen for _, gen in g}) == len(g) for g in gens)
             for t in range(41):
                 want = [mono for mono in monomial_basis(q, spec, t) if not mono_is_degenerate(mono)]
-                blocks = [nondegenerate_basis(q, spec, t, w) for w in range(q + 2)]
-                for w, block in enumerate(blocks):
-                    length_w = [x for x in want if mono_word_length(x) == w]
-                    assert sorted(block) == length_w, (n, q, t, w)
-                # the blocks for w in 0 .. q + 1 partition the slice
-                assert sorted(x for block in blocks for x in block) == want, (n, q, t)
-                assert nondegenerate_basis(q, spec, t, q + 2) == []
+                for w in range(q + 2):
+                    length_w = [x[1:] for x in want if mono_word_length(x) == w]
+                    assert x_free_block(gens[w], t, m) == set(length_w), (n, q, t, w)
                 seen += len(want)
-        for t in range(41):
-            assert all(nondegenerate_basis(-1, spec, t, w) == [] for w in range(3))
+            # no generator has a word length past q + 1
+            assert gens[q + 2] == []
+        assert all(nondegenerate_generators(-1, spec, w, -1, 40) == [] for w in range(3))
     assert seen
 
 
 def test_nondegenerate_basis_equals_the_per_block_reference():
-    # The generators give the blocks of the old per-block enumeration,
-    # sorted, including the empty ones (w outside 0 .. q + 1, q = -1).
+    # The generators give the x-free parts of the blocks of the old per-block
+    # enumeration, including the empty ones (w outside 0 .. q + 1, q = -1).
     cases = [(GradingSpec(n, m), 5, 6 * (n + 1) * m) for n, m in ACCEPTANCE_PAIRS]
     cases.append((GradingSpec(2, 2), 9, 64))
     seen = 0
     for spec, max_q, max_t in cases:
         for q in range(-1, max_q + 1):
-            for t in range(max_t + 1):
-                for w in range(-1, q + 3):
-                    block = nondegenerate_basis(q, spec, t, w)
-                    want = sorted(reference_nondegenerate_basis(q, spec, t, w))
-                    assert block == want, (spec, q, t, w)
+            for w in range(-1, q + 3):
+                gens = nondegenerate_generators(q, spec, w, -1, max_t)
+                assert len({gen for _, gen in gens}) == len(gens)
+                for t in range(max_t + 1):
+                    block = reference_nondegenerate_basis(q, spec, t, w)
+                    want = {mono[1:] for mono in block}
+                    assert x_free_block(gens, t, spec.m) == want, (spec, q, t, w)
+                    assert len(want) == len(block)
                     seen += len(block)
     assert seen > 100_000
 

@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looplab import gf2
-from looplab.gf2 import (
-    apply_row,
-    left_kernel,
-    rank,
-    rref,
-    solve_in_span,
-)
-from support import list_rref, quotient_reps
+from looplab.gf2 import apply_row, rank, rref
+from support import left_kernel, list_rref, quotient_reps, solve_in_span
 
 
 def span_elements(rows):
@@ -29,9 +23,9 @@ def random_rows(rng, nrows, ncols):
     return [rng.getrandbits(ncols) for _ in range(nrows)]
 
 
-# The transpose-based left kernel that gf2.left_kernel replaced, kept as
-# the reference it is checked against; the kernel tests check the
-# reference itself.
+# The transpose-based left kernel that the tagged elimination replaced,
+# kept as the reference support.left_kernel is checked against; the
+# kernel tests check the reference itself.
 def transpose(rows, ncols):
     out = []
     for c in range(ncols):
@@ -122,8 +116,8 @@ def one_bit_keys(pivots):
     return {1 << (key - 1): row for key, row in pivots.items()}
 
 
-# echelon, rref and left_kernel as they were with one-bit pivot keys
-# (row & -row), kept as the reference for the small column keys.
+# echelon, rref and support.left_kernel as they were with one-bit pivot
+# keys (row & -row), kept as the reference for the small column keys.
 def one_bit_echelon(rows):
     pivots = {}
     for row in rows:
@@ -238,6 +232,7 @@ def test_left_kernel_is_complete_on_seeded_matrices():
         assert_complete_left_kernel(rows)
     assert left_kernel([]) == []
     assert left_kernel([0, 0]) == [1, 2]
+    assert left_kernel([0b01, 0b11, 0b10, 0b00]) == [7, 8]
 
 
 def test_solve_in_span_round_trip():
@@ -258,6 +253,8 @@ def test_solve_in_span_round_trip():
 def test_solve_in_span_rejects_outside_vector():
     basis = [0b0011, 0b0110]
     assert solve_in_span(basis, 0b1000) is None
+    assert solve_in_span([0b011, 0b110], 0b100) is None
+    assert solve_in_span([0b011, 0b110, 0b101], 0b101) == [1, 1, 0]
 
 
 def seeded_matrices(rng):

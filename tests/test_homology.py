@@ -14,12 +14,12 @@ from looplab.algebra import (
     mono_degree,
     mono_word_length,
     monomial_basis,
-    nondegenerate_basis,
+    nondegenerate_generators,
     parse_form,
     word_length,
 )
 from looplab.closedform import main1_dims
-from looplab.gf2 import apply_row, left_kernel, low_bit, rank, rref, solve_in_span
+from looplab.gf2 import apply_row, low_bit, rank, rref
 from looplab import homology
 from looplab.homology import (
     SliceHomology,
@@ -47,12 +47,15 @@ from looplab.simplicial import (
 from support import (
     block_keys,
     differential_rows,
+    left_kernel,
     mono_bigrading,
     quotient_reps,
+    reference_classes,
     reference_homology_dim,
     reference_koszul_dim,
     reference_nondegenerate_basis,
     reference_quotient_level,
+    solve_in_span,
 )
 
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
@@ -331,9 +334,17 @@ def test_even_pair_dimensions_agree_to_level_five_and_degree_forty():
     assert time.monotonic() - start < 120.0
 
 
+def _block(spec, q, t, w):
+    """The (q, t, w) block of C/D from the generators: x^((t - d)/m) g for
+    each generator g of degree d <= t with m dividing t - d, sorted."""
+    m = spec.m
+    gens = nondegenerate_generators(q, spec, w, -1, t)
+    return sorted(Mono((t - d) // m, *gen) for d, gen in gens if not (t - d) % m)
+
+
 def _whole_slice(spec, q, t):
     """The nondegenerate monomials of a whole (q, t) slice, its w blocks chained."""
-    return [mono for w in range(q + 2) for mono in nondegenerate_basis(q, spec, t, w)]
+    return [mono for w in range(q + 2) for mono in _block(spec, q, t, w)]
 
 
 def test_faces_of_nondegenerate_monomials_are_nondegenerate_or_vanish():
@@ -620,7 +631,7 @@ def test_whole_slices_merge_their_blocks_by_lowest_monomial(monkeypatch):
     # is a multiple of m), so the merge order is pinned here on two faked
     # one-class blocks whose lowest monomials run against w.
     spec, q, t = GradingSpec(1, 2), 1, 8
-    short, long_ = (tuple(sorted(nondegenerate_basis(q, spec, t, w))) for w in (0, 2))
+    short, long_ = (tuple(_block(spec, q, t, w)) for w in (0, 2))
     assert long_[0] < short[1]
     fake = {0: (short, (), (0b10,)), 2: (long_, (), (0b01,))}
     monkeypatch.setattr(homology, "_classes", lambda s, q, t, w: fake.get(w, ((), (), ())))
@@ -681,6 +692,87 @@ def test_the_class_route_asks_only_for_the_blocks_block_keys_yields(monkeypatch)
     assert all(w in homology._block_keys(spec, q, t) for spec, q, t, w in asked)
     # the walk is not vacuous: many classes are checked and many w skipped
     assert checked > 100 and skipped > 1000
+
+
+def test_classes_equal_the_per_block_reference():
+    # Blocks read off the generators and representatives read off one
+    # tagged rref give the old route's bases, boundaries and canonical
+    # representatives exactly, in every w block, empty ones included.
+    cases = [(GradingSpec(n, m), 5, 4 * (n + 1) * m) for n, m in ACCEPTANCE_PAIRS]
+    cases.append((GradingSpec(2, 2), 7, 40))
+    reps = bounds = 0
+    for spec, max_q, max_t in cases:
+        for q in range(max_q + 1):
+            for t in range(max_t + 1):
+                for w in range(q + 2):
+                    got = homology._classes(spec, q, t, w)
+                    assert got == reference_classes(spec, q, t, w), (spec, q, t, w)
+                    bounds += len(got[1])
+                    reps += len(got[2])
+    homology.clear_caches()
+    assert reps > 200 and bounds > 5000
+
+
+def test_class_of_reads_a_representative_plus_a_boundary_as_the_representative(monkeypatch):
+    # No real block checked holds both boundaries and representatives (a
+    # level's classes sit below its boundaries in degree), so every block
+    # with boundaries gets one free basis monomial as a faked representative,
+    # and the pass over the boundaries must strip each boundary added to it.
+    classes, fake = homology._classes, {}
+    monkeypatch.setattr(homology, "_classes", lambda *key: fake.get(key) or classes(*key))
+    monkeypatch.setattr(
+        homology, "_require_cycle", lambda spec, form: (form.level, internal_degree(spec, form))
+    )
+    met = 0
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        for q in range(4):
+            for t in range(3 * (n + 1) * m + 1):
+                for w in homology._block_keys(spec, q, t):
+                    basis, bounds, reps = classes(spec, q, t, w)
+                    pivots = {low_bit(b) for b in bounds}
+                    free = [k for k in range(len(basis)) if k not in pivots]
+                    if not bounds or not free:
+                        continue
+                    assert not reps
+                    rep = 1 << free[0]
+                    fake[spec, q, t, w] = basis, bounds, (rep,)
+                    for b in bounds:
+                        cycle = homology._to_form(q, rep ^ b, basis)
+                        assert class_of(spec, cycle) == (1,), (spec, q, t, w)
+                        assert class_of(spec, homology._to_form(q, b, basis)) == (0,)
+                        met += 1
+                    del fake[spec, q, t, w]
+    assert met > 150
+
+
+def test_class_of_raises_on_a_cycle_the_representatives_miss(monkeypatch):
+    # With the last representative of every block dropped, the sum of a
+    # slice's representatives leaves a residue in each block that had one.
+    spec = GradingSpec(2, 2)
+    slices = [(q, t) for q in range(5) for t in range(41) if homology_dim(spec, q, t)]
+    sums = [sum(homology_at(spec, q, t).reps, Form.zero(q)) for q, t in slices]
+    for (q, t), cycle in zip(slices, sums):
+        assert class_of(spec, cycle) == (1,) * homology_dim(spec, q, t), (q, t)
+    classes = homology._classes
+    monkeypatch.setattr(
+        homology, "_classes", lambda *key: (*classes(*key)[:2], classes(*key)[2][:-1])
+    )
+    for (q, t), cycle in zip(slices, sums):
+        with pytest.raises(ValueError, match="does not reduce"):
+            class_of(spec, cycle)
+    assert len(slices) > 20
+
+
+def test_every_route_is_zero_below_level_zero():
+    # No level below zero holds a class, whatever the degree, by any route.
+    for n, m in ACCEPTANCE_PAIRS:
+        spec = GradingSpec(n, m)
+        for q in (-3, -2, -1):
+            for t in range(-3 * (n + 1) * m, 4 * (n + 1) * m + 1):
+                dims = homology_dim(spec, q, t), main1_dims(spec, q, t), koszul_dim(spec, q, t)
+                assert dims == (0, 0, 0), (spec, q, t)
+            assert homology_at(spec, q, (n + 1) * m).dim == 0
 
 
 def test_homology_at_refuses_a_word_length_outside_the_level():

@@ -21,7 +21,6 @@ from looplab.algebra import (
     parse_form,
     word_length,
 )
-from looplab.gf2 import solve_in_span
 from looplab.simplicial import (
     alpha,
     beta,
@@ -37,7 +36,7 @@ from looplab.simplicial import (
     omega_without,
     omega_without2,
 )
-from support import random_form
+from support import random_form, solve_in_span
 
 
 def test_face_values_on_polynomial_generators():
