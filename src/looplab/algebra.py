@@ -33,7 +33,6 @@ __all__ = [
     "derham_d",
     "internal_degree",
     "word_length",
-    "monomial_basis",
     "nondegenerate_generators",
     "gen_x",
     "gen_dx",
@@ -365,35 +364,11 @@ def _common(grading: str, values: set[int]) -> Optional[int]:
     return values.pop() if values else None
 
 
-def monomial_basis(q: int, spec: GradingSpec, t: int) -> list[Mono]:
-    """All level q monomials of internal degree t, canonically ordered.
-
-    Finite because every generator has positive degree.  This is the
-    basis every chain-level computation slices against, so the order
-    must never depend on anything but (q, spec, t).
-    """
-    n, m = spec.n, spec.m
-    y_deg = (n + 1) * m
-    out = []
-    for dx in (0, 1):
-        for dy_mask in range(1 << q):
-            dy = tuple(dy_mask >> j & 1 for j in range(q))
-            rest = t - (m - 1) * dx - (y_deg - 1) * sum(dy)
-            # y_deg is a multiple of m, so the x exponent is whole for
-            # every y or for none.
-            if rest < 0 or rest % m:
-                continue
-            for y in _exponents(q, rest // y_deg):
-                out.append(Mono((rest - y_deg * sum(y)) // m, dx, y, dy))
-    out.sort()
-    return out
-
-
 def nondegenerate_generators(
-    q: int, spec: GradingSpec, w: int, low: int, high: int
+    q: int, spec: GradingSpec, w: int, high: int
 ) -> list[tuple[int, tuple[int, tuple[int, ...], tuple[int, ...]]]]:
-    """The x-free nondegenerate level q monomials of word length w with
-    low < degree <= high, as (degree, (dx, y, dy)) pairs sorted by degree.
+    """The x-free nondegenerate level q monomials of word length w and
+    degree at most high, as (degree, (dx, y, dy)) pairs sorted by degree.
 
     Every nondegenerate monomial is x^a times exactly one of these.  For
     each dx, the w - dx slots with dy_j = 1 are chosen, every other slot
@@ -401,7 +376,7 @@ def nondegenerate_generators(
     gives the degree m dx - w + (n+1)m(q + used).  Generators of equal
     degree keep the _fill_pattern order, dx = 0 first.
 
-    >>> nondegenerate_generators(1, GradingSpec(1, 2), 1, -1, 8)
+    >>> nondegenerate_generators(1, GradingSpec(1, 2), 1, 8)
     [(3, (0, (0,), (1,))), (5, (1, (1,), (0,))), (7, (0, (1,), (1,)))]
     """
     n, m = spec
@@ -409,12 +384,10 @@ def nondegenerate_generators(
     gens = []
     for dx in (0, 1):
         ones, base = w - dx, m * dx - w + y_deg * q
-        top, old = (high - base) // y_deg, max((low - base) // y_deg, -1)
-        if 0 <= ones <= q and top > old:
+        top = (high - base) // y_deg
+        if 0 <= ones <= q and top >= 0:
             gens += [
-                (base + y_deg * used, (dx, y, dy))
-                for used, y, dy in _fill_pattern(q, ones, top)
-                if used > old
+                (base + y_deg * used, (dx, y, dy)) for used, y, dy in _fill_pattern(q, ones, top)
             ]
     gens.sort(key=itemgetter(0))
     return gens

@@ -277,7 +277,7 @@ def _run_main1(args):
             "detail": f"chain={chain} closed={closed} resolution={resolution}",
         }
 
-    homology_dim(spec, args.max_level, t_max)  # extends the barcode once, to the corner
+    homology_dim(spec, args.max_level, t_max)  # builds the barcode once, to the corner
     verdicts = [check(q, t) for q in range(args.max_level + 1) for t in range(t_max + 1)]
     return params, verdicts, _counts(verdicts), None
 

@@ -18,7 +18,8 @@ build each row of the differential from one monomial's faces (_face_row):
   highest row, each level before the one below, whose pivot rows skip
   their own columns (clearing; Chen and Kerber, 2011).  A pivot row is a
   cycle born at its degree that dies at its column's, or never if no
-  column has it as pivot;
+  column has it as pivot.  The barcode is built whole, to one (level,
+  degree) corner, and keeps only each (q, w)'s set of pivot rows;
 - a block's representatives are its cycles with no bit in a pivot column
   of the boundaries' rref, reduced to a canonical basis, and lifted to
   normalized cycles by the normalizing projection P; a boundary that is
@@ -47,7 +48,6 @@ from .algebra import (
     Mono,
     internal_degree,
     mono_word_length,
-    monomial_basis,
     new_mono,
     nondegenerate_generators,
 )
@@ -100,19 +100,21 @@ def _face_row(n: int, mono: Mono, index: dict[tuple, int]) -> int:
 
 @lru_cache(maxsize=None)
 def _pipeline(spec: GradingSpec, q: int, t: int) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-    """Monomial basis of the (q, t) slice and the reduced basis of N in it.
+    """The monomials of the normalized (q, t) slice and the reduced basis of N on them.
 
-    The rows are the projections of the nondegenerate monomials, the
-    Dold-Kan image of C/D in N, reduced to a canonical basis.
+    The rows are the projections of the nondegenerate monomials x^a g of
+    the blocks _block_keys yields, the Dold-Kan image of C/D in N, over the
+    sorted union of their terms, reduced to a canonical basis.
     """
-    basis = tuple(monomial_basis(q, spec, t))
-    index = {m: k for k, m in enumerate(basis)}
-    vecs = [
-        _to_vec(mono_normalize(spec.n, mono).terms, index)
-        for mono in basis
-        if not mono_is_degenerate(mono)
+    n, m = spec
+    images = [
+        mono_normalize(n, new_mono(((t - d) // m, *gen))).terms
+        for w in _block_keys(spec, q, t)
+        for d, gen in nondegenerate_generators(q, spec, w, t)
     ]
-    return basis, tuple(rref(vecs)[0])
+    basis = tuple(sorted(frozenset().union(*images)))
+    index = {mono: k for k, mono in enumerate(basis)}
+    return basis, tuple(rref([_to_vec(terms, index) for terms in images])[0])
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +137,7 @@ def _classes(
     n, m = spec
     if (t + w) % m:
         return (), (), ()
-    down, gens, up = (nondegenerate_generators(k, spec, w, -1, t) for k in (q - 1, q, q + 1))
+    down, gens, up = (nondegenerate_generators(k, spec, w, t) for k in (q - 1, q, q + 1))
     basis = tuple(sorted(new_mono(((t - d) // m, *gen)) for d, gen in gens))
     below = {gen: k for k, (_, gen) in enumerate(down)}
     here = {mono[1:]: k for k, mono in enumerate(basis)}
@@ -167,7 +169,8 @@ def _to_form(level: int, vec: int, basis: tuple[Mono, ...]) -> Form:
 
 
 def normalized_rows(spec: GradingSpec, q: int, t: int) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-    """The (q, t) slice basis and the cached bit rows of its normalized subspace.
+    """The sorted monomials of the normalized (q, t) slice and the cached bit
+    rows of its basis.
 
     Bit k of a row stands for basis[k], and row j is the form
     normalized_basis(spec, q, t)[j].
@@ -215,57 +218,52 @@ def _block_keys(spec: GradingSpec, q: int, t: int) -> range:
 class _Barcode:
     """The barcode of C/D over F2[x] for one spec, up to a (level, degree) corner:
     the generators of the levels 0 .. level + 1 up to degree.  Per (q, w)
-    each generator's row, the rows' degrees, and the reduced columns of d_q
-    under their pivot rows; per q the bars {(w, row): (birth, death)}, d > b.
+    each generator's row, the rows' degrees, and the set of pivot rows of
+    d_q; per q the bars {(w, row): (birth, death)}, d > b.
     """
 
     def __init__(self, spec: GradingSpec) -> None:
         self.spec, self.level, self.degree = spec, -1, -1
         self.rows, self.degrees, self.pivots, self.bars = {}, {}, {}, {}
 
-    def extend(self, level: int, degree: int) -> None:
-        """Grow the corner to hold (level, degree), reducing only the new columns.
+    def build(self, level: int, degree: int) -> None:
+        """Reduce the whole barcode to the corner (level, degree), in place of
+        the old one.
 
-        Each (q, w) gains its generators of degree above the old corner's
-        (algebra.nondegenerate_generators), which outrank every old one, so
-        old rows and reductions stand; only a column that is reduced is
-        built, by _face_row on its generator with x = 0.  A face image that
-        is no generator raises KeyError."""
-        level, degree = max(level, self.level), max(degree, self.degree)
-        n, new = self.spec.n, []
+        Each (q, w) numbers its generators (algebra.nondegenerate_generators)
+        in degree order; a column is built, by _face_row on its generator
+        with x = 0, only when it is reduced, and the columns of one (q, w)
+        are dropped once it is: clearing needs only their pivot rows.  A
+        face image that is no generator raises KeyError."""
+        n = self.spec.n
+        self.rows, self.degrees, self.pivots, self.bars = {}, {}, {}, {}
         for q in range(level + 2):
-            low = self.degree if q <= self.level + 1 else -1
             for w in range(q + 2):
-                gens = nondegenerate_generators(q, self.spec, w, low, degree)
-                rows, degs = self.rows.setdefault((q, w), {}), self.degrees.setdefault((q, w), [])
-                new.append((q, w, len(degs), gens))
-                rows.update((gen, k) for k, (_, gen) in enumerate(gens, len(degs)))
-                degs += [deg for deg, _ in gens]
-        while new:
-            q, w, start, gens = new.pop()
-            skip, pivots = self.pivots.get((q + 1, w), {}), self.pivots.setdefault((q, w), {})
+                gens = nondegenerate_generators(q, self.spec, w, degree)
+                self.rows[q, w] = {gen: k for k, (_, gen) in enumerate(gens)}
+                self.degrees[q, w] = [deg for deg, _ in gens]
+        for q, w in reversed(self.rows):
+            skip, pivots, degs = self.pivots.get((q + 1, w), ()), {}, self.degrees[q, w]
             index, births = self.rows.get((q - 1, w), {}), self.degrees.get((q - 1, w))
             bars, below = self.bars.setdefault(q, {}), self.bars.setdefault(q - 1, {})
-            cleared = 0
-            for row, (d, gen) in enumerate(gens, start):
+            for row, (d, gen) in enumerate(zip(degs, self.rows[q, w])):
                 if row in skip:
-                    cleared += 1
                     continue
                 col = _face_row(n, new_mono((0, *gen)), index)
                 while col:
                     r = col.bit_length() - 1
                     if r not in pivots:
                         pivots[r] = col
-                        below.pop((w, r), None)
                         if d > births[r]:
                             below[w, r] = (births[r], d)
                         break
                     col ^= pivots[r]
                 else:
                     bars[w, row] = (d, inf)
-            _blocks["reduced"] += len(gens) - cleared
-            _blocks["cleared"] += cleared
-            size = (len(births or ()), len(self.degrees[q, w]))
+            self.pivots[q, w] = frozenset(pivots)
+            _blocks["reduced"] += len(degs) - len(skip)
+            _blocks["cleared"] += len(skip)
+            size = (len(births or ()), len(degs))
             _blocks["largest"] = max(_blocks["largest"], size, key=prod)
         self.level, self.degree = level, degree
 
@@ -287,8 +285,9 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     spec's barcode with b <= t < d and m | t - b.
 
     Equal to homology_at(spec, q, t).dim without finding cycles or
-    representatives.  The barcode grows first when its corner does not
-    hold (q, t); a sweep that asks for its corner first reduces once.
+    representatives.  When its corner does not hold (q, t), the barcode
+    is built anew to the corner (max(q, level), max(t, degree)); a sweep
+    that asks for its corner first builds once.
 
     For x truncated at x^3 with |x| = 2 (n = 2, m = 2), level 0 holds the
     powers of x and dx x^j below the truncation, and level 1 the classes
@@ -302,7 +301,7 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     """
     code = _barcode(spec)
     if q > code.level or t > code.degree:
-        code.extend(q, t)
+        code.build(max(q, code.level), max(t, code.degree))
     bars = code.bars.get(q, {}).values()
     return sum(1 for b, d in bars if b <= t < d and not (t - b) % spec.m)
 

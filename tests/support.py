@@ -7,7 +7,7 @@ import operator
 from looplab import closedform, homology, thom
 from looplab.algebra import Form, GradingSpec, Mono, _exponents
 from looplab.gf2 import apply_row, rank, rref
-from looplab.simplicial import mono_face
+from looplab.simplicial import mono_face, mono_is_degenerate, mono_normalize
 from looplab.thom import space
 
 
@@ -111,6 +111,45 @@ def solve_in_span(basis, target):
     if not deps or not deps[-1] >> len(basis) & 1:
         return None
     return [deps[-1] >> i & 1 for i in range(len(basis))]
+
+
+# The whole-slice enumeration that the x-free generators replaced in the
+# library, kept as the reference slice basis of the tests.
+def monomial_basis(q, spec, t):
+    """All level q monomials of internal degree t, sorted.
+
+    Finite because every generator has positive degree.
+    """
+    n, m = spec.n, spec.m
+    y_deg = (n + 1) * m
+    out = []
+    for dx in (0, 1):
+        for dy_mask in range(1 << q):
+            dy = tuple(dy_mask >> j & 1 for j in range(q))
+            rest = t - (m - 1) * dx - (y_deg - 1) * sum(dy)
+            # y_deg is a multiple of m, so the x exponent is whole for
+            # every y or for none.
+            if rest < 0 or rest % m:
+                continue
+            for y in _exponents(q, rest // y_deg):
+                out.append(Mono((rest - y_deg * sum(y)) // m, dx, y, dy))
+    out.sort()
+    return out
+
+
+# The N sampler's rows as homology._pipeline built them over the whole
+# slice basis, kept as the reference its rows over the normalized terms
+# are checked against.
+def reference_normalized_rows(spec, q, t):
+    """The (q, t) slice basis and the rref of the normalized nondegenerate monomials on it."""
+    basis = tuple(monomial_basis(q, spec, t))
+    index = {mono: k for k, mono in enumerate(basis)}
+    vecs = [
+        sum(1 << index[term] for term in mono_normalize(spec.n, mono).terms)
+        for mono in basis
+        if not mono_is_degenerate(mono)
+    ]
+    return basis, tuple(rref(vecs)[0])
 
 
 # The per-block enumerator that the x-free generators replaced, kept as

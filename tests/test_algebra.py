@@ -22,7 +22,6 @@ from looplab.algebra import (
     mono_degree,
     mono_str,
     mono_word_length,
-    monomial_basis,
     new_mono,
     nondegenerate_generators,
     parse_form,
@@ -31,7 +30,7 @@ from looplab.algebra import (
 )
 from looplab.simplicial import mono_is_degenerate
 
-from support import mono_bigrading, random_form, reference_nondegenerate_basis
+from support import mono_bigrading, monomial_basis, random_form, reference_nondegenerate_basis
 
 SPEC = GradingSpec(n=2, m=2)
 ACCEPTANCE_PAIRS = ((1, 2), (1, 3), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2))
@@ -304,7 +303,7 @@ def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
     for n in range(1, 5):
         spec = GradingSpec(n, m)
         for q in range(5):
-            gens = [nondegenerate_generators(q, spec, w, -1, 40) for w in range(q + 3)]
+            gens = [nondegenerate_generators(q, spec, w, 40) for w in range(q + 3)]
             assert all(len({gen for _, gen in g}) == len(g) for g in gens)
             for t in range(41):
                 want = [mono for mono in monomial_basis(q, spec, t) if not mono_is_degenerate(mono)]
@@ -314,7 +313,7 @@ def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
                 seen += len(want)
             # no generator has a word length past q + 1
             assert gens[q + 2] == []
-        assert all(nondegenerate_generators(-1, spec, w, -1, 40) == [] for w in range(3))
+        assert all(nondegenerate_generators(-1, spec, w, 40) == [] for w in range(3))
     assert seen
 
 
@@ -327,7 +326,7 @@ def test_nondegenerate_basis_equals_the_per_block_reference():
     for spec, max_q, max_t in cases:
         for q in range(-1, max_q + 1):
             for w in range(-1, q + 3):
-                gens = nondegenerate_generators(q, spec, w, -1, max_t)
+                gens = nondegenerate_generators(q, spec, w, max_t)
                 assert len({gen for _, gen in gens}) == len(gens)
                 for t in range(max_t + 1):
                     block = reference_nondegenerate_basis(q, spec, t, w)

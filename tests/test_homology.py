@@ -13,7 +13,6 @@ from looplab.algebra import (
     internal_degree,
     mono_degree,
     mono_word_length,
-    monomial_basis,
     nondegenerate_generators,
     parse_form,
     word_length,
@@ -49,11 +48,13 @@ from support import (
     differential_rows,
     left_kernel,
     mono_bigrading,
+    monomial_basis,
     quotient_reps,
     reference_classes,
     reference_homology_dim,
     reference_koszul_dim,
     reference_nondegenerate_basis,
+    reference_normalized_rows,
     reference_quotient_level,
     solve_in_span,
 )
@@ -206,11 +207,45 @@ def test_normalized_vectors_equal_the_common_kernel_of_the_faces():
     seen = set()
     for args in slices:
         basis, vecs = normalized_rows(*args)
-        assert basis == _slice_basis(*args)
-        assert list(vecs) == _kernel_of_faces(*args), args
+        slice_basis = _slice_basis(*args)
+        assert set(basis) <= set(slice_basis) and list(basis) == sorted(basis), args
+        got = [_form(args[1], v, basis) for v in vecs]
+        assert got == [_form(args[1], v, slice_basis) for v in _kernel_of_faces(*args)], args
         if vecs:
             seen.add(args[1])
     assert seen == set(range(4))
+
+
+def test_normalized_rows_equal_the_whole_slice_construction():
+    # The rows over the normalized terms decode to the forms of the rows
+    # over the whole slice basis, in the same order, and the terms are
+    # exactly those the rows use: the trials draw the same sums from them.
+    cases = [
+        (GradingSpec(n, m), q, t)
+        for n, m in ACCEPTANCE_PAIRS + ((2, 3), (1, 5))
+        for q in range(5)
+        for t in range(4 * (n + 1) * m + 1)
+    ]
+    cases += [(GradingSpec(2, 2), 5, t) for t in range(25, 33)]
+
+    def decode(q, vec, basis):
+        terms = []
+        while vec:
+            terms.append(basis[low_bit(vec)])
+            vec &= vec - 1
+        return Form.from_monos(q, terms)
+
+    forms = 0
+    for spec, q, t in cases:
+        basis, vecs = normalized_rows(spec, q, t)
+        ref_basis, ref_vecs = reference_normalized_rows(spec, q, t)
+        got = [decode(q, v, basis) for v in vecs]
+        want = [decode(q, v, ref_basis) for v in ref_vecs]
+        assert got == want, (spec, q, t)
+        assert basis == tuple(sorted({term for form in want for term in form.terms}))
+        assert [str(f) for f in normalized_basis(spec, q, t)] == [str(f) for f in want]
+        forms += len(want)
+    assert forms > 3500
 
 
 def _vec(form, basis):
@@ -338,7 +373,7 @@ def _block(spec, q, t, w):
     """The (q, t, w) block of C/D from the generators: x^((t - d)/m) g for
     each generator g of degree d <= t with m dividing t - d, sorted."""
     m = spec.m
-    gens = nondegenerate_generators(q, spec, w, -1, t)
+    gens = nondegenerate_generators(q, spec, w, t)
     return sorted(Mono((t - d) // m, *gen) for d, gen in gens if not (t - d) % m)
 
 
@@ -375,6 +410,9 @@ def test_quotient_dimensions_equal_the_normalized_homology_on_the_acceptance_gri
 
 def test_dimensions_agree_to_level_eight_and_degree_forty_eight():
     start = time.monotonic()
+    # each spec's corner first, so that each barcode is built once
+    homology_dim(GradingSpec(2, 2), 8, 48)
+    homology_dim(GradingSpec(3, 2), 6, 48)
     for spec, max_q, max_t in (
         (GradingSpec(2, 2), 8, 40),
         (GradingSpec(2, 2), 6, 48),
@@ -461,31 +499,36 @@ def corners():
     out = {}
     for spec in (GradingSpec(1, 2), GradingSpec(2, 2), GradingSpec(3, 4)):
         out[spec] = homology._Barcode(spec)
-        out[spec].extend(6, 40)
+        out[spec].build(6, 40)
     return out
 
 
-def test_a_barcode_extended_step_by_step_has_the_bars_of_one_built_at_its_corner(corners):
-    # Degree by degree at level 3, then level by level at degree 40, against
-    # one extension to (6, 40): the rows land in the same places, so the
-    # bars, keyed by (w, row), must be equal, and so must the dimensions.
+def test_a_barcode_rebuilt_on_each_miss_equals_one_built_at_its_corner(corners):
+    # homology_dim degree by degree at level 3, then level by level at
+    # degree 40, each query a miss that builds anew, against one build at
+    # (6, 40): the rows land in the same places, so the bars, keyed by
+    # (w, row), must be equal, and so must the pivot rows and dimensions.
     for spec, corner in corners.items():
-        steps = homology._Barcode(spec)
+        homology.clear_caches()
+        steps = homology._barcode(spec)
+        # each miss builds to the exact corner of the query, no further
         for t in range(41):
-            steps.extend(3, t)
+            assert homology_dim(spec, 3, t) == koszul_dim(spec, 3, t), (spec, t)
+            assert (steps.level, steps.degree) == (3, t), (spec, t)
         for q in range(4, 7):
-            steps.extend(q, 40)
-        assert (steps.level, steps.degree) == (corner.level, corner.degree) == (6, 40)
+            assert homology_dim(spec, q, 40) == koszul_dim(spec, q, 40), (spec, q)
+            assert (steps.level, steps.degree) == (q, 40), (spec, q)
+        assert (corner.level, corner.degree) == (6, 40)
         assert steps.rows == corner.rows and steps.degrees == corner.degrees, spec
         assert steps.bars == corner.bars, spec
         assert steps.pivots == corner.pivots, spec
+        assert all(type(rows) is frozenset for rows in corner.pivots.values())
         assert any(d != inf for bars in corner.bars.values() for _, d in bars.values())
         # and the bars give the oracle's dimensions
         for q in range(7):
             for t in range(41):
-                bars = steps.bars.get(q, {}).values()
-                dim = sum(1 for b, d in bars if b <= t < d and not (t - b) % spec.m)
-                assert dim == koszul_dim(spec, q, t), (spec, q, t)
+                assert homology_dim(spec, q, t) == koszul_dim(spec, q, t), (spec, q, t)
+        assert homology._barcode(spec) is steps and (steps.level, steps.degree) == (6, 40)
     homology.clear_caches()
 
 
@@ -524,7 +567,7 @@ def test_a_face_image_outside_the_generators_raises(monkeypatch):
 
     monkeypatch.setattr(homology, "mono_face", broken_face)
     with pytest.raises(KeyError):
-        homology._Barcode(GradingSpec(1, 2)).extend(2, 8)
+        homology._Barcode(GradingSpec(1, 2)).build(2, 8)
 
 
 def test_dimensions_agree_at_level_seven_and_degree_sixty_two():
@@ -540,6 +583,7 @@ def test_dimensions_agree_at_level_eight_to_degree_sixty_one():
     # monomials onto 11,130 at level 7.
     spec = GradingSpec(2, 2)
     start = time.monotonic()
+    homology_dim(spec, 8, 61)  # the sweep's corner, built once
     dims = [homology_dim(spec, 8, t) for t in range(62)]
     assert dims == [main1_dims(spec, 8, t) for t in range(62)]
     assert dims == [koszul_dim(spec, 8, t) for t in range(62)]
@@ -548,9 +592,9 @@ def test_dimensions_agree_at_level_eight_to_degree_sixty_one():
 
 
 def test_dimensions_agree_at_level_eight_to_degree_sixty_six():
-    # One extension to the corner (8, 66) reduces levels 0 .. 9 up to
-    # t = 66, about 5 s on a 2-core VM (t = 68 takes twice that).  The
-    # state is dropped afterwards: it holds some 300 MB.
+    # One build to the corner (8, 66) reduces levels 0 .. 9 up to t = 66,
+    # about 4 s on a 2-core VM (t = 68 takes twice that).  The state is
+    # dropped afterwards.
     spec = GradingSpec(2, 2)
     homology.clear_caches()
     start = time.monotonic()

@@ -17,7 +17,6 @@ from looplab.algebra import (
     internal_degree,
     mono_degree,
     mono_mul,
-    monomial_basis,
     parse_form,
     word_length,
 )
@@ -36,7 +35,7 @@ from looplab.simplicial import (
     omega_without,
     omega_without2,
 )
-from support import random_form, solve_in_span
+from support import monomial_basis, random_form, solve_in_span
 
 
 def test_face_values_on_polynomial_generators():

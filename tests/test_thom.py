@@ -266,6 +266,7 @@ def test_chain_homology_meets_the_stable_splitting_in_total_degree():
         loop = loop_module(sp.n, sp.r, deg_max, sq_one=sp.odd_op).dims()
         model = model_module_f2(sp, deg_max).dims()
         ref = reference_loop_homology(sp, deg_max)
+        homology_dim(spec, deg_max // step, deg_max + deg_max // step)  # the sweep's corner
         for d in range(deg_max + 1):
             chain = sum(homology_dim(spec, q, d + q) for q in range(d // step + 1))
             uct = ref.get(d, (0, ()))[0] + _even_orders(ref, d) + _even_orders(ref, d - 1)
