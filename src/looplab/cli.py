@@ -40,7 +40,7 @@ from types import SimpleNamespace
 
 from .algebra import GradingSpec
 from .closedform import loop_module, main1_dims
-from .ez import draw_stats, run_trials
+from .ez import draw_stats, run_trials, trial_workers
 from .homology import block_stats, cache_stats, homology_dim, koszul_dim
 from .steenrod import check_adem, check_cartan, check_instability, module_iso
 from .thom import (
@@ -423,6 +423,7 @@ def _render(name, params, verdicts, counts, table, fmt, parse_s, run_s) -> str:
             stats["blocks"] = block_stats()
         elif name == "verify ez":
             stats["draws"] = draw_stats()
+            stats["workers"] = trial_workers(params["trials"])
         # Filled in below, once the report text is encoded.
         stats["stages"] = {"parse": round(parse_s, 6), "run": round(run_s, 6), "render": None}
         report = {

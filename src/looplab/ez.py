@@ -21,6 +21,9 @@ faces are computed outright) are verified rather than trusted.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
@@ -44,6 +47,7 @@ __all__ = [
     "lemma_products_check",
     "lemma_squares_check",
     "run_trials",
+    "trial_workers",
     "draw_stats",
 ]
 
@@ -350,22 +354,37 @@ def _tally(report: dict, verdict: str, zero: bool, trial: int, branch: str, *arg
         report["failures"].append(f"trial {trial}: " + branch.format(*args))
 
 
-def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dict:
-    """Randomized sweep over the product identities and the face lemmas.
+def trial_workers(trials: int) -> int:
+    """Processes a sweep of this many trials runs on: one per CPU this
+    process may run on, at most one per trial.
 
-    Fully determined by (spec, max_level, trials, seed); a failure entry
-    names the trial and branch so the run can be replayed.  Conditional
-    branches whose hypotheses never fired show up in the vacuous count.
-    A suite that is all vacuous checks nothing, so the CLI fails a sweep
-    unless its passed checks outnumber its vacuous ones.
+    One where os.fork is missing, and one where threading shows a second
+    thread, as a forked child gets only the forking thread and may find a
+    lock another thread held at the fork.
     """
-    if max_level < 1:
-        raise ValueError("needs at least level 1")
-    rng = SplitMix(seed)
+    if not hasattr(os, "fork"):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, trials))
+
+
+def _check_trials(spec: GradingSpec, max_level: int, seed: int, first: int, stop: int) -> tuple:
+    """Trials first .. stop - 1: (passed, vacuous, failures, draw counts).
+
+    Trial t draws from SplitMix(seed).stream(t) alone.
+    """
+    root = SplitMix(seed)
     t_hi = 2 * (spec.n + 1) * spec.m
-    report = {"trials": trials, "passed": 0, "vacuous": 0, "failures": []}
+    report = {"passed": 0, "vacuous": 0, "failures": []}
     _draws.update(normalized=0, zero=0, passedOnZero=0)
-    for trial in range(trials):
+    for trial in range(first, stop):
+        rng = root.stream(trial)
         p = rng.below(max_level + 1)
         q = 1 + rng.below(max_level)
         a, b = _random_form(rng, p), _random_form(rng, q)
@@ -395,4 +414,111 @@ def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dic
             zero = not (a and b and c)
             for branch, verdict in lemma_squares_check(spec, a, b, c).items():
                 _tally(report, verdict, zero, trial, "squares {}", branch)
+    return report["passed"], report["vacuous"], report["failures"], dict(_draws)
+
+
+def _fork_chunk(spec: GradingSpec, max_level: int, seed: int, first: int, stop: int) -> tuple:
+    """Check trials first .. stop - 1 in a forked child; returns (pid, read end).
+
+    The child writes one marshal record to the pipe, (True, result) or
+    (False, (exception module, class name, message)), and leaves only
+    through os._exit, so none of the parent's code runs on in it.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        os.close(read)
+        try:
+            record = (True, _check_trials(spec, max_level, seed, first, stop))
+        except BaseException as exc:
+            kind = type(exc)
+            record = (False, (kind.__module__, kind.__qualname__, str(exc)))
+        with open(write, "wb") as pipe:
+            marshal.dump(record, pipe)
+    finally:
+        os._exit(0)
+
+
+def _reap(pid: int, read: int) -> tuple:
+    """Read a child's pipe to EOF, then wait for it; (record bytes, wait status)."""
+    with open(read, "rb") as pipe:
+        data = pipe.read()
+    return data, os.waitpid(pid, 0)[1]
+
+
+def _child_result(data: bytes, status: int, first: int, stop: int) -> tuple:
+    """A child's chunk result, or its exception raised again with its type
+    and message (a class this process cannot find by module and name is
+    named in a RuntimeError)."""
+    try:
+        ok, value = marshal.loads(data)
+    except (EOFError, ValueError, TypeError):
+        raise RuntimeError(
+            f"the worker for trials {first} .. {stop - 1} ended without a result"
+            f" (wait status {status})"
+        ) from None
+    if ok:
+        return value
+    module, name, message = value
+    kind = getattr(sys.modules.get(module), name, None)
+    if isinstance(kind, type) and issubclass(kind, BaseException):
+        raise kind(message)
+    raise RuntimeError(f"{module}.{name}: {message}")
+
+
+def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dict:
+    """Randomized sweep over the product identities and the face lemmas.
+
+    Trial t draws only from SplitMix(seed).stream(t), so its forms depend
+    on (spec, max_level, seed, t) alone and a failure entry, which names
+    the trial and branch, replays as that one trial.  The trials are cut
+    into trial_workers(trials) contiguous chunks: this process checks the
+    first, forked children the others, and the results are joined in
+    trial order, so the report and draw_stats() are the same for every
+    worker count.  A child's exception is raised here again with its type
+    and message; a child that ends without a result raises RuntimeError.
+    Conditional branches whose hypotheses never fired show up in the
+    vacuous count.  A suite that is all vacuous checks nothing, so the CLI
+    fails a sweep unless its passed checks outnumber its vacuous ones.
+    """
+    if max_level < 1:
+        raise ValueError("needs at least level 1")
+    workers = trial_workers(trials)
+    cuts = [trials * k // workers for k in range(workers + 1)]
+    # A child leaves through os._exit, which flushes nothing; still, no
+    # buffered output of this process should be copied into it.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_chunk(spec, max_level, seed, cuts[k], cuts[k + 1]))
+        chunks = [_check_trials(spec, max_level, seed, cuts[0], cuts[1])]
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        ends = [_reap(pid, read) for pid, read in children]
+    for k, (data, status) in enumerate(ends, 1):
+        chunks.append(_child_result(data, status, cuts[k], cuts[k + 1]))
+    report = {"trials": trials, "passed": 0, "vacuous": 0, "failures": []}
+    draws = dict.fromkeys(_draws, 0)
+    for passed, vacuous, failures, counts in chunks:
+        report["passed"] += passed
+        report["vacuous"] += vacuous
+        report["failures"] += failures
+        for key, value in counts.items():
+            draws[key] += value
+    _draws.update(draws)
     return report

@@ -287,7 +287,8 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     Equal to homology_at(spec, q, t).dim without finding cycles or
     representatives.  When its corner does not hold (q, t), the barcode
     is built anew to the corner (max(q, level), max(t, degree)); a sweep
-    that asks for its corner first builds once.
+    that asks for its corner first builds once.  No generator has a
+    negative level or degree, so q < 0 or t < 0 answers 0 without a build.
 
     For x truncated at x^3 with |x| = 2 (n = 2, m = 2), level 0 holds the
     powers of x and dx x^j below the truncation, and level 1 the classes
@@ -299,6 +300,8 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     >>> [homology_dim(spec, 1, t) for t in range(5, 11)]
     [0, 1, 1, 1, 1, 0]
     """
+    if q < 0 or t < 0:
+        return 0
     code = _barcode(spec)
     if q > code.level or t > code.degree:
         code.build(max(q, code.level), max(t, code.degree))

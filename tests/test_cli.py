@@ -13,6 +13,7 @@ from support import build_parser, reference_nondegenerate_basis
 
 from looplab import cli, homology
 from looplab.algebra import GradingSpec
+from looplab.ez import trial_workers
 from looplab.rng import SplitMix
 
 
@@ -136,7 +137,8 @@ def test_ez_is_deterministic(capsys):
 def test_ez_json_report_counts_the_zero_draws(capsys):
     # The three jobs of the benchmark's trials workload: most normalized
     # factors are zero, and most passed checks were handed a zero form.
-    expect = {1: (6505, 5025), 2: (6503, 5242), 3: (6489, 5375)}
+    # The report names how many processes checked the trials.
+    expect = {1: (6492, 5000), 2: (6485, 5238), 3: (6493, 5392)}
     for n, (normalized, zero) in expect.items():
         code, out, _ = run_cli(
             capsys,
@@ -146,6 +148,7 @@ def test_ez_json_report_counts_the_zero_draws(capsys):
         report = json.loads(out)
         draws = report["stats"]["draws"]
         assert code == 0 and draws["normalized"] == normalized and draws["zero"] == zero
+        assert report["stats"]["workers"] == trial_workers(1000) >= 1
         assert report["counts"]["pass"] / 2 < draws["passedOnZero"] <= report["counts"]["pass"]
     # The TSV carries no draw counts.
     tsv = run_cli(capsys, ["verify", "ez", "--n", "1", "--m", "2", "--trials", "20"])[1]

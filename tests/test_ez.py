@@ -1,5 +1,6 @@
 """Shuffle product identities, the diagonal operation, the face lemmas."""
 
+import os
 import random
 import time
 from math import comb
@@ -12,6 +13,7 @@ from looplab.ez import (
     _random_form,
     degeneracy_chain,
     delta_top,
+    draw_stats,
     ez_bottom_check,
     ez_face_checks,
     lemma_products_check,
@@ -21,6 +23,7 @@ from looplab.ez import (
     run_trials,
     shuffle_product,
     shuffles,
+    trial_workers,
 )
 from looplab.homology import homology_at, is_cycle, normalized_basis
 from looplab.rng import SplitMix
@@ -215,15 +218,77 @@ def test_trial_failures_are_named_by_trial_and_branch(monkeypatch):
     monkeypatch.setattr(
         "looplab.ez.lemma_squares_check", lambda spec, a, b, c: {"boundary": "fail"}
     )
+    branches = ("bottom face", "face 2 of product", "products membership", "squares boundary")
     report = run_trials(ODD, max_level=2, trials=2, seed=0)
     assert report["passed"] == 2 and report["vacuous"] == 2
-    assert report["failures"] == [
-        f"trial {t}: {branch}"
-        for t in range(2)
-        for branch in (
-            "bottom face", "face 2 of product", "products membership", "squares boundary"
-        )
-    ]
+    assert report["failures"] == [f"trial {t}: {branch}" for t in range(2) for branch in branches]
+    # Over three workers (chunks 0, 1 .. 2 and 3 .. 4), in trial order.
+    monkeypatch.setattr("looplab.ez.trial_workers", lambda trials: 3)
+    report = run_trials(ODD, max_level=2, trials=5, seed=0)
+    assert report["passed"] == 5 and report["vacuous"] == 5
+    assert report["failures"] == [f"trial {t}: {branch}" for t in range(5) for branch in branches]
+
+
+@pytest.mark.parametrize("spec", [ODD, EVEN], ids=["odd", "even"])
+def test_trials_are_the_same_for_every_worker_count(spec, monkeypatch):
+    seen = []
+    for workers in (1, 2, 3, 5):
+        monkeypatch.setattr("looplab.ez.trial_workers", lambda trials: workers)
+        report = run_trials(spec, max_level=3, trials=200, seed=0)
+        seen.append((report, draw_stats()))
+    assert seen[0][0]["failures"] == [] and seen[0][0]["passed"] > seen[0][0]["vacuous"]
+    assert seen[0][1]["normalized"] > seen[0][1]["zero"] > 0
+    assert all(one == seen[0] for one in seen), spec
+
+
+def test_trial_workers_are_one_per_cpu_and_one_without_a_safe_fork(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert trial_workers(1000) == cpus and trial_workers(1) == 1
+    # A second thread could hold a lock at the fork, which the child would
+    # never see released.
+    import threading
+
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(10,))
+    thread.start()
+    try:
+        assert trial_workers(1000) == 1
+    finally:
+        release.set()
+        thread.join(10)
+    assert not thread.is_alive() and trial_workers(1000) == cpus
+    monkeypatch.delattr(os, "fork")
+    assert trial_workers(1000) == 1
+
+
+def test_a_worker_that_raises_or_dies_fails_the_sweep_and_leaves_no_child(monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr("looplab.ez.trial_workers", lambda trials: 3)
+
+    def raise_in(where):
+        def check(spec, a, b):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"planted in the {where}")
+            return True
+
+        return check
+
+    def die_in_a_child(spec, a, b):
+        if os.getpid() != parent:
+            os._exit(3)
+        return True
+
+    for where in ("child", "parent"):
+        monkeypatch.setattr("looplab.ez.ez_bottom_check", raise_in(where))
+        with pytest.raises(ValueError, match=f"^planted in the {where}$"):
+            run_trials(ODD, max_level=2, trials=5, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr("looplab.ez.ez_bottom_check", die_in_a_child)
+    with pytest.raises(RuntimeError, match=r"trials 1 \.\. 2 ended without a result"):
+        run_trials(ODD, max_level=2, trials=5, seed=0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # The definitional shuffle product and diagonal, composing degeneracies
@@ -323,11 +388,10 @@ def test_delta_top_equals_the_degeneracy_reference():
 
 
 def test_benchmark_trial_counts_are_pinned():
-    # The three verify ez jobs of the benchmark's trials workload; the
-    # counts were read off the degeneracy-chain product they replace, less
-    # the squares lemma's membership and cycle verdicts, which its
-    # identities verdict implies.
-    expect = {1: (9639, 417), 2: (9608, 410), 3: (9664, 333)}
+    # The three verify ez jobs of the benchmark's trials workload, each
+    # trial drawn from its own stream; every one passes more than it
+    # leaves vacuous and fails nothing.
+    expect = {1: (9469, 461), 2: (9523, 420), 3: (9633, 319)}
     for n, (passed, vacuous) in expect.items():
         report = run_trials(GradingSpec(n, 2), max_level=3, trials=1000, seed=0)
         assert report == {

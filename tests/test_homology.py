@@ -532,6 +532,20 @@ def test_a_barcode_rebuilt_on_each_miss_equals_one_built_at_its_corner(corners):
     homology.clear_caches()
 
 
+def test_a_negative_level_or_degree_answers_zero_without_a_build():
+    # No generator has a negative level or degree; such a query used to
+    # rebuild the barcode out to its other coordinate.
+    spec = GradingSpec(2, 2)
+    homology.clear_caches()
+    code = homology._barcode(spec)
+    assert homology_dim(spec, 3, 20) == koszul_dim(spec, 3, 20)
+    for q, t in [(-1, 57), (9, -1), (-2, -3)]:
+        assert homology_dim(spec, q, t) == 0, (q, t)
+        assert (code.level, code.degree) == (3, 20), (q, t)
+    assert homology._barcode(spec) is code
+    homology.clear_caches()
+
+
 def test_barcode_rows_are_the_x_free_generators_in_degree_order(corners):
     # The rows of each (q, w) at the corner (6, 40) are the x-free
     # monomials of the reference blocks up to t = 40, one row each, with

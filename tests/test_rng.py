@@ -58,6 +58,25 @@ def test_bits_matches_the_reference_stream_interleaved(seed):
             assert got.below(13) == reference_below(ref, 13)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_is_seeded_with_that_output_of_the_parent_stream(seed):
+    parent = SplitMix(seed)
+    for t in (0, 1, 2, 999):
+        ref = SplitMix(seed)
+        for _ in range(t + 1):
+            output = ref.next64()
+        child = parent.stream(t)
+        assert child.state == output and child.next64() == SplitMix(output).next64()
+        assert parent.state == SplitMix(seed).state
+    # After a draw, output t counts from the generator's own state.
+    ref = SplitMix(seed)
+    outputs = [ref.next64() for _ in range(3)]
+    parent.next64()
+    assert parent.stream(1).state == outputs[2]
+    with pytest.raises(ValueError):
+        parent.stream(-1)
+
+
 def test_below_refuses_bounds_without_an_accepted_draw():
     g = SplitMix(0)
     for bound in (0, -1, 2**64 + 1, 2**65):
