@@ -30,8 +30,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .algebra import Form, GradingSpec, Mono, new_mono
-from .gf2 import apply_row, low_bit
-from .homology import is_cycle, is_normalized, normalized_rows
+from .gf2 import low_bit
+from .homology import is_cycle, is_normalized, normalized_basis
 from .rng import SplitMix
 from .simplicial import degeneracy, face
 
@@ -315,22 +315,23 @@ def _random_form(rng: SplitMix, level: int) -> Form:
 def _random_normalized(spec: GradingSpec, rng: SplitMix, level: int, t_hi: int) -> Form:
     """A random sum of the normalized basis of a random slice.
 
-    The mask picks bit rows over the slice basis; their XOR is the sum,
-    decoded into monomials once (an empty slice's mask, bits(0), takes no
-    draw).  Each draw counts in _draws, and so does each zero one.
+    The mask picks basis elements, and the sum is the symmetric difference
+    of their terms; the elements are independent, so only the zero mask
+    gives zero (an empty slice's mask, bits(0), takes no draw).  Each draw
+    counts in _draws, and so does each zero one.
     """
     t = rng.below(t_hi + 1)
-    basis, rows = normalized_rows(spec, level, t)
-    vec = apply_row(rng.bits(len(rows)), rows)
+    basis = normalized_basis(spec, level, t)
+    mask = rng.bits(len(basis))
+    terms = frozenset()
+    while mask:
+        terms ^= basis[low_bit(mask)].terms
+        mask &= mask - 1
     _draws["normalized"] += 1
-    if not vec:
+    if not terms:
         _draws["zero"] += 1
         return Form.zero(level)
-    monos = []
-    while vec:
-        monos.append(basis[low_bit(vec)])
-        vec &= vec - 1
-    return Form(level, frozenset(monos))
+    return Form(level, terms)
 
 
 _draws = {"normalized": 0, "zero": 0, "passedOnZero": 0}

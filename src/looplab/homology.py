@@ -13,13 +13,14 @@ build each row of the differential from one monomial's faces (_face_row):
 - dimensions come from one barcode per spec: a nondegenerate monomial is
   x^a g for one x-free generator g, and the faces are F2[x]-linear, so at
   fixed (q, w) C/D is a complex of free graded F2[x]-modules, and its
-  homology is persistent (Zomorodian and Carlsson, 2005).  The columns
-  of the generators' face images, in degree order, are reduced on their
-  highest row, each level before the one below, whose pivot rows skip
-  their own columns (clearing; Chen and Kerber, 2011).  A pivot row is a
-  cycle born at its degree that dies at its column's, or never if no
-  column has it as pivot.  The barcode is built whole, to one (level,
-  degree) corner, and keeps only each (q, w)'s set of pivot rows;
+  homology is persistent (Zomorodian and Carlsson, 2005).  Faces keep w,
+  so each w is reduced on its own, one level at a time from the top:
+  the columns of the generators' face images, in degree order, are
+  reduced on their highest row, and the rows that were pivots one level
+  up skip their own columns (clearing; Chen and Kerber, 2011).  A pivot
+  row is a cycle born at its degree that dies at its column's, or never
+  if no column has it as pivot.  The barcode is built whole, to one
+  (level, degree) corner, and keeps only its bars;
 - a block's representatives are its cycles with no bit in a pivot column
   of the boundaries' rref, reduced to a canonical basis, and lifted to
   normalized cycles by the normalizing projection P; a boundary that is
@@ -27,9 +28,10 @@ build each row of the differential from one monomial's faces (_face_row):
   monomial the representatives of the blocks that _block_keys yields;
 - a normalized cycle's class is read off its nondegenerate terms, at the
   pivots of the reduced boundaries and then of the representatives.
-N itself is built only for the rows that the shuffle trials draw from
-(normalized_rows).  Nothing here knows any closed-form answer: the
-closed forms meet this module only in tests and command line checks.
+N itself, which the shuffle trials draw from, is the P images of the
+same monomials, a basis as they stand (normalized_basis).  Nothing here
+knows any closed-form answer: the closed forms meet this module only in
+tests and command line checks.
 
 The module also carries a deliberately independent oracle: a four-track
 complex small enough to differentiate by hand, whose homology must
@@ -57,7 +59,6 @@ from .simplicial import face, mono_face, mono_is_degenerate, mono_normalize
 __all__ = [
     "SliceHomology",
     "normalized_basis",
-    "normalized_rows",
     "homology_at",
     "homology_dim",
     "block_stats",
@@ -96,25 +97,6 @@ def _face_row(n: int, mono: Mono, index: dict[tuple, int]) -> int:
         if img is not None:
             row ^= 1 << index[img[1:]]
     return row
-
-
-@lru_cache(maxsize=None)
-def _pipeline(spec: GradingSpec, q: int, t: int) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-    """The monomials of the normalized (q, t) slice and the reduced basis of N on them.
-
-    The rows are the projections of the nondegenerate monomials x^a g of
-    the blocks _block_keys yields, the Dold-Kan image of C/D in N, over the
-    sorted union of their terms, reduced to a canonical basis.
-    """
-    n, m = spec
-    images = [
-        mono_normalize(n, new_mono(((t - d) // m, *gen))).terms
-        for w in _block_keys(spec, q, t)
-        for d, gen in nondegenerate_generators(q, spec, w, t)
-    ]
-    basis = tuple(sorted(frozenset().union(*images)))
-    index = {mono: k for k, mono in enumerate(basis)}
-    return basis, tuple(rref([_to_vec(terms, index) for terms in images])[0])
 
 
 @lru_cache(maxsize=None)
@@ -168,20 +150,21 @@ def _to_form(level: int, vec: int, basis: tuple[Mono, ...]) -> Form:
     return Form.from_monos(level, monos)
 
 
-def normalized_rows(spec: GradingSpec, q: int, t: int) -> tuple[tuple[Mono, ...], tuple[int, ...]]:
-    """The sorted monomials of the normalized (q, t) slice and the cached bit
-    rows of its basis.
+@lru_cache(maxsize=None)
+def normalized_basis(spec: GradingSpec, q: int, t: int) -> tuple[Form, ...]:
+    """Basis of the normalized subspace N of the (q, t) slice, cached.
 
-    Bit k of a row stands for basis[k], and row j is the form
-    normalized_basis(spec, q, t)[j].
+    The projections P(x^((t - d)/m) g) of the nondegenerate monomials of the
+    blocks _block_keys yields, block by block, each block's generators g in
+    degree order.  P: C/D -> N is an isomorphism (Dold-Kan), so these images
+    are a basis of N as they stand: no elimination.
     """
-    return _pipeline(spec, q, t)
-
-
-def normalized_basis(spec: GradingSpec, q: int, t: int) -> list[Form]:
-    """Basis of the normalized subspace of the (q, t) slice."""
-    basis, n_basis = normalized_rows(spec, q, t)
-    return [_to_form(q, v, basis) for v in n_basis]
+    n, m = spec
+    return tuple(
+        mono_normalize(n, new_mono(((t - d) // m, *gen)))
+        for w in _block_keys(spec, q, t)
+        for d, gen in nondegenerate_generators(q, spec, w, t)
+    )
 
 
 def homology_at(spec: GradingSpec, q: int, t: int, w: Optional[int] = None) -> SliceHomology:
@@ -216,55 +199,51 @@ def _block_keys(spec: GradingSpec, q: int, t: int) -> range:
 
 
 class _Barcode:
-    """The barcode of C/D over F2[x] for one spec, up to a (level, degree) corner:
-    the generators of the levels 0 .. level + 1 up to degree.  Per (q, w)
-    each generator's row, the rows' degrees, and the set of pivot rows of
-    d_q; per q the bars {(w, row): (birth, death)}, d > b.
+    """The barcode of C/D over F2[x] for one spec, up to a (level, degree)
+    corner, read off the generators of the levels 0 .. level + 1 up to
+    degree: per q only the bars {(w, row): (birth, death)}, death > birth,
+    row the generator's place among the (q, w) generators.
     """
 
     def __init__(self, spec: GradingSpec) -> None:
-        self.spec, self.level, self.degree = spec, -1, -1
-        self.rows, self.degrees, self.pivots, self.bars = {}, {}, {}, {}
+        self.spec, self.level, self.degree, self.bars = spec, -1, -1, {}
 
     def build(self, level: int, degree: int) -> None:
         """Reduce the whole barcode to the corner (level, degree), in place of
         the old one.
 
-        Each (q, w) numbers its generators (algebra.nondegenerate_generators)
-        in degree order; a column is built, by _face_row on its generator
-        with x = 0, only when it is reduced, and the columns of one (q, w)
-        are dropped once it is: clearing needs only their pivot rows.  A
+        Faces keep w, so each w is its own complex, reduced from level + 1
+        down.  Each (q, w) holds only its generators, in degree order
+        (algebra.nondegenerate_generators), those of the level below and
+        an index of the latter, and hands the level below's down as the
+        next columns.  A column is built by _face_row on its generator
+        with x = 0, unless its row was a pivot one level up (clearing).  A
         face image that is no generator raises KeyError."""
         n = self.spec.n
-        self.rows, self.degrees, self.pivots, self.bars = {}, {}, {}, {}
-        for q in range(level + 2):
-            for w in range(q + 2):
-                gens = nondegenerate_generators(q, self.spec, w, degree)
-                self.rows[q, w] = {gen: k for k, (_, gen) in enumerate(gens)}
-                self.degrees[q, w] = [deg for deg, _ in gens]
-        for q, w in reversed(self.rows):
-            skip, pivots, degs = self.pivots.get((q + 1, w), ()), {}, self.degrees[q, w]
-            index, births = self.rows.get((q - 1, w), {}), self.degrees.get((q - 1, w))
-            bars, below = self.bars.setdefault(q, {}), self.bars.setdefault(q - 1, {})
-            for row, (d, gen) in enumerate(zip(degs, self.rows[q, w])):
-                if row in skip:
-                    continue
-                col = _face_row(n, new_mono((0, *gen)), index)
-                while col:
-                    r = col.bit_length() - 1
-                    if r not in pivots:
-                        pivots[r] = col
-                        if d > births[r]:
-                            below[w, r] = (births[r], d)
-                        break
-                    col ^= pivots[r]
-                else:
-                    bars[w, row] = (d, inf)
-            self.pivots[q, w] = frozenset(pivots)
-            _blocks["reduced"] += len(degs) - len(skip)
-            _blocks["cleared"] += len(skip)
-            size = (len(births or ()), len(degs))
-            _blocks["largest"] = max(_blocks["largest"], size, key=prod)
+        self.bars = bars = {q: {} for q in range(level + 2)}
+        for w in range(level + 2, -1, -1):
+            cols, skip = nondegenerate_generators(level + 1, self.spec, w, degree), ()
+            for q in range(level + 1, max(w - 1, 0) - 1, -1):
+                down = nondegenerate_generators(q - 1, self.spec, w, degree)
+                index, pivots = {gen: k for k, (_, gen) in enumerate(down)}, {}
+                for row, (d, gen) in enumerate(cols):
+                    if row in skip:
+                        continue
+                    col = _face_row(n, new_mono((0, *gen)), index)
+                    while col:
+                        r = col.bit_length() - 1
+                        if r not in pivots:
+                            pivots[r] = col
+                            if d > down[r][0]:
+                                bars[q - 1][w, r] = (down[r][0], d)
+                            break
+                        col ^= pivots[r]
+                    else:
+                        bars[q][w, row] = (d, inf)
+                _blocks["reduced"] += len(cols) - len(skip)
+                _blocks["cleared"] += len(skip)
+                _blocks["largest"] = max(_blocks["largest"], (len(down), len(cols)), key=prod)
+                cols, skip = down, frozenset(pivots)
         self.level, self.degree = level, degree
 
 
@@ -309,29 +288,26 @@ def homology_dim(spec: GradingSpec, q: int, t: int) -> int:
     return sum(1 for b, d in bars if b <= t < d and not (t - b) % spec.m)
 
 
+# The caches cache_stats reports, held by value: a caller that rebinds the
+# module's names (a tracer wrapping normalized_basis) still reads them.
+_caches = {"normalized": normalized_basis, "classes": _classes, "barcode": _barcode}
+
+
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Hits and misses of the slice pipeline, class and barcode caches."""
-    return {
-        name: {"hits": info.hits, "misses": info.misses}
-        for name, info in (
-            ("pipeline", _pipeline.cache_info()),
-            ("classes", _classes.cache_info()),
-            ("barcode", _barcode.cache_info()),
-        )
-    }
+    """Hits and misses of the normalized basis, class and barcode caches."""
+    infos = {name: cache.cache_info() for name, cache in _caches.items()}
+    return {name: {"hits": info.hits, "misses": info.misses} for name, info in infos.items()}
 
 
 def clear_caches() -> None:
-    """Empty the slice pipeline, class, barcode and Koszul level caches.
+    """Empty the normalized basis, class, barcode and Koszul level caches.
 
     All grow without bound across a process; a caller that moves on to
     other gradings can drop them, and the counts of ``cache_stats`` and
     ``block_stats`` restart from zero.
     """
-    _pipeline.cache_clear()
-    _classes.cache_clear()
-    _barcode.cache_clear()
-    _koszul_level.cache_clear()
+    for cache in (*_caches.values(), _koszul_level):
+        cache.cache_clear()
     _blocks.update(reduced=0, cleared=0, largest=(0, 0))
 
 

@@ -137,9 +137,9 @@ def monomial_basis(q, spec, t):
     return out
 
 
-# The N sampler's rows as homology._pipeline built them over the whole
-# slice basis, kept as the reference its rows over the normalized terms
-# are checked against.
+# N by elimination over the whole slice basis, kept as the reference that
+# normalized_basis's images, a basis with no elimination, are checked
+# against.
 def reference_normalized_rows(spec, q, t):
     """The (q, t) slice basis and the rref of the normalized nondegenerate monomials on it."""
     basis = tuple(monomial_basis(q, spec, t))

@@ -319,7 +319,8 @@ def test_nondegenerate_basis_is_the_nondegenerate_part_of_the_basis(m):
 
 def test_nondegenerate_basis_equals_the_per_block_reference():
     # The generators give the x-free parts of the blocks of the old per-block
-    # enumeration, including the empty ones (w outside 0 .. q + 1, q = -1).
+    # enumeration, including the empty ones (w outside 0 .. q + 1, q = -1),
+    # each with its own degree, in order of degree: the barcode's rows.
     cases = [(GradingSpec(n, m), 5, 6 * (n + 1) * m) for n, m in ACCEPTANCE_PAIRS]
     cases.append((GradingSpec(2, 2), 9, 64))
     seen = 0
@@ -328,6 +329,9 @@ def test_nondegenerate_basis_equals_the_per_block_reference():
             for w in range(-1, q + 3):
                 gens = nondegenerate_generators(q, spec, w, max_t)
                 assert len({gen for _, gen in gens}) == len(gens)
+                degrees = [d for d, _ in gens]
+                assert degrees == sorted(degrees), (spec, q, w)
+                assert all(d == mono_degree(spec, Mono(0, *gen)) for d, gen in gens)
                 for t in range(max_t + 1):
                     block = reference_nondegenerate_basis(q, spec, t, w)
                     want = {mono[1:] for mono in block}

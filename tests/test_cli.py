@@ -68,7 +68,7 @@ def test_main1_json_report(capsys):
     caches = report["stats"]["caches"]
     assert (
         report["stats"]["peakRssMb"] > 0
-        and set(caches["pipeline"]) == {"hits", "misses"}
+        and set(caches["normalized"]) == {"hits", "misses"}
         and caches["barcode"]["misses"] > 0
     )
     stages = report["stats"]["stages"]

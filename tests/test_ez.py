@@ -7,10 +7,12 @@ from math import comb
 
 import pytest
 
+from looplab import ez
 from looplab.algebra import Form, GradingSpec, Mono, gen_x, parse_form
 from looplab.ez import (
     _killed_by_faces,
     _random_form,
+    _random_normalized,
     degeneracy_chain,
     delta_top,
     draw_stats,
@@ -25,10 +27,11 @@ from looplab.ez import (
     shuffles,
     trial_workers,
 )
-from looplab.homology import homology_at, is_cycle, normalized_basis
+from looplab.gf2 import apply_row, rank
+from looplab.homology import homology_at, is_cycle, is_normalized, normalized_basis
 from looplab.rng import SplitMix
 from looplab.simplicial import alpha, beta, degeneracy, face, omega
-from support import random_form
+from support import random_form, reference_normalized_rows
 from test_rng import SEEDS
 
 ODD = GradingSpec(1, 2)
@@ -391,7 +394,7 @@ def test_benchmark_trial_counts_are_pinned():
     # The three verify ez jobs of the benchmark's trials workload, each
     # trial drawn from its own stream; every one passes more than it
     # leaves vacuous and fails nothing.
-    expect = {1: (9469, 461), 2: (9523, 420), 3: (9633, 319)}
+    expect = {1: (9482, 448), 2: (9532, 411), 3: (9633, 319)}
     for n, (passed, vacuous) in expect.items():
         report = run_trials(GradingSpec(n, 2), max_level=3, trials=1000, seed=0)
         assert report == {
@@ -430,6 +433,37 @@ def test_random_form_draws_what_below_and_bits_drew(seed):
             assert all(type(mono) is Mono for mono in form.terms)
             xs |= {mono.x for mono in form.terms}
     assert xs == {0, 1, 2, 3}
+
+
+# The normalized factor as it was drawn over the reduced rows of the whole
+# slice basis: the sampler without elimination must take the same draws
+# and give zero exactly where this did.
+def reference_random_normalized(spec, rng, level, t_hi):
+    t = rng.below(t_hi + 1)
+    basis, rows = reference_normalized_rows(spec, level, t)
+    return basis, rows, apply_row(rng.bits(len(rows)), rows)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_normalized_takes_the_draws_of_the_reduced_rows(seed, monkeypatch):
+    monkeypatch.setattr(ez, "_draws", dict.fromkeys(ez._draws, 0))
+    got, ref = SplitMix(seed), SplitMix(seed)
+    nonzero = 0
+    for spec in (ODD, EVEN, GradingSpec(3, 2)):
+        t_hi = 2 * (spec.n + 1) * spec.m
+        for _ in range(20):
+            for level in range(1, 4):
+                form = _random_normalized(spec, got, level, t_hi)
+                basis, rows, vec = reference_random_normalized(spec, ref, level, t_hi)
+                assert got.state == ref.state, (seed, spec, level)
+                assert bool(form) == bool(vec), (seed, spec, level)
+                if form:
+                    index = {mono: k for k, mono in enumerate(basis)}
+                    v = sum(1 << index[mono] for mono in form.terms)
+                    assert rank([*rows, v]) == len(rows), (seed, spec, level)
+                    assert is_normalized(spec.n, form)
+                    nonzero += 1
+    assert ez._draws["normalized"] == 180 and nonzero > 25
 
 
 def test_trials_run_clean_at_level_six():

@@ -11,7 +11,6 @@ from looplab.algebra import (
     Mono,
     gen_x,
     internal_degree,
-    mono_degree,
     mono_word_length,
     nondegenerate_generators,
     parse_form,
@@ -32,7 +31,6 @@ from looplab.homology import (
     koszul_boundary,
     koszul_dim,
     normalized_basis,
-    normalized_rows,
 )
 from looplab.simplicial import (
     alpha,
@@ -206,46 +204,36 @@ def test_normalized_vectors_equal_the_common_kernel_of_the_faces():
                 slices.append((spec, q, t))
     seen = set()
     for args in slices:
-        basis, vecs = normalized_rows(*args)
+        forms = normalized_basis(*args)
         slice_basis = _slice_basis(*args)
-        assert set(basis) <= set(slice_basis) and list(basis) == sorted(basis), args
-        got = [_form(args[1], v, basis) for v in vecs]
-        assert got == [_form(args[1], v, slice_basis) for v in _kernel_of_faces(*args)], args
+        vecs = rref([_vec(f, slice_basis) for f in forms])[0]
+        assert len(vecs) == len(forms), args
+        assert list(vecs) == list(_kernel_of_faces(*args)), args
         if vecs:
             seen.add(args[1])
     assert seen == set(range(4))
 
 
-def test_normalized_rows_equal_the_whole_slice_construction():
-    # The rows over the normalized terms decode to the forms of the rows
-    # over the whole slice basis, in the same order, and the terms are
-    # exactly those the rows use: the trials draw the same sums from them.
+def test_normalized_basis_is_a_basis_of_the_reference_rows_as_it_stands():
+    # The P images of the nondegenerate monomials are independent, each one
+    # normalized, and span what the reference's elimination over the whole
+    # slice basis spans: the trials draw from them with no elimination.
     cases = [
         (GradingSpec(n, m), q, t)
-        for n, m in ACCEPTANCE_PAIRS + ((2, 3), (1, 5))
+        for n, m in ACCEPTANCE_PAIRS
         for q in range(5)
-        for t in range(4 * (n + 1) * m + 1)
+        for t in range(3 * (n + 1) * m + 1)
     ]
-    cases += [(GradingSpec(2, 2), 5, t) for t in range(25, 33)]
-
-    def decode(q, vec, basis):
-        terms = []
-        while vec:
-            terms.append(basis[low_bit(vec)])
-            vec &= vec - 1
-        return Form.from_monos(q, terms)
-
-    forms = 0
+    assert len(cases) == 965
+    nonempty = 0
     for spec, q, t in cases:
-        basis, vecs = normalized_rows(spec, q, t)
-        ref_basis, ref_vecs = reference_normalized_rows(spec, q, t)
-        got = [decode(q, v, basis) for v in vecs]
-        want = [decode(q, v, ref_basis) for v in ref_vecs]
-        assert got == want, (spec, q, t)
-        assert basis == tuple(sorted({term for form in want for term in form.terms}))
-        assert [str(f) for f in normalized_basis(spec, q, t)] == [str(f) for f in want]
-        forms += len(want)
-    assert forms > 3500
+        forms = normalized_basis(spec, q, t)
+        basis, vecs = reference_normalized_rows(spec, q, t)
+        assert len(forms) == len(vecs), (spec, q, t)
+        assert all(is_normalized(spec.n, f) for f in forms), (spec, q, t)
+        assert tuple(rref([_vec(f, basis) for f in forms])[0]) == vecs, (spec, q, t)
+        nonempty += bool(forms)
+    assert nonempty == 381
 
 
 def _vec(form, basis):
@@ -507,7 +495,7 @@ def test_a_barcode_rebuilt_on_each_miss_equals_one_built_at_its_corner(corners):
     # homology_dim degree by degree at level 3, then level by level at
     # degree 40, each query a miss that builds anew, against one build at
     # (6, 40): the rows land in the same places, so the bars, keyed by
-    # (w, row), must be equal, and so must the pivot rows and dimensions.
+    # (w, row), must be equal, and so must the dimensions.
     for spec, corner in corners.items():
         homology.clear_caches()
         steps = homology._barcode(spec)
@@ -519,10 +507,8 @@ def test_a_barcode_rebuilt_on_each_miss_equals_one_built_at_its_corner(corners):
             assert homology_dim(spec, q, 40) == koszul_dim(spec, q, 40), (spec, q)
             assert (steps.level, steps.degree) == (q, 40), (spec, q)
         assert (corner.level, corner.degree) == (6, 40)
-        assert steps.rows == corner.rows and steps.degrees == corner.degrees, spec
         assert steps.bars == corner.bars, spec
-        assert steps.pivots == corner.pivots, spec
-        assert all(type(rows) is frozenset for rows in corner.pivots.values())
+        assert set(vars(steps)) == {"spec", "level", "degree", "bars"}, spec
         assert any(d != inf for bars in corner.bars.values() for _, d in bars.values())
         # and the bars give the oracle's dimensions
         for q in range(7):
@@ -544,30 +530,6 @@ def test_a_negative_level_or_degree_answers_zero_without_a_build():
         assert (code.level, code.degree) == (3, 20), (q, t)
     assert homology._barcode(spec) is code
     homology.clear_caches()
-
-
-def test_barcode_rows_are_the_x_free_generators_in_degree_order(corners):
-    # The rows of each (q, w) at the corner (6, 40) are the x-free
-    # monomials of the reference blocks up to t = 40, one row each, with
-    # their degrees, in order of degree.
-    seen = 0
-    for spec, code in corners.items():
-        for q in range(8):
-            for w in range(q + 2):
-                want = {
-                    mono[1:]
-                    for t in range(41)
-                    for mono in reference_nondegenerate_basis(q, spec, t, w)
-                    if mono.x == 0
-                }
-                rows, degrees = code.rows[q, w], code.degrees[q, w]
-                assert set(rows) == want, (spec, q, w)
-                assert sorted(rows.values()) == list(range(len(degrees))), (spec, q, w)
-                for gen, k in rows.items():
-                    assert degrees[k] == mono_degree(spec, Mono(0, *gen)), (spec, gen)
-                assert degrees == sorted(degrees), (spec, q, w)
-                seen += len(want)
-    assert seen > 1000
 
 
 def test_a_face_image_outside_the_generators_raises(monkeypatch):
@@ -862,14 +824,28 @@ def test_clear_caches_zeroes_the_counts_and_the_next_lookups_miss():
     homology_dim(spec, 1, 6)
     homology.clear_caches()
     zero = {"hits": 0, "misses": 0}
-    assert homology.cache_stats() == {"pipeline": zero, "classes": zero, "barcode": zero}
+    assert homology.cache_stats() == {"normalized": zero, "classes": zero, "barcode": zero}
     homology_at(spec, 1, 6)
     homology_dim(spec, 1, 6)
     normalized_basis(spec, 1, 6)
     assert homology.cache_stats() == {
-        "pipeline": {"hits": 0, "misses": 1},
+        "normalized": {"hits": 0, "misses": 1},
         # w = 0 and w = 2 only: at (1,2), q = 1, t = 6, m = 2 does not
         # divide t + w for w = 1, so homology_at never asks for that block.
         "classes": {"hits": 0, "misses": 2},
         "barcode": {"hits": 0, "misses": 1},
     }
+
+
+def test_cache_stats_reads_the_caches_when_their_names_are_rebound(monkeypatch):
+    # perfbench's tracer rebinds normalized_basis in every looplab module to
+    # a plain wrapper, and a traced --format json job still reports the
+    # counts of the cache behind it and can clear it.
+    cached = homology.normalized_basis
+    monkeypatch.setattr(homology, "normalized_basis", lambda *args: cached(*args))
+    homology.clear_caches()
+    homology.normalized_basis(GradingSpec(1, 2), 1, 6)
+    homology.normalized_basis(GradingSpec(1, 2), 1, 6)
+    assert homology.cache_stats()["normalized"] == {"hits": 1, "misses": 1}
+    homology.clear_caches()
+    assert homology.cache_stats()["normalized"] == {"hits": 0, "misses": 0}
