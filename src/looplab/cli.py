@@ -1,15 +1,15 @@
 """Batch command line driver for the cross checking suites.
 
 Each invocation runs one suite and writes one report: exit status 0
-when every item passed, 1 when anything failed, 2 on usage errors.
-The default output is a TSV of verdict rows (or, for the integral
-comparison, the graded group table itself); --format json emits a
-single run report object carrying the command, its parameters, the
-verdicts, pass/fail/skip counts, the wall time, and run statistics (the
-process's peak resident memory, the hits and misses of the homology
-caches, for verify main1 the generators whose boundary column was
-reduced or cleared and the largest boundary matrix, and the wall seconds
-of the parse, run and render stages).
+when every item passed, 1 when anything failed, 2 on usage errors (an
+--out that cannot be opened among them).  The default output is a TSV
+of verdict rows (or, for the integral comparison, the graded group table
+itself); --format json emits a single run report object carrying the
+command, its parameters, the verdicts, pass/fail/skip counts, the wall
+time, and run statistics: the process's peak resident memory, the hits
+and misses of the homology caches, the stats the suite's runner returns
+(the barcode's blocks for verify main1, the sweep's draws and workers
+for verify ez), and the wall seconds of the parse, run and render stages.
 
 ``main`` first freezes the heap that importing the package left behind
 (``gc.freeze``).  That heap lives until the process ends, so no
@@ -18,9 +18,10 @@ at interpreter exit walks and frees it, which takes longer than most
 short jobs compute.
 
 The command line is one fixed grammar, the table ``GRAMMAR``, walked by
-``parse_args``.  argparse is not used: importing it and building its
-parsers (with their message catalogue lookups) cost a short job about
-as much as its computation, and ``json`` loads only for --format json.
+``parse_args``; a suite is one row of it, which names its runner.
+argparse is not used: importing it and building its parsers (with their
+message catalogue lookups) cost a short job about as much as its
+computation, and ``json`` loads only for --format json.
 
 Beyond the modules that interpreter start-up already holds, importing
 this module loads only the package, ``gc`` and ``__future__``.  The
@@ -40,7 +41,7 @@ from types import SimpleNamespace
 
 from .algebra import GradingSpec
 from .closedform import loop_module, main1_dims
-from .ez import draw_stats, run_trials, trial_workers
+from .ez import run_trials, trial_workers
 from .homology import block_stats, cache_stats, homology_dim, koszul_dim
 from .steenrod import check_adem, check_cartan, check_instability, module_iso
 from .thom import (
@@ -85,61 +86,9 @@ def _choice(*options: str):
     return convert
 
 
-# A default that marks an option every invocation must give.
-REQUIRED = object()
-
-_OUTPUT = {"--format": (_choice("tsv", "json"), "tsv"), "--out": (str, None)}
-
-# The whole command line: each command path maps to its one-line summary
-# and its options, each option name to (converter, default or REQUIRED).
-# A parsed option is the attribute named after it ("--max-level" becomes
-# max_level); the command words are "command" and, under verify, "suite".
-GRAMMAR = {
-    ("verify", "main1"): (
-        "closed form dimensions against two chain level computations",
-        {
-            "--n": (_exponent, REQUIRED),
-            "--m": (_weight, REQUIRED),
-            "--max-level": (_nonneg, 3),
-            "--max-degree": (_nonneg, None),
-            **_OUTPUT,
-        },
-    ),
-    ("verify", "steenrod"): (
-        "operation axioms on both module descriptions of one space",
-        {
-            "--space": (space, REQUIRED),
-            "--max-degree": (_nonneg, 80),
-            "--max-sq": (_positive, 16),
-            **_OUTPUT,
-        },
-    ),
-    ("verify", "ez"): (
-        "seeded random trials of the chain level product identities",
-        {
-            "--n": (_exponent, REQUIRED),
-            "--m": (_weight, REQUIRED),
-            "--max-level": (_positive, 3),
-            "--trials": (_positive, 200),
-            "--seed": (_nonneg, 0),
-            **_OUTPUT,
-        },
-    ),
-    ("compare",): (
-        "wedge model against the loop side in one coefficient system",
-        {
-            "--space": (space, REQUIRED),
-            "--coeff": (_choice("f2", "z"), REQUIRED),
-            "--max-degree": (_nonneg, 120),
-            "--max-sq": (_positive, 16),
-            **_OUTPUT,
-        },
-    ),
-}
-
 _HELP = ("-h", "--help")
 # The trials draw every degree below 2(n+1)m + 1 and every level below
-# max_level + 1 from one 64-bit word.
+# max_level + 1 from one 64-bit word, and take their seed as one.
 _DRAW_SPAN = 1 << 64
 
 
@@ -170,7 +119,7 @@ def _usage(path: tuple) -> str:
 def _help(path: tuple):
     lines = [_usage(path), ""]
     if path in GRAMMAR:
-        summary, options = GRAMMAR[path]
+        summary, options, _ = GRAMMAR[path]
         lines += [summary, "", "options:"]
         rows = []
         for name, (convert, default) in options.items():
@@ -242,6 +191,8 @@ def parse_args(argv) -> SimpleNamespace:
             _fail(path, "arguments --n, --m: the degree bound 2(n+1)m + 1 must not exceed 2^64")
         if args.max_level + 1 > _DRAW_SPAN:
             _fail(path, "argument --max-level: the level bound max_level + 1 must not exceed 2^64")
+        if args.seed >= _DRAW_SPAN:
+            _fail(path, "argument --seed: the seed must be below 2^64")
     return args
 
 
@@ -279,7 +230,7 @@ def _run_main1(args):
 
     homology_dim(spec, args.max_level, t_max)  # builds the barcode once, to the corner
     verdicts = [check(q, t) for q in range(args.max_level + 1) for t in range(t_max + 1)]
-    return params, verdicts, _counts(verdicts), None
+    return params, verdicts, _counts(verdicts), None, {"blocks": block_stats()}
 
 
 def _check_verdict(side: str, report: dict) -> dict:
@@ -290,17 +241,21 @@ def _check_verdict(side: str, report: dict) -> dict:
         "item": f"{side}:{report['check']}",
         "status": "pass" if report["pass"] else "fail",
         "detail": detail,
-        "skipped": report["skipped"],
     }
 
 
-def _run_steenrod(args):
+def _f2_modules(args) -> tuple:
+    """The loop module and wedge model of --space, and --max-sq capped at
+    the window: no Sq^k with k past --max-degree stays in it."""
     sp = args.space
-    params = {"space": sp.name, "maxDegree": args.max_degree, "maxSq": args.max_sq}
-    # No Sq^k with k past --max-degree stays in the window: cap the bound there.
-    k_max = min(args.max_sq, max(args.max_degree, 1))
     loop = loop_module(sp.n, sp.r, args.max_degree, sq_one=sp.odd_op)
     model = model_module_f2(sp, args.max_degree)
+    return loop, model, min(args.max_sq, max(args.max_degree, 1))
+
+
+def _run_steenrod(args):
+    params = {"space": args.space.name, "maxDegree": args.max_degree, "maxSq": args.max_sq}
+    loop, model, k_max = _f2_modules(args)
     jobs = [
         ("loop", loop, check_instability),
         ("loop", loop, check_cartan),
@@ -308,9 +263,10 @@ def _run_steenrod(args):
         ("model", model, check_instability),
         ("model", model, check_adem),
     ]
-    verdicts = [_check_verdict(side, checker(module, k_max)) for side, module, checker in jobs]
-    skipped = sum(v.pop("skipped") for v in verdicts)
-    return params, verdicts, _counts(verdicts, skipped), None
+    reports = [(side, checker(module, k_max)) for side, module, checker in jobs]
+    verdicts = [_check_verdict(side, report) for side, report in reports]
+    skipped = sum(report["skipped"] for _, report in reports)
+    return params, verdicts, _counts(verdicts, skipped), None, {}
 
 
 def _run_ez(args):
@@ -343,7 +299,8 @@ def _run_ez(args):
         "fail": len(outcome["failures"]) + mostly_vacuous,
         "skipped": outcome["vacuous"],
     }
-    return params, verdicts, counts, None
+    stats = {"draws": outcome["draws"], "workers": trial_workers(args.trials)}
+    return params, verdicts, counts, None, stats
 
 
 def _run_compare(args):
@@ -369,11 +326,10 @@ def _run_compare(args):
             }
 
         verdicts = [per_degree(deg) for deg in range(args.max_degree + 1)]
-        return params, verdicts, _counts(verdicts), abelian_tsv(model, args.max_degree)
+        return params, verdicts, _counts(verdicts), abelian_tsv(model, args.max_degree), {}
 
     params["maxSq"] = args.max_sq
-    model = model_module_f2(sp, args.max_degree)
-    loop = loop_module(sp.n, sp.r, args.max_degree, sq_one=sp.odd_op)
+    loop, model, k_max = _f2_modules(args)
     model_dims, loop_dims = model.dims(), loop.dims()
 
     def per_degree(deg):
@@ -387,30 +343,73 @@ def _run_compare(args):
         }
 
     verdicts = [per_degree(deg) for deg in range(args.max_degree + 1)]
-    k_max = min(args.max_sq, max(args.max_degree, 1))  # as in _run_steenrod
     iso = module_iso(model, loop, loop_dictionary(sp, args.max_degree), k_max)
     verdicts.append(_check_verdict("dictionary", iso))
-    skipped = verdicts[-1].pop("skipped")
-    return params, verdicts, _counts(verdicts, skipped), None
+    return params, verdicts, _counts(verdicts, iso["skipped"]), None, {}
 
 
-def _dispatch(args):
-    if args.command == "compare":
-        name = "compare"
-        result = _run_compare(args)
-    elif args.suite == "main1":
-        name = "verify main1"
-        result = _run_main1(args)
-    elif args.suite == "steenrod":
-        name = "verify steenrod"
-        result = _run_steenrod(args)
-    else:
-        name = "verify ez"
-        result = _run_ez(args)
-    return (name, *result)
+# A default that marks an option every invocation must give.
+REQUIRED = object()
+
+_OUTPUT = {"--format": (_choice("tsv", "json"), "tsv"), "--out": (str, None)}
+
+# The whole command line: each command path maps to its one-line summary,
+# its options (each name to (converter, default or REQUIRED)) and its runner.
+# A parsed option is the attribute named after it ("--max-level" becomes
+# max_level); the command words are "command" and, under verify, "suite".
+# A runner returns (parameters, verdicts, counts, table, stats): table is
+# the text printed in place of the verdict TSV, or None, and stats are the
+# suite's own entries of the JSON report's stats.
+GRAMMAR = {
+    ("verify", "main1"): (
+        "closed form dimensions against two chain level computations",
+        {
+            "--n": (_exponent, REQUIRED),
+            "--m": (_weight, REQUIRED),
+            "--max-level": (_nonneg, 3),
+            "--max-degree": (_nonneg, None),
+            **_OUTPUT,
+        },
+        _run_main1,
+    ),
+    ("verify", "steenrod"): (
+        "operation axioms on both module descriptions of one space",
+        {
+            "--space": (space, REQUIRED),
+            "--max-degree": (_nonneg, 80),
+            "--max-sq": (_positive, 16),
+            **_OUTPUT,
+        },
+        _run_steenrod,
+    ),
+    ("verify", "ez"): (
+        "seeded random trials of the chain level product identities",
+        {
+            "--n": (_exponent, REQUIRED),
+            "--m": (_weight, REQUIRED),
+            "--max-level": (_positive, 3),
+            "--trials": (_positive, 200),
+            "--seed": (_nonneg, 0),
+            **_OUTPUT,
+        },
+        _run_ez,
+    ),
+    ("compare",): (
+        "wedge model against the loop side in one coefficient system",
+        {
+            "--space": (space, REQUIRED),
+            "--coeff": (_choice("f2", "z"), REQUIRED),
+            "--max-degree": (_nonneg, 120),
+            "--max-sq": (_positive, 16),
+            **_OUTPUT,
+        },
+        _run_compare,
+    ),
+}
 
 
-def _render(name, params, verdicts, counts, table, fmt, parse_s, run_s) -> str:
+def _render(name, result, fmt, parse_s, run_s) -> str:
+    params, verdicts, counts, table, stats = result
     if fmt == "json":
         import json
         import resource
@@ -418,12 +417,7 @@ def _render(name, params, verdicts, counts, table, fmt, parse_s, run_s) -> str:
         started = time.perf_counter()
         # ru_maxrss is in kilobytes on Linux.
         peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        stats = {"peakRssMb": round(peak_kb / 1024, 1), "caches": cache_stats()}
-        if name == "verify main1":
-            stats["blocks"] = block_stats()
-        elif name == "verify ez":
-            stats["draws"] = draw_stats()
-            stats["workers"] = trial_workers(params["trials"])
+        stats = {"peakRssMb": round(peak_kb / 1024, 1), "caches": cache_stats(), **stats}
         # Filled in below, once the report text is encoded.
         stats["stages"] = {"parse": round(parse_s, 6), "run": round(run_s, 6), "render": None}
         report = {
@@ -453,17 +447,22 @@ def main(argv=None) -> int:
     gc.freeze()
     started = time.perf_counter()
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    parsed = time.perf_counter()
-    name, params, verdicts, counts, table = _dispatch(args)
-    ran = time.perf_counter()
-    text = _render(
-        name, params, verdicts, counts, table, args.format, parsed - started, ran - parsed
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    fields = vars(args)
+    path = tuple(fields[word] for word in ("command", "suite") if word in fields)
+    # Opened before the run: a report that cannot be written is a usage error.
+    try:
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as err:
+        _fail(path, f"argument --out: can't open {args.out!r}: {err.strerror}")
+    try:
+        parsed = time.perf_counter()
+        result = GRAMMAR[path][2](args)
+        ran = time.perf_counter()
+        out.write(_render(" ".join(path), result, args.format, parsed - started, ran - parsed))
+    finally:
+        if args.out:
+            out.close()
+    _, verdicts, counts, _, _ = result
     if counts["fail"]:
         for verdict in verdicts:
             if verdict["status"] == "fail":

@@ -48,7 +48,6 @@ __all__ = [
     "lemma_squares_check",
     "run_trials",
     "trial_workers",
-    "draw_stats",
 ]
 
 
@@ -312,13 +311,15 @@ def _random_form(rng: SplitMix, level: int) -> Form:
     return Form.from_monos(level, monos)
 
 
-def _random_normalized(spec: GradingSpec, rng: SplitMix, level: int, t_hi: int) -> Form:
+def _random_normalized(
+    spec: GradingSpec, rng: SplitMix, level: int, t_hi: int, draws: dict
+) -> Form:
     """A random sum of the normalized basis of a random slice.
 
     The mask picks basis elements, and the sum is the symmetric difference
     of their terms; the elements are independent, so only the zero mask
     gives zero (an empty slice's mask, bits(0), takes no draw).  Each draw
-    counts in _draws, and so does each zero one.
+    counts in draws["normalized"], and each zero one in draws["zero"].
     """
     t = rng.below(t_hi + 1)
     basis = normalized_basis(spec, level, t)
@@ -327,28 +328,19 @@ def _random_normalized(spec: GradingSpec, rng: SplitMix, level: int, t_hi: int) 
     while mask:
         terms ^= basis[low_bit(mask)].terms
         mask &= mask - 1
-    _draws["normalized"] += 1
+    draws["normalized"] += 1
     if not terms:
-        _draws["zero"] += 1
+        draws["zero"] += 1
         return Form.zero(level)
     return Form(level, terms)
 
 
-_draws = {"normalized": 0, "zero": 0, "passedOnZero": 0}
-
-
-def draw_stats() -> dict[str, int]:
-    """The last run_trials sweep's normalized factors, the zero ones among
-    them, and the passed verdicts of checks handed a zero form."""
-    return dict(_draws)
-
-
 def _tally(report: dict, verdict: str, zero: bool, trial: int, branch: str, *args) -> None:
-    """Count a verdict, and in _draws a pass of a check handed a zero form;
-    only a failure formats its name, branch.format(*args)."""
+    """Count a verdict, and in report["draws"] a pass of a check handed a
+    zero form; only a failure formats its name, branch.format(*args)."""
     if verdict == "pass":
         report["passed"] += 1
-        _draws["passedOnZero"] += zero
+        report["draws"]["passedOnZero"] += zero
     elif verdict == "vacuous":
         report["vacuous"] += 1
     else:
@@ -375,15 +367,15 @@ def trial_workers(trials: int) -> int:
     return max(1, min(cpus, trials))
 
 
-def _check_trials(spec: GradingSpec, max_level: int, seed: int, first: int, stop: int) -> tuple:
-    """Trials first .. stop - 1: (passed, vacuous, failures, draw counts).
+def _check_trials(spec: GradingSpec, max_level: int, seed: int, first: int, stop: int) -> dict:
+    """The report of trials first .. stop - 1, in run_trials' shape.
 
     Trial t draws from SplitMix(seed).stream(t) alone.
     """
     root = SplitMix(seed)
     t_hi = 2 * (spec.n + 1) * spec.m
-    report = {"passed": 0, "vacuous": 0, "failures": []}
-    _draws.update(normalized=0, zero=0, passedOnZero=0)
+    draws = {"normalized": 0, "zero": 0, "passedOnZero": 0}
+    report = {"trials": stop - first, "passed": 0, "vacuous": 0, "failures": [], "draws": draws}
     for trial in range(first, stop):
         rng = root.stream(trial)
         p = rng.below(max_level + 1)
@@ -392,30 +384,30 @@ def _check_trials(spec: GradingSpec, max_level: int, seed: int, first: int, stop
         verdict = "pass" if ez_bottom_check(spec, a, b) else "fail"
         _tally(report, verdict, not (a and b), trial, "bottom face")
 
-        a = _random_normalized(spec, rng, 1 + rng.below(max_level), t_hi)
-        b = _random_normalized(spec, rng, 1 + rng.below(max_level), t_hi)
+        a = _random_normalized(spec, rng, 1 + rng.below(max_level), t_hi, draws)
+        b = _random_normalized(spec, rng, 1 + rng.below(max_level), t_hi, draws)
         zero = not (a and b)
         for i, verdict in ez_face_checks(spec, a, b):
             _tally(report, verdict, zero, trial, "face {} of product", i)
 
         k = 1 + rng.below(max_level)
-        a = _random_normalized(spec, rng, k, t_hi)
+        a = _random_normalized(spec, rng, k, t_hi, draws)
         c = _random_form(rng, k - 1)
-        x = _random_normalized(spec, rng, k + 1, t_hi)
-        b = face(spec.n, 0, x) if rng.bits(1) else _random_normalized(spec, rng, k, t_hi)
+        x = _random_normalized(spec, rng, k + 1, t_hi, draws)
+        b = face(spec.n, 0, x) if rng.bits(1) else _random_normalized(spec, rng, k, t_hi, draws)
         zero = not (a and b and c)
         for branch, verdict in lemma_products_check(spec, a, b, c, x).items():
             _tally(report, verdict, zero, trial, "products {}", branch)
 
         if max_level >= 2:
             k = 1 + rng.below(max_level - 1)
-            a = _random_normalized(spec, rng, k, t_hi)
-            b = _random_normalized(spec, rng, k + 1, t_hi)
+            a = _random_normalized(spec, rng, k, t_hi, draws)
+            b = _random_normalized(spec, rng, k + 1, t_hi, draws)
             c = _random_form(rng, k)
             zero = not (a and b and c)
             for branch, verdict in lemma_squares_check(spec, a, b, c).items():
                 _tally(report, verdict, zero, trial, "squares {}", branch)
-    return report["passed"], report["vacuous"], report["failures"], dict(_draws)
+    return report
 
 
 def _fork_chunk(spec: GradingSpec, max_level: int, seed: int, first: int, stop: int) -> tuple:
@@ -482,16 +474,22 @@ def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dic
     on (spec, max_level, seed, t) alone and a failure entry, which names
     the trial and branch, replays as that one trial.  The trials are cut
     into trial_workers(trials) contiguous chunks: this process checks the
-    first, forked children the others, and the results are joined in
-    trial order, so the report and draw_stats() are the same for every
-    worker count.  A child's exception is raised here again with its type
-    and message; a child that ends without a result raises RuntimeError.
+    first, forked children the others, and their reports are merged key
+    by key in trial order, so the report is the same for every worker
+    count.  A child's exception is raised here again with its type and
+    message; a child that ends without a result raises RuntimeError.
     Conditional branches whose hypotheses never fired show up in the
     vacuous count.  A suite that is all vacuous checks nothing, so the CLI
     fails a sweep unless its passed checks outnumber its vacuous ones.
+    The report's draws count the normalized factors, the zero ones among
+    them, and the passed verdicts of checks handed a zero form.  The seed
+    is one 64-bit word: one outside 0 .. 2^64 - 1 raises ValueError, as
+    SplitMix would read it mod 2^64 and replay another seed's trials.
     """
     if max_level < 1:
         raise ValueError("needs at least level 1")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError("the seed must lie in 0 .. 2^64 - 1")
     workers = trial_workers(trials)
     cuts = [trials * k // workers for k in range(workers + 1)]
     # A child leaves through os._exit, which flushes nothing; still, no
@@ -513,13 +511,12 @@ def run_trials(spec: GradingSpec, max_level: int, trials: int, seed: int) -> dic
         ends = [_reap(pid, read) for pid, read in children]
     for k, (data, status) in enumerate(ends, 1):
         chunks.append(_child_result(data, status, cuts[k], cuts[k + 1]))
-    report = {"trials": trials, "passed": 0, "vacuous": 0, "failures": []}
-    draws = dict.fromkeys(_draws, 0)
-    for passed, vacuous, failures, counts in chunks:
-        report["passed"] += passed
-        report["vacuous"] += vacuous
-        report["failures"] += failures
-        for key, value in counts.items():
-            draws[key] += value
-    _draws.update(draws)
+    report = chunks[0]
+    for chunk in chunks[1:]:
+        for key, value in chunk.items():
+            if key == "draws":
+                for name, count in value.items():
+                    report["draws"][name] += count
+            else:
+                report[key] += value
     return report

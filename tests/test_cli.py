@@ -13,7 +13,7 @@ from support import build_parser, reference_nondegenerate_basis
 
 from looplab import cli, homology
 from looplab.algebra import GradingSpec
-from looplab.ez import trial_workers
+from looplab.ez import run_trials, trial_workers
 from looplab.rng import SplitMix
 
 
@@ -157,7 +157,8 @@ def test_ez_json_report_counts_the_zero_draws(capsys):
 
 def test_mostly_vacuous_trials_exit_one(capsys, monkeypatch):
     def vacuous(spec, max_level, trials, seed):
-        return {"trials": trials, "passed": 4, "vacuous": 4, "failures": []}
+        draws = {"normalized": 0, "zero": 0, "passedOnZero": 0}
+        return {"trials": trials, "passed": 4, "vacuous": 4, "failures": [], "draws": draws}
 
     monkeypatch.setattr(cli, "run_trials", vacuous)
     code, out, err = run_cli(
@@ -230,6 +231,60 @@ def test_out_flag_writes_the_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().splitlines()[0] == "degree\tfreeRank\ttorsion"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unwritable_out_is_a_usage_error_before_the_run(where, tmp_path, capsys, monkeypatch):
+    def no_run(args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(cli.GRAMMAR, ("compare",), (*cli.GRAMMAR[("compare",)][:2], no_run))
+    target = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--space", "s2", "--coeff", "z", "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: looplab compare")
+    assert error.startswith(f"looplab: error: argument --out: can't open {str(target)!r}: ")
+    result = subprocess.run(
+        [sys.executable, "-m", "looplab.cli", "verify", "main1", "--n", "1", "--m", "2",
+         "--max-level", "1", "--max-degree", "4", "--out", str(target)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert "Traceback" not in result.stderr and "argument --out:" in result.stderr
+
+
+@pytest.mark.parametrize("fails", [0, 2])
+def test_a_grammar_row_is_a_whole_suite(fails, capsys, monkeypatch):
+    # One more row and its runner make a command: main prints the runner's
+    # rows, names the report after the path, puts the runner's stats after
+    # the caches, and exits by its fail count.
+    def run_demo(args):
+        verdicts = [
+            {"item": f"k={k}", "status": "fail" if k < fails else "pass", "detail": f"k={k}"}
+            for k in range(args.size)
+        ]
+        counts = {"pass": args.size - fails, "fail": fails, "skipped": 0}
+        return {"size": args.size}, verdicts, counts, None, {"demo": {"seen": args.size}}
+
+    options = {"--size": (int, 3), **cli._OUTPUT}
+    monkeypatch.setitem(cli.GRAMMAR, ("verify", "demo"), ("a demo suite", options, run_demo))
+    code, out, err = run_cli(capsys, ["verify", "demo"])
+    assert code == (1 if fails else 0)
+    assert out == "item\tstatus\tdetail\n" + "".join(
+        f"k={k}\t{'fail' if k < fails else 'pass'}\tk={k}\n" for k in range(3)
+    )
+    assert err.count("looplab: FAIL") == fails
+    code, out, _ = run_cli(capsys, ["verify", "demo", "--size", "4", "--format", "json"])
+    assert code == (1 if fails else 0)
+    report = json.loads(out)
+    assert report["command"] == "verify demo" and report["parameters"] == {"size": 4}
+    assert list(report["stats"]) == ["peakRssMb", "caches", "demo", "stages"]
+    assert report["stats"]["demo"] == {"seen": 4}
 
 
 def test_module_invocation_smoke():
@@ -309,7 +364,7 @@ def _benchmark_jobs():
 
 def _valid_grid():
     grid = [line.split() for line in README_COMMANDS] + _benchmark_jobs()
-    for path, (_, options) in cli.GRAMMAR.items():
+    for path, (_, options, _) in cli.GRAMMAR.items():
         required = [name for name, (_, d) in options.items() if d is cli.REQUIRED]
         optional = [name for name in options if name not in required]
         for size in range(len(optional) + 1):
@@ -464,6 +519,29 @@ def test_ez_refuses_a_level_bound_past_the_sampler():
     args = cli.parse_args(["verify", "ez", "--n", "1", "--m", "2", "--max-level", str(2**64 - 1)])
     assert args.max_level + 1 == 2**64
     assert SplitMix(0).below(args.max_level + 1) >= 0
+
+
+def test_ez_refuses_a_seed_past_the_sampler():
+    # SplitMix reads its seed mod 2^64, so 2^64 + 1 would replay seed 1.
+    result = subprocess.run(
+        [sys.executable, "-m", "looplab.cli", "verify", "ez", "--n", "1", "--m", "2",
+         "--max-level", "1", "--trials", "1", "--seed", str(2**64 + 1)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert "Traceback" not in result.stderr
+    usage, error = result.stderr.splitlines()
+    assert usage.startswith("usage: looplab verify ez")
+    assert error == "looplab: error: argument --seed: the seed must be below 2^64"
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["verify", "ez", "--n", "1", "--m", "2", "--seed", str(2**64)])
+    assert exc.value.code == 2
+    args = cli.parse_args(["verify", "ez", "--n", "1", "--m", "2", "--seed", str(2**64 - 1)])
+    assert args.seed == 2**64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed"):
+            run_trials(GradingSpec(1, 2), 1, 1, seed)
 
 
 def test_a_bound_past_the_window_checks_what_the_window_holds(capsys):

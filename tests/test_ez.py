@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from looplab import ez
 from looplab.algebra import Form, GradingSpec, Mono, gen_x, parse_form
 from looplab.ez import (
     _killed_by_faces,
@@ -15,7 +14,6 @@ from looplab.ez import (
     _random_normalized,
     degeneracy_chain,
     delta_top,
-    draw_stats,
     ez_bottom_check,
     ez_face_checks,
     lemma_products_check,
@@ -238,9 +236,9 @@ def test_trials_are_the_same_for_every_worker_count(spec, monkeypatch):
     for workers in (1, 2, 3, 5):
         monkeypatch.setattr("looplab.ez.trial_workers", lambda trials: workers)
         report = run_trials(spec, max_level=3, trials=200, seed=0)
-        seen.append((report, draw_stats()))
-    assert seen[0][0]["failures"] == [] and seen[0][0]["passed"] > seen[0][0]["vacuous"]
-    assert seen[0][1]["normalized"] > seen[0][1]["zero"] > 0
+        seen.append(report)
+    assert seen[0]["failures"] == [] and seen[0]["passed"] > seen[0]["vacuous"]
+    assert seen[0]["draws"]["normalized"] > seen[0]["draws"]["zero"] > 0
     assert all(one == seen[0] for one in seen), spec
 
 
@@ -393,12 +391,21 @@ def test_delta_top_equals_the_degeneracy_reference():
 def test_benchmark_trial_counts_are_pinned():
     # The three verify ez jobs of the benchmark's trials workload, each
     # trial drawn from its own stream; every one passes more than it
-    # leaves vacuous and fails nothing.
-    expect = {1: (9482, 448), 2: (9532, 411), 3: (9633, 319)}
-    for n, (passed, vacuous) in expect.items():
+    # leaves vacuous and fails nothing.  The draws are (normalized, zero,
+    # passedOnZero).
+    expect = {
+        1: (9482, 448, (6492, 5000, 8172)),
+        2: (9532, 411, (6485, 5238, 8278)),
+        3: (9633, 319, (6493, 5392, 8420)),
+    }
+    for n, (passed, vacuous, draws) in expect.items():
         report = run_trials(GradingSpec(n, 2), max_level=3, trials=1000, seed=0)
         assert report == {
-            "trials": 1000, "passed": passed, "vacuous": vacuous, "failures": []
+            "trials": 1000,
+            "passed": passed,
+            "vacuous": vacuous,
+            "failures": [],
+            "draws": dict(zip(("normalized", "zero", "passedOnZero"), draws)),
         }
 
 
@@ -445,15 +452,15 @@ def reference_random_normalized(spec, rng, level, t_hi):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_random_normalized_takes_the_draws_of_the_reduced_rows(seed, monkeypatch):
-    monkeypatch.setattr(ez, "_draws", dict.fromkeys(ez._draws, 0))
+def test_random_normalized_takes_the_draws_of_the_reduced_rows(seed):
+    draws = {"normalized": 0, "zero": 0}
     got, ref = SplitMix(seed), SplitMix(seed)
     nonzero = 0
     for spec in (ODD, EVEN, GradingSpec(3, 2)):
         t_hi = 2 * (spec.n + 1) * spec.m
         for _ in range(20):
             for level in range(1, 4):
-                form = _random_normalized(spec, got, level, t_hi)
+                form = _random_normalized(spec, got, level, t_hi, draws)
                 basis, rows, vec = reference_random_normalized(spec, ref, level, t_hi)
                 assert got.state == ref.state, (seed, spec, level)
                 assert bool(form) == bool(vec), (seed, spec, level)
@@ -463,7 +470,7 @@ def test_random_normalized_takes_the_draws_of_the_reduced_rows(seed, monkeypatch
                     assert rank([*rows, v]) == len(rows), (seed, spec, level)
                     assert is_normalized(spec.n, form)
                     nonzero += 1
-    assert ez._draws["normalized"] == 180 and nonzero > 25
+    assert draws == {"normalized": 180, "zero": 180 - nonzero} and nonzero > 25
 
 
 def test_trials_run_clean_at_level_six():
