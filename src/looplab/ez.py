@@ -27,7 +27,7 @@ import sys
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .algebra import Form, GradingSpec, Mono, new_mono
 from .gf2 import low_bit
@@ -221,12 +221,12 @@ def lemma_products_check(
     a: Form,
     b: Form,
     c: Form,
-    x: Optional[Form] = None,
+    x: Form,
 ) -> dict[str, str]:
     """Membership, cycle and boundary facts for s1 s0(c) m(a, b).
 
     a and b must be normalized at some level, c lives one level below,
-    and the optional x one level above is a proposed chain with bottom
+    and x, normalized one level above, is a proposed chain with bottom
     face b.  The boundary branch verifies an explicit certificate: a
     level + 2 chain all of whose faces are computed and compared.
     """
@@ -235,9 +235,8 @@ def lemma_products_check(
         raise ValueError("levels must be (k, k, k - 1) with k at least 1")
     if not is_normalized(spec.n, a) or not is_normalized(spec.n, b):
         raise ValueError("both main factors must be normalized")
-    if x is not None:
-        if x.level != n_level + 1 or not is_normalized(spec.n, x):
-            raise ValueError("the chain certificate must be normalized one level up")
+    if x.level != n_level + 1 or not is_normalized(spec.n, x):
+        raise ValueError("the chain certificate must be normalized one level up")
 
     s10c = degeneracy(1, degeneracy(0, c))
     elem = s10c * m_form(a, b)
@@ -248,7 +247,7 @@ def lemma_products_check(
     cycle = _verdict(not d0a_c and not d0b_c, not face(spec.n, 0, elem))
 
     boundary = "vacuous"
-    if x is not None and not d0a_c and b == face(spec.n, 0, x):
+    if not d0a_c and b == face(spec.n, 0, x):
         s0a = degeneracy(0, a)
         chain = degeneracy(2, s10c) * (
             degeneracy(2, degeneracy(1, a)) * degeneracy(0, x)

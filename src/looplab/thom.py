@@ -2,22 +2,21 @@
 
 For a space whose cohomology is a truncated polynomial algebra, the
 free loop space splits stably into the space itself plus one cofiber
-piece per level.  This module builds that wedge in both coefficient
-systems: integral graded groups assembled piece by piece, and a finite
-operation module over mod 2 via labelled cells.  Alongside it sit
-independently sourced reference tables for the same homology, so the
-two descriptions can be compared degree by degree without either one
-feeding the other.
+piece per level.  This module lists the cells of that wedge once and
+reads the list in both coefficient systems: integral graded groups, and
+a finite operation module over mod 2 via labelled cells.  Alongside it
+sit independently sourced reference tables for the same homology, so
+the two descriptions can be compared degree by degree without either
+one feeding the other.
 
-One cofiber rule serves all four families.  The level q piece is
-the cofiber of a map that multiplies the top cell by the Euler
-characteristic chi, and its integral homology is exact for every chi:
-the cokernel Z/chi, which is Z when chi = 0, plus the kernel, which is
-a free class one degree up exactly when chi = 0 (the odd spheres).
-Mod 2 the piece has cells c^0..c^n and d^0..d^n, less the pair c^n,
-d^0 that the map joins when chi is odd.  The wedge therefore reads only
-n, r and chi; the family matters only to the reference tables, which
-are the independent route.
+One cell list serves all four families.  The level q piece has cells
+c^0..c^n at level q and d^0..d^n one level up, in degrees set by n and
+r alone.  Its attaching map multiplies by the Euler characteristic chi
+and joins c^n to d^0, so chi decides only that pair: Z/chi in d^0's
+degree, two free classes when chi = 0 (the odd spheres), and nothing
+mod 2 when chi is odd.  Every other cell is a free class that survives
+mod 2.  The wedge therefore reads only n, r and chi; the family matters
+only to the reference tables, which are the independent route.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ __all__ = [
     "SPACES",
     "space",
     "sw_classes",
-    "cofiber_z",
-    "suspended_cofiber_z",
     "sphere_layer",
     "model_homology_z",
     "model_module_f2",
@@ -42,7 +39,6 @@ __all__ = [
     "reference_loop_homology",
     "abelian_tsv",
     "merge_groups",
-    "shift_groups",
 ]
 
 # degree -> (free rank, sorted torsion orders)
@@ -145,10 +141,6 @@ def merge_groups(*parts: GradedAb) -> GradedAb:
     return out
 
 
-def shift_groups(groups: GradedAb, offset: int) -> GradedAb:
-    return {deg + offset: value for deg, value in groups.items()}
-
-
 def _trim(groups: GradedAb, deg_max: int) -> GradedAb:
     return {deg: value for deg, value in groups.items() if deg <= deg_max}
 
@@ -163,40 +155,30 @@ def abelian_tsv(groups: GradedAb, deg_max: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# One level at a time: characteristic classes, one-point modules, cofibers.
+# One level at a time: characteristic classes, cofiber cells, sphere layers.
 
 def sw_classes(sp: Space, q: int) -> list[int]:
     """Mod 2 characteristic class parities of the level q bundle."""
     return [lucas(q * (sp.n + 1), i) for i in range(sp.n + 1)]
 
 
-def cofiber_z(sp: Space, q: int) -> GradedAb:
-    """Integral homology of the unsuspended level q cofiber piece.
+def _cofiber_cells(sp: Space, q: int) -> list[tuple[str, int, int, int]]:
+    """(family, level, j, degree) of the 2(n + 1) cells of the level q piece.
 
-    The attaching map multiplies by the Euler characteristic chi, so
-    degree (q+1)*dim holds the cokernel Z/chi and the degree above it
-    the kernel.  Both are exact for every chi: when chi = 0 (the odd
-    spheres) the cokernel is Z and the kernel a second free class.
-
-    >>> cofiber_z(space("cp2"), 0)[4]
-    (0, (3,))
-    >>> sorted(cofiber_z(space("s3"), 0).items())
-    [(1, (1, ())), (3, (1, ())), (4, (1, ())), (6, (1, ()))]
+    c^0..c^n sit at level q and d^0..d^n one level up, in degrees set by
+    n and r alone; c^0, the lowest, comes first.  The attaching map joins
+    c^n to d^0, one degree below it (see _joined_pair).
     """
-    n, r, d = sp.n, sp.r, sp.dim
-    groups: GradedAb = {}
-    for j in range(n):
-        groups[q * d + 1 + j * r] = (1, ())
-        groups[(q + 1) * d + (j + 1) * r] = (1, ())
-    if sp.chi:
-        groups[(q + 1) * d] = (0, (sp.chi,))
-    else:
-        groups[(q + 1) * d] = groups[(q + 1) * d + 1] = (1, ())
-    return groups
+    n, r = sp.n, sp.r
+    shift = (n + 1) * r - 2
+    cells = [("c", q, j, q * shift + r - 1 + r * j) for j in range(n + 1)]
+    cells += [("d", q + 1, j, (q + 1) * shift + r * j) for j in range(n + 1)]
+    return cells
 
 
-def suspended_cofiber_z(sp: Space, q: int) -> GradedAb:
-    return shift_groups(cofiber_z(sp, q), (sp.r - 2) * (q + 1))
+def _joined_pair(sp: Space) -> tuple[tuple[str, int], tuple[str, int]]:
+    """(family, j) of d^0 and c^n, the pair each degree chi attaching map joins."""
+    return ("d", 0), ("c", sp.n)
 
 
 def sphere_layer(m: int, k: int) -> GradedAb:
@@ -215,43 +197,6 @@ def sphere_layer(m: int, k: int) -> GradedAb:
 # ---------------------------------------------------------------------------
 # Assembly of the full wedge.
 
-def _piece_floor(sp: Space, q: int) -> int:
-    """Lowest degree in which the level q piece can contribute."""
-    return q * ((sp.n + 1) * sp.r - 2) + sp.r - 1
-
-
-def model_homology_z(sp: Space, deg_max: int) -> GradedAb:
-    """Integral homology of the assembled wedge, up to a degree cap."""
-    parts: list[GradedAb] = [{j * sp.r: (1, ()) for j in range(sp.n + 1)}]
-    q = 0
-    while _piece_floor(sp, q) <= deg_max:
-        parts.append(_trim(suspended_cofiber_z(sp, q), deg_max))
-        q += 1
-    return _trim(merge_groups(*parts), deg_max)
-
-
-def _cofiber_cells(sp: Space, q: int) -> list[tuple[str, int, int, int]]:
-    """(family, level, j, degree) of each mod 2 cell of the level q piece.
-
-    One rule in (n, chi): the piece has cells c^0..c^n at level q and
-    d^0..d^n one level up, and its attaching map of degree chi joins c^n
-    to d^0, so mod 2 that pair survives only when chi is even.
-    """
-    n, r = sp.n, sp.r
-    shift = (n + 1) * r - 2
-    cells = [("c", q, j, q * shift + r - 1 + r * j) for j in _powers(sp, "c")]
-    cells += [("d", q + 1, j, (q + 1) * shift + r * j) for j in _powers(sp, "d")]
-    return cells
-
-
-def _powers(sp: Space, family: str) -> range:
-    """The powers j of one family's cells x^j per piece (see _cofiber_cells)."""
-    odd = sp.chi % 2
-    if family == "c":
-        return range(sp.n + 1 - odd)
-    return range(odd if family == "d" else 0, sp.n + 1)
-
-
 def _cell_label(family: str, level: int, j: int) -> str:
     """Label of a wedge cell; family "x" is the space's own power x^j."""
     if family != "x":
@@ -263,44 +208,74 @@ def _wedge_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:
     """(family, level, j, degree) of every wedge cell inside the window.
 
     The space's own powers x^j come first, as family "x" at level zero,
-    then every cofiber piece that reaches the window.
+    then every cofiber piece whose lowest cell c^0 is in the window.
     """
     n, r = sp.n, sp.r
     cells = [("x", 0, j, j * r) for j in range(n + 1) if j * r <= deg_max]
     q = 0
-    while _piece_floor(sp, q) <= deg_max:
-        cells += [cell for cell in _cofiber_cells(sp, q) if cell[3] <= deg_max]
+    while (piece := _cofiber_cells(sp, q))[0][3] <= deg_max:
+        cells += [cell for cell in piece if cell[3] <= deg_max]
         q += 1
     return cells
+
+
+def model_homology_z(sp: Space, deg_max: int) -> GradedAb:
+    """Integral homology of the assembled wedge, up to a degree cap.
+
+    One pass over the wedge cells: each is a free class, except that for
+    chi != 0 the joined pair is Z/chi in d^0's degree and nothing in
+    c^n's.  Pieces overlap in degree, so the cells are summed.
+
+    >>> model_homology_z(space("cp2"), 5)[4]  # x^2, and d1^0 as Z/3
+    (1, (3,))
+    >>> sorted(model_homology_z(space("s3"), 5).items())  # chi = 0: d1^0, c0^1 free
+    [(0, (1, ())), (2, (1, ())), (3, (1, ())), (4, (1, ())), (5, (1, ()))]
+    """
+    low, high = _joined_pair(sp)
+    parts: list[GradedAb] = []
+    for family, _, j, deg in _wedge_cells(sp, deg_max):
+        if not sp.chi or (family, j) not in (low, high):
+            parts.append({deg: (1, ())})
+        elif (family, j) == low:
+            parts.append({deg: (0, (sp.chi,))})
+    return merge_groups(*parts)
+
+
+def _f2_cells(sp: Space, deg_max: int) -> list[tuple[str, int, int, int]]:
+    """The wedge cells that survive mod 2: odd chi drops the joined pair."""
+    dropped = _joined_pair(sp) if sp.chi % 2 else ()
+    return [cell for cell in _wedge_cells(sp, deg_max) if (cell[0], cell[2]) not in dropped]
 
 
 def model_module_f2(sp: Space, deg_max: int) -> FiniteAModule:
     """The assembled wedge as a finite operation module over mod 2.
 
     Cells from the space itself plus every cofiber piece that reaches
-    the window.  Operations act within each piece by one binomial rule:
-    Sq^(r i) carries the cell x^j at level q to x^(j+i) when
-    binom(q (n + 1) + j, i) is odd and that cell survives mod 2, and the
-    space's own powers x^j follow the same rule at level zero.  When the
-    space switches it on, the single odd operation carries each d^0 to
-    c^n one level down; both survive only for even chi.  Every operation
-    inside the window is stored as a nonzero row, whatever its k.
+    the window, less the joined pair when chi is odd.  Operations act
+    within each piece by one binomial rule: Sq^(r i) carries the cell
+    x^j at level q to x^(j+i) when binom(q (n + 1) + j, i) is odd and
+    that cell survives mod 2, and the space's own powers x^j follow the
+    same rule at level zero.  When the space switches it on, the single
+    odd operation carries each d^0 to c^n one level down.  Every
+    operation inside the window is stored as a nonzero row, whatever
+    its k.
     """
     n, r = sp.n, sp.r
     # label -> (family, level, j, degree)
-    cells = {_cell_label(*cell[:3]): cell for cell in _wedge_cells(sp, deg_max)}
-    stop = {family: _powers(sp, family).stop for family in "xcd"}
+    cells = {_cell_label(*cell[:3]): cell for cell in _f2_cells(sp, deg_max)}
+    low, high = _joined_pair(sp)
+    dropped = (low, high) if sp.chi % 2 else ()
 
     def rule(label: str):
         family, level, j, _ = cells[label]
         top = level * (n + 1) + j
         out = [
             (r * i, _cell_label(family, level, j + i))
-            for i in range(1, stop[family] - j)
-            if lucas(top, i)
+            for i in range(1, n + 1 - j)
+            if lucas(top, i) and (family, j + i) not in dropped
         ]
-        if family == "d" and j == 0 and sp.odd_op:
-            out.append((1, _cell_label("c", level - 1, n)))
+        if (family, j) == low and sp.odd_op:
+            out.append((1, _cell_label(high[0], level - 1, high[1])))
         return out
 
     elements = [(label, cell[3]) for label, cell in cells.items()]
@@ -316,7 +291,7 @@ def loop_dictionary(sp: Space, deg_max: int) -> dict[str, str]:
     """
     return {
         _cell_label(family, level, j): key_label((j, int(family == "c"), level))
-        for family, level, j, _ in _wedge_cells(sp, deg_max)
+        for family, level, j, _ in _f2_cells(sp, deg_max)
     }
 
 

@@ -156,10 +156,18 @@ def test_products_lemma_full_pass():
 
 
 def test_products_lemma_validation():
-    with pytest.raises(ValueError):
-        lemma_products_check(EVEN, gen_x(1), alpha(1), gen_x(0))
-    with pytest.raises(ValueError):
-        lemma_products_check(EVEN, alpha(1), alpha(1), gen_x(1))
+    with pytest.raises(ValueError, match="both main factors must be normalized"):
+        lemma_products_check(EVEN, gen_x(1), alpha(1), gen_x(0), omega(2))
+    with pytest.raises(ValueError, match="levels must be"):
+        lemma_products_check(EVEN, alpha(1), alpha(1), gen_x(1), omega(2))
+
+
+def test_products_lemma_refuses_a_certificate_off_its_level_or_unnormalized():
+    b = face(EVEN.n, 0, omega(2))
+    for bad in (omega(1), omega(3), gen_x(2)):
+        with pytest.raises(ValueError) as err:
+            lemma_products_check(EVEN, alpha(1), b, gen_x(0), bad)
+        assert str(err.value) == "the chain certificate must be normalized one level up"
 
 
 def test_squares_lemma_identities_always_hold():

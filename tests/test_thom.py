@@ -1,6 +1,7 @@
 """Wedge model internals and the reference tables they must reproduce."""
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -14,13 +15,12 @@ from looplab.thom import (
     SPACES,
     Space,
     abelian_tsv,
-    cofiber_z,
     loop_dictionary,
+    merge_groups,
     model_homology_z,
     model_module_f2,
     reference_loop_homology,
     space,
-    suspended_cofiber_z,
     sw_classes,
 )
 
@@ -154,44 +154,61 @@ def test_bundle_classes_explain_the_operation_rule():
 
 
 def test_cofiber_groups():
-    assert cofiber_z(space("cp2"), 0) == {
+    # The lowest pieces written out: the joined pair of each level is one
+    # Z/chi, and the wedge's other cells are free classes.
+    assert model_homology_z(space("cp2"), 8) == {
+        0: (1, ()),
         1: (1, ()),
+        2: (1, ()),
         3: (1, ()),
+        4: (1, (3,)),
+        5: (1, ()),
         6: (1, ()),
-        8: (1, ()),
-        4: (0, (3,)),
+        7: (1, ()),
+        8: (1, (3,)),
     }
-    assert cofiber_z(space("s4"), 0) == {1: (1, ()), 8: (1, ()), 4: (0, (2,))}
+    assert model_homology_z(space("s4"), 8) == {
+        0: (1, ()),
+        3: (1, ()),
+        4: (1, ()),
+        6: (0, (2,)),
+    }
 
 
 def test_suspended_degree_sets():
+    # For chi != 0 the pair that the level q map joins is one Z/chi in
+    # degree (q+1)((n+1)r - 2), and every other cell is a free class.
     for name in ("cp2", "hp2", "cayley"):
         sp = space(name)
         stride = (sp.n + 1) * sp.r - 2
+        deg_max = 4 * stride
+        free = Counter(sp.r * j for j in range(sp.n + 1))
         for q in range(4):
-            groups = suspended_cofiber_z(sp, q)
-            frees = {d for d, (f, _) in groups.items() if f}
-            lower = {stride * q + sp.r * j + sp.r - 1 for j in range(sp.n)}
-            upper = {stride * (q + 1) + sp.r * (j + 1) for j in range(sp.n)}
-            assert frees == lower | upper
-            torsions = {d for d, (_, t) in groups.items() if t}
-            assert torsions == {stride * (q + 1)}
-            assert groups[stride * (q + 1)][1] == (sp.chi,)
+            free.update(stride * q + sp.r * j + sp.r - 1 for j in range(sp.n))
+            free.update(stride * (q + 1) + sp.r * (j + 1) for j in range(sp.n))
+        groups = model_homology_z(sp, deg_max)
+        assert {d: f for d, (f, _) in groups.items() if f} == {
+            d: k for d, k in free.items() if d <= deg_max
+        }, name
+        assert {d: t for d, (_, t) in groups.items() if t} == {
+            stride * (q + 1): (sp.chi,) for q in range(4)
+        }, name
 
 
-def test_sphere_pieces_are_pinned_for_both_parities():
-    # An odd sphere has chi = 0: the would-be cyclic summand is a free
-    # class, and the kernel adds a second one a degree higher.
+def test_sphere_wedges_are_pinned_for_both_parities():
+    # An odd sphere has chi = 0: the joined pair is two free classes one
+    # degree apart, where an even sphere has a single Z/2.
     for m in range(2, 7):
         sp = space(f"s{m}")
+        deg_max = 10 * (m - 1)
+        parts = [{0: (1, ()), m: (1, ())}]
         for q in range(5):
             lower = (2 * q + 1) * (m - 1)
             upper = 2 * (q + 1) * (m - 1)
-            if m % 2:
-                want = {d: (1, ()) for d in (lower, upper, upper + 1, upper + m)}
-            else:
-                want = {lower: (1, ()), upper: (0, (2,)), upper + m: (1, ())}
-            assert suspended_cofiber_z(sp, q) == want, (m, q)
+            parts.append({lower: (1, ()), upper + m: (1, ())})
+            parts.append({upper: (1, ()), upper + 1: (1, ())} if m % 2 else {upper: (0, (2,))})
+        want = {d: g for d, g in merge_groups(*parts).items() if d <= deg_max}
+        assert model_homology_z(sp, deg_max) == want, m
 
 
 def test_model_matches_the_reference_tables():
@@ -273,6 +290,22 @@ def test_chain_homology_meets_the_stable_splitting_in_total_degree():
             assert chain == loop.get(d, 0) == model.get(d, 0) == uct, (sp.name, d)
             checked += 1
     assert checked == 829
+
+
+def test_the_wedge_reads_the_same_cells_both_ways_at_depth():
+    # The integral and the mod 2 readings of one cell list must meet
+    # through the universal coefficient theorem, far past the windows
+    # that the chain sweep and the reference tables reach.
+    checked = 0
+    for sp in SPACES.values():
+        groups = model_homology_z(sp, 400)
+        dims = model_module_f2(sp, 400).dims()
+        for d in range(401):
+            free = groups.get(d, (0, ()))[0]
+            uct = free + _even_orders(groups, d) + _even_orders(groups, d - 1)
+            assert dims.get(d, 0) == uct, (sp.name, d)
+            checked += 1
+    assert checked == 5213
 
 
 def _bockstein_rows(sp, deg_max):
